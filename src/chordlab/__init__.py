@@ -13,7 +13,7 @@ _CACHED_FUNCTIONS = None
 
 
 def clear_caches() -> None:
-    """Reset every memoized polynomial family and table.
+    """Reset every memoized census, polynomial family and table.
 
     Mainly for tests that monkeypatch a statistic implementation and need the
     perturbation to reach the cached families.
@@ -22,11 +22,13 @@ def clear_caches() -> None:
     if _CACHED_FUNCTIONS is None:
         from . import matchings, perms, stirling, words
         _CACHED_FUNCTIONS = [
-            matchings._matching_list, matchings.m_poly, matchings.i_poly,
-            perms.eulerian_xy, perms.eulerian_xpq, perms.derangement_poly,
-            perms.b_poly,
+            matchings._matching_list, matchings.block_census,
+            matchings.pair_census, matchings.m_poly, matchings.i_poly,
+            perms.perm_census, perms.eulerian_xy, perms.eulerian_xpq,
+            perms.derangement_poly, perms.b_poly,
             stirling.q_poly, stirling.xi_table, stirling.gamma_table,
-            stirling.degree_census,
+            stirling.tree_census,
+            words.neighbor_census, words.word_census,
             words.c_poly, words.nca_poly, words.ncr_poly,
         ]
     for fn in _CACHED_FUNCTIONS:

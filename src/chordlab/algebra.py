@@ -331,6 +331,17 @@ def _coerce(value) -> MVPoly:
     return NotImplemented
 
 
+def project(census: Mapping, key_of) -> dict:
+    """Re-tally a {key: count} census by `key_of(key)`; a None image drops
+    the key.  Keys keep the order in which their images first appear."""
+    out: dict = {}
+    for key, count in census.items():
+        image = key_of(key)
+        if image is not None:
+            out[image] = out.get(image, 0) + count
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Structured expansions
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import stirling as st
 from . import words as wd
 from .algebra import (MVPoly, NotHomogeneousError, NotSymmetricError,
                       TruncatedSeries, esym_assemble, esym_expand, gamma_expand,
-                      parse_poly, rising_factorial, stirling1_unsigned)
+                      parse_poly, project, rising_factorial, stirling1_unsigned)
 
 
 class UnknownCheckIdError(Exception):
@@ -80,7 +80,10 @@ def _diff_witness(n: int, lhs: MVPoly, rhs: MVPoly, label: str = "") -> str:
 
 
 def _first_word_in_diff(n: int, diff: MVPoly, key_of, names) -> str | None:
-    """First word (stream order) whose statistic monomial appears in `diff`."""
+    """First word (stream order) whose statistic monomial appears in `diff`.
+
+    Censuses keep no objects, so a failing check rescans the words for this.
+    """
     support = set(diff.terms)
     for w in wd.words(n):
         exps = key_of(w)
@@ -92,23 +95,10 @@ def _first_word_in_diff(n: int, diff: MVPoly, key_of, names) -> str | None:
     return None
 
 
-def _word_poly(n: int, key_of, names) -> MVPoly:
-    counts: dict[tuple, int] = {}
-    for w in wd.words(n):
-        key = key_of(w)
-        if key is None:
-            continue
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, names)
-
-
-def _perm_quadruple_poly(n: int, names=("x", "y", "p", "q")) -> MVPoly:
-    counts: dict[tuple, int] = {}
-    for pi in pm.enumerate_permutations(n):
-        s = pm.perm_stats(pi)
-        key = (s.exc, s.drop, s.fix, s.cyc)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, names)
+def _perm_quadruple_poly(n: int) -> MVPoly:
+    return MVPoly.from_exponents(
+        project(pm.perm_census(n), lambda s: (s.exc, s.drop, s.fix, s.cyc)),
+        ("x", "y", "p", "q"))
 
 
 def _exponent_transform(p: MVPoly, names, image) -> MVPoly:
@@ -212,14 +202,10 @@ def _run_a_equidist(max_n, egf_order):
     # equidistribution, homogenized to degree n-1 on the excedance side.
     out = []
     for n in range(1, max_n + 1):
-        lhs_counts: dict[tuple, int] = {}
-        rhs_counts: dict[tuple, int] = {}
-        for pi in pm.enumerate_permutations(n):
-            s = pm.perm_stats(pi)
-            lhs_counts[(s.exc, n - 1 - s.exc)] = lhs_counts.get((s.exc, n - 1 - s.exc), 0) + 1
-            rhs_counts[(s.asc, s.des)] = rhs_counts.get((s.asc, s.des), 0) + 1
-        lhs = MVPoly.from_exponents(lhs_counts, ("x", "y"))
-        rhs = MVPoly.from_exponents(rhs_counts, ("x", "y"))
+        census = pm.perm_census(n)
+        lhs = MVPoly.from_exponents(
+            project(census, lambda s: (s.exc, n - 1 - s.exc)), ("x", "y"))
+        rhs = MVPoly.from_exponents(project(census, lambda s: (s.asc, s.des)), ("x", "y"))
         ok = lhs == rhs
         out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
     return out
@@ -458,7 +444,7 @@ def _run_der_count(max_n, egf_order):
             {"x": 1, "y": 1, "s": 0, "t": 2})
         rhs = sum(Fraction((-1) ** i, math.factorial(i)) for i in range(n + 1)) \
             * (2 ** n * math.factorial(n))
-        derangements = sum(1 for _ in pm.enumerate_derangements(n))
+        derangements = sum(c for s, c in pm.perm_census(n).items() if s.fix == 0)
         ok = matching_side == rhs and derangements == pm.derangement_count(n)
         wit = None
         if matching_side != rhs:
@@ -631,19 +617,18 @@ def _run_mp_bij(max_n, egf_order):
 
 @_check("I-STATS", "I_n(x,y,q) equals the inv/coinv/rank word polynomial", 6)
 def _run_i_stats(max_n, egf_order):
+    def key(s):
+        return (s.inv, s.coinv, s.rank)
+
     out = []
     for n in range(1, max_n + 1):
         lhs = mt.i_poly(n)
-
-        def key(w):
-            s = wd.word_stats(w)
-            return (s.inv, s.coinv, s.rank)
-
-        rhs = _word_poly(n, key, ("x", "y", "q"))
+        rhs = MVPoly.from_exponents(project(wd.word_census(n), key), ("x", "y", "q"))
         ok = lhs == rhs
         wit = None
         if not ok:
-            word = _first_word_in_diff(n, lhs - rhs, key, ("x", "y", "q"))
+            word = _first_word_in_diff(n, lhs - rhs, lambda w: key(wd.word_stats(w)),
+                                       ("x", "y", "q"))
             wit = _diff_witness(n, lhs, rhs) + (f"; first word in diff: {word}" if word else "")
         out.append((n, ok, wit))
     return out
@@ -664,11 +649,8 @@ def _run_kz(max_n, egf_order):
 def _run_klazar(max_n, egf_order):
     out = []
     for n in range(1, max_n + 1):
-        counts: dict[tuple, int] = {}
-        for m in mt.matchings(n):
-            ps = mt.pairwise_stats(m)
-            counts[(ps.cr, ps.ne)] = counts.get((ps.cr, ps.ne), 0) + 1
-        p = MVPoly.from_exponents(counts, ("x", "y"))
+        p = MVPoly.from_exponents(
+            project(mt.pair_census(n), lambda ps: (ps.cr, ps.ne)), ("x", "y"))
         swapped = p.subst({"x": MVPoly.var("y"), "y": MVPoly.var("x")})
         ok = p == swapped
         out.append((n, ok, None if ok else _diff_witness(n, p, swapped)))
@@ -877,11 +859,8 @@ def _run_cq_transform(max_n, egf_order):
 def _run_q_lne(max_n, egf_order):
     out = []
     for n in range(1, max_n + 1):
-        counts: dict[tuple, int] = {}
-        for m in mt.matchings(n):
-            k = (n - mt.pairwise_stats(m).lne,)
-            counts[k] = counts.get(k, 0) + 1
-        lhs = MVPoly.from_exponents(counts, ("x",))
+        lhs = MVPoly.from_exponents(
+            project(mt.pair_census(n), lambda ps: (n - ps.lne,)), ("x",))
         rhs = st.q_univariate(n)
         ok = lhs == rhs
         out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
@@ -892,11 +871,8 @@ def _run_q_lne(max_n, egf_order):
 def _run_q_lrp(max_n, egf_order):
     out = []
     for n in range(1, max_n + 1):
-        counts: dict[tuple, int] = {}
-        for m in mt.matchings(n):
-            k = (n + 1 - mt.pairwise_stats(m).lrp,)
-            counts[k] = counts.get(k, 0) + 1
-        lhs = MVPoly.from_exponents(counts, ("x",))
+        lhs = MVPoly.from_exponents(
+            project(mt.pair_census(n), lambda ps: (n + 1 - ps.lrp,)), ("x",))
         rhs = st.q_univariate(n)
         ok = lhs == rhs
         out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
@@ -928,24 +904,25 @@ def _run_nca_recu(max_n, egf_order):
 @_check("SIX-EULERIAN", "all six restricted neighbor sums give A_n(x,y)", 6)
 def _run_six_eulerian(max_n, egf_order):
     names = ("x", "y")
+    # selectors over the neighbor census key (lne, lcr, nal, rrp, lrp)
     cases = [
-        ("nal=0: x^lne y^lcr", lambda c: (len(c.lne), len(c.lcr)) if not c.nal else None),
-        ("lcr=0: x^lne y^nal", lambda c: (len(c.lne), len(c.nal)) if not c.lcr else None),
-        ("lne=0: x^lcr y^nal", lambda c: (len(c.lcr), len(c.nal)) if not c.lne else None),
-        ("lne=0: x^lcr y^(lrp-1)", lambda c: (len(c.lcr), len(c.lrp) - 1) if not c.lne else None),
-        ("lcr=0: x^lne y^(lrp-1)", lambda c: (len(c.lne), len(c.lrp) - 1) if not c.lcr else None),
-        ("lrp=1: x^lne y^lcr", lambda c: (len(c.lne), len(c.lcr)) if len(c.lrp) == 1 else None),
+        ("nal=0: x^lne y^lcr", lambda c: (c[0], c[1]) if not c[2] else None),
+        ("lcr=0: x^lne y^nal", lambda c: (c[0], c[2]) if not c[1] else None),
+        ("lne=0: x^lcr y^nal", lambda c: (c[1], c[2]) if not c[0] else None),
+        ("lne=0: x^lcr y^(lrp-1)", lambda c: (c[1], c[4] - 1) if not c[0] else None),
+        ("lcr=0: x^lne y^(lrp-1)", lambda c: (c[0], c[4] - 1) if not c[1] else None),
+        ("lrp=1: x^lne y^lcr", lambda c: (c[0], c[1]) if c[4] == 1 else None),
     ]
     out = []
     for n in range(1, max_n + 1):
         target = pm.eulerian_xy(n)
         ok, wit = True, None
         for label, selector in cases:
-            key_of = (lambda sel: lambda w: sel(wd.neighbor_classify(w)))(selector)
-            poly = _word_poly(n, key_of, names)
+            poly = MVPoly.from_exponents(project(wd.neighbor_census(n), selector), names)
             if poly != target:
                 ok = False
-                word = _first_word_in_diff(n, poly - target, key_of, names)
+                word = _first_word_in_diff(
+                    n, poly - target, lambda w: selector(wd.neighbor_counts(w)), names)
                 wit = (_diff_witness(n, poly, target, label)
                        + (f"; first word in diff: {word}" if word else ""))
                 break
@@ -961,7 +938,7 @@ def _run_six_eulerian(max_n, egf_order):
 def _run_catalan(max_n, egf_order):
     out = []
     for n in range(1, max_n + 1):
-        count = sum(1 for m in mt.matchings(n) if mt.pairwise_stats(m).cr == 0)
+        count = sum(c for ps, c in mt.pair_census(n).items() if ps.cr == 0)
         catalan = math.comb(2 * n, n) // (n + 1)
         ok = count == catalan
         out.append((n, ok, None if ok else f"n={n}: {count} != C_n = {catalan}"))
@@ -972,15 +949,11 @@ def _run_catalan(max_n, egf_order):
 def _run_narayana(max_n, egf_order):
     out = []
     for n in range(1, max_n + 1):
-        noncrossing: dict[int, int] = {}
-        nonnesting: dict[int, int] = {}
-        for m in mt.matchings(n):
-            ps = mt.pairwise_stats(m)
-            if ps.cr == 0:
-                k = sum(1 for a, b in m if b == a + 1)
-                noncrossing[k] = noncrossing.get(k, 0) + 1
-            if ps.ne == 0:
-                nonnesting[ps.lrp] = nonnesting.get(ps.lrp, 0) + 1
+        # In a noncrossing matching an opener followed by a closer is an
+        # adjacent block (i, i+1), so lrp counts its adjacent blocks.
+        census = mt.pair_census(n)
+        noncrossing = project(census, lambda ps: None if ps.cr else ps.lrp)
+        nonnesting = project(census, lambda ps: None if ps.ne else ps.lrp)
         expected = {k: math.comb(n, k - 1) * math.comb(n, k) // n
                     for k in range(1, n + 1)}
         expected = {k: v for k, v in expected.items() if v}
@@ -998,7 +971,7 @@ def _run_narayana(max_n, egf_order):
 def _run_lne_fact(max_n, egf_order):
     out = []
     for n in range(1, max_n + 1):
-        count = sum(1 for m in mt.matchings(n) if mt.pairwise_stats(m).lne == 0)
+        count = sum(c for ps, c in mt.pair_census(n).items() if ps.lne == 0)
         ok = count == math.factorial(n)
         out.append((n, ok, None if ok else f"n={n}: {count} != n! = {math.factorial(n)}"))
     return out
@@ -1010,14 +983,8 @@ def _run_foata(max_n, egf_order):
     for n in range(1, max_n + 1):
         coeffs = dict(gamma_expand(pm.eulerian_xy(n), "x", "y"))
         gamma = {j: int(p.constant_term()) for j, p in coeffs.items()}
-        alpha: dict[int, int] = {}
-        for pi in pm.enumerate_permutations(n):
-            s = pm.perm_stats(pi)
-            if s.dd == 0:
-                alpha[s.des] = alpha.get(s.des, 0) + 1
-        trees: dict[int, int] = {}
-        for (d1, d2, d3), c in st.degree_census(n, 2).entries.items():
-            trees[d2] = trees.get(d2, 0) + c
+        alpha = project(pm.perm_census(n), lambda s: None if s.dd else s.des)
+        trees = project(st.tree_census(n, 2), lambda h: h[2])
         ok = gamma == alpha and gamma == trees
         wit = None
         if gamma != alpha:
@@ -1189,14 +1156,14 @@ def report_table(results: Iterable[CheckResult]) -> str:
     results = list(results)
     lines = []
     width = max((len(r.id) for r in results), default=10)
-    failed = 0
     for r in results:
         mark = {"pass": "pass", "fail": "FAIL", "skip": "skip"}[r.status]
         line = f"{r.id:<{width}}  {mark}  max_n={r.max_n:<3d} {r.ms:>7d} ms"
-        if r.status == "fail":
-            failed += 1
-            if r.witness:
-                line += f"  [{r.witness}]"
+        if r.status == "fail" and r.witness:
+            line += f"  [{r.witness}]"
         lines.append(line)
-    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    passed = sum(1 for r in results if r.status == "pass")
+    skipped = sum(1 for r in results if r.status == "skip")
+    summary = f"{passed}/{len(results) - skipped} checks passed"
+    lines.append(summary + (f", {skipped} skipped" if skipped else ""))
     return "\n".join(lines)

@@ -66,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated check ids, or 'all'")
     p_verify.add_argument("--max-n", type=int, default=None)
     p_verify.add_argument("--egf-order", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int,
-                          default=int(os.environ.get("CHORDLAB_JOBS", "1")))
+    p_verify.add_argument("--jobs", type=int, default=None,
+                          help="worker processes (default: $CHORDLAB_JOBS, else 1)")
     p_verify.add_argument("--report", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
 
@@ -190,6 +190,9 @@ def _cmd_enumerate(args) -> int:
     if args.n < 0:
         print(f"error: --n must be nonnegative", file=sys.stderr)
         return 2
+    if args.n == 0 and args.family.startswith("trees"):
+        print(f"error: --n must be positive for {args.family}", file=sys.stderr)
+        return 2
     if args.n > limit and not args.force:
         print(f"error: --n {args.n} exceeds the {args.family} limit {limit} "
               "(pass --force to override)", file=sys.stderr)
@@ -269,11 +272,23 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    source, raw = (("--jobs", args.jobs) if args.jobs is not None
+                   else ("CHORDLAB_JOBS", os.environ.get("CHORDLAB_JOBS", "1")))
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        print(f"error: {source} must be a positive integer, got {raw!r}", file=sys.stderr)
+        return 2
     selection = "all" if args.checks.strip() == "all" else [
         part.strip() for part in args.checks.split(",") if part.strip()]
+    if not selection:
+        print(f"error: --checks {args.checks!r} names no check", file=sys.stderr)
+        return 2
     try:
         results = checks.run_checks(selection, max_n=args.max_n,
-                                    egf_order=args.egf_order, jobs=args.jobs)
+                                    egf_order=args.egf_order, jobs=jobs)
     except checks.UnknownCheckIdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,11 +9,12 @@ exactly once.  Plain tuples keep the enumeration of the larger M_n cheap;
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .algebra import MVPoly
+from .algebra import MVPoly, project
 
 Arc = tuple  # (opener, closer)
 Matching = tuple  # tuple[Arc, ...] in standard form
@@ -65,6 +66,8 @@ def enumerate_matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if start_rank < 0:
+        raise ValueError("start_rank must be nonnegative")
     if n == 0:
         if start_rank == 0:
             yield ()
@@ -305,40 +308,50 @@ def matchings(n: int) -> Iterator[Matching]:
     return enumerate_matchings(n)
 
 
+def _block_key(m: Matching) -> tuple:
+    bs = block_stats(m)
+    return (bs.elblock, bs.olblock, bs.fixb, trace(m), bs.even_to_odd)
+
+
+@lru_cache(maxsize=None)
+def block_census(n: int) -> Counter:
+    """{(elblock, olblock, fixb, trace, even_to_odd): count} over M_n.
+
+    One pass over the block-class and trace kernels, never pairwise_stats;
+    M_n, the trace distribution and the even-to-odd count project from it.
+    Callers must not mutate the result.
+    """
+    return Counter(map(_block_key, matchings(n)))
+
+
+@lru_cache(maxsize=None)
+def pair_census(n: int) -> Counter:
+    """{PairStats: count} over M_n, from one pass of pairwise_stats."""
+    return Counter(map(pairwise_stats, matchings(n)))
+
+
 @lru_cache(maxsize=None)
 def m_poly(n: int) -> MVPoly:
     """The (s,t)-even-odd larger matching polynomial M_n(x, y, s, t)."""
-    counts: dict[tuple, int] = {}
-    for m in matchings(n):
-        bs = block_stats(m)
-        key = (bs.elblock, bs.olblock, bs.fixb, trace(m))
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("x", "y", "s", "t"))
+    return MVPoly.from_exponents(project(block_census(n), lambda k: k[:4]),
+                                 ("x", "y", "s", "t"))
 
 
 @lru_cache(maxsize=None)
 def i_poly(n: int) -> MVPoly:
     """I_n(x, y, q): sum of x^ne y^cr q^al over matchings."""
-    counts: dict[tuple, int] = {}
-    for m in matchings(n):
-        ps = pairwise_stats(m)
-        key = (ps.ne, ps.cr, ps.al)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("x", "y", "q"))
+    return MVPoly.from_exponents(
+        project(pair_census(n), lambda ps: (ps.ne, ps.cr, ps.al)), ("x", "y", "q"))
 
 
 def count_even_to_odd_free(n: int) -> int:
     """Matchings with no block whose opener is even and closer odd."""
-    return sum(1 for m in matchings(n) if block_stats(m).even_to_odd == 0)
+    return sum(c for key, c in block_census(n).items() if key[4] == 0)
 
 
 def trace_distribution(n: int) -> MVPoly:
     """Sum of q^trace over all matchings of [2n]."""
-    counts: dict[tuple, int] = {}
-    for m in matchings(n):
-        key = (trace(m),)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("q",))
+    return MVPoly.from_exponents(project(block_census(n), lambda k: (k[3],)), ("q",))
 
 
 def arcs_text(m: Matching) -> str:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .algebra import MVPoly
+from .algebra import MVPoly, project
 
 Permutation = tuple  # tuple[int, ...], values 1..n
 SignedPermutation = tuple  # tuple[int, ...], values in {+-1..+-n}
@@ -230,25 +231,29 @@ def enumerate_inversion_sequences(n: int) -> Iterator[InversionSequence]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def perm_census(n: int) -> Counter:
+    """{PermStats: count} over S_n, from one pass of perm_stats.
+
+    Every S_n polynomial below, and every S_n tally of the checks, projects
+    from it.  Callers must not mutate the result.
+    """
+    return Counter(map(perm_stats, enumerate_permutations(n)))
+
+
+@lru_cache(maxsize=None)
 def eulerian_xy(n: int) -> MVPoly:
     """Bivariate Eulerian polynomial, sum of x^asc y^des over all of S_n.
 
-    The excedance tally is homogenized to x^exc y^(n-1-exc) in the same pass
-    and asserted equal, as a guard on the statistic implementations.  (The
-    joint (exc, drop) distribution is a different polynomial: drop + exc
+    The excedance tally is homogenized to x^exc y^(n-1-exc) from the same
+    census and asserted equal, as a guard on the statistic implementations.
+    (The joint (exc, drop) distribution is a different polynomial: drop + exc
     varies with the number of fixed points, so only the equidistribution of
     exc with asc and des survives bivariately.)
     """
-    by_asc_des: dict[tuple, int] = {}
-    by_exc: dict[tuple, int] = {}
-    for pi in enumerate_permutations(n):
-        st = perm_stats(pi)
-        k1 = (st.asc, st.des)
-        k2 = (st.exc, n - 1 - st.exc)
-        by_asc_des[k1] = by_asc_des.get(k1, 0) + 1
-        by_exc[k2] = by_exc.get(k2, 0) + 1
-    poly = MVPoly.from_exponents(by_asc_des, ("x", "y"))
-    cross = MVPoly.from_exponents(by_exc, ("x", "y"))
+    census = perm_census(n)
+    poly = MVPoly.from_exponents(project(census, lambda s: (s.asc, s.des)), ("x", "y"))
+    cross = MVPoly.from_exponents(project(census, lambda s: (s.exc, n - 1 - s.exc)),
+                                  ("x", "y"))
     if poly != cross:
         raise AssertionError("asc/des and homogenized exc tallies disagree")
     return poly
@@ -257,47 +262,31 @@ def eulerian_xy(n: int) -> MVPoly:
 @lru_cache(maxsize=None)
 def eulerian_xpq(n: int) -> MVPoly:
     """The (p,q)-Eulerian polynomial, sum of x^exc p^fix q^cyc over S_n."""
-    counts: dict[tuple, int] = {}
-    for pi in enumerate_permutations(n):
-        st = perm_stats(pi)
-        key = (st.exc, st.fix, st.cyc)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("x", "p", "q"))
+    return MVPoly.from_exponents(
+        project(perm_census(n), lambda s: (s.exc, s.fix, s.cyc)), ("x", "p", "q"))
 
 
 @lru_cache(maxsize=None)
 def derangement_poly(n: int) -> MVPoly:
     """d_n(x, q): sum of x^exc q^cyc over derangements of [n]."""
-    counts: dict[tuple, int] = {}
-    for pi in enumerate_derangements(n):
-        st = perm_stats(pi)
-        key = (st.exc, st.cyc)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("x", "q"))
+    return MVPoly.from_exponents(
+        project(perm_census(n), lambda s: None if s.fix else (s.exc, s.cyc)), ("x", "q"))
 
 
 def dnk_table(n: int) -> dict[int, MVPoly]:
     """For each k, the cycle polynomial of cda-free derangements with exc = k."""
-    counts: dict[int, dict[tuple, int]] = {}
-    for pi in enumerate_derangements(n):
-        st = perm_stats(pi)
-        if st.cda:
-            continue
-        slot = counts.setdefault(st.exc, {})
-        key = (st.cyc,)
-        slot[key] = slot.get(key, 0) + 1
-    return {k: MVPoly.from_exponents(v, ("q",)) for k, v in sorted(counts.items())}
+    by_exc = MVPoly.from_exponents(
+        project(perm_census(n), lambda s: None if s.fix or s.cda else (s.exc, s.cyc)),
+        ("x", "q"))
+    return {k: p for (k,), p in sorted(by_exc.coefficients_in(("x",)).items())}
 
 
 @lru_cache(maxsize=None)
 def b_poly(n: int) -> MVPoly:
     """Type-B (p,q)-Eulerian polynomial, sum of x^wexc p^fix q^cyc over B_n."""
-    counts: dict[tuple, int] = {}
-    for sigma in enumerate_signed(n):
-        st = signed_stats(sigma)
-        key = (st.wexc, st.fix_B, st.cyc_B)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("x", "p", "q"))
+    census = Counter(map(signed_stats, enumerate_signed(n)))
+    return MVPoly.from_exponents(
+        project(census, lambda s: (s.wexc, s.fix_B, s.cyc_B)), ("x", "p", "q"))
 
 
 def type_b_derangement_poly(n: int) -> MVPoly:

@@ -9,11 +9,12 @@ tree censuses provide the independent enumeration side.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .algebra import MVPoly
+from .algebra import MVPoly, project
 
 StirlingPermutation = tuple  # tuple[int, ...] of length 2n
 PlaneTree = tuple  # children lists: tuple[tuple[int, ...], ...], index 0 unused
@@ -28,6 +29,8 @@ def enumerate_stirling(n: int, start_rank: int = 0) -> Iterator[StirlingPermutat
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if start_rank < 0:
+        raise ValueError("start_rank must be nonnegative")
     if n == 0:
         if start_rank == 0:
             yield ()
@@ -73,11 +76,8 @@ def stirling_word_stats(word: StirlingPermutation) -> tuple[int, int, int]:
 @lru_cache(maxsize=None)
 def q_poly(n: int) -> MVPoly:
     """Trivariate second-order Eulerian polynomial Q_n(x, y, z)."""
-    counts: dict[tuple, int] = {}
-    for word in enumerate_stirling(n):
-        key = stirling_word_stats(word)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("x", "y", "z"))
+    return MVPoly.from_exponents(Counter(map(stirling_word_stats, enumerate_stirling(n))),
+                                 ("x", "y", "z"))
 
 
 def q_univariate(n: int) -> MVPoly:
@@ -225,21 +225,17 @@ def gamma_poly(n: int) -> MVPoly:
 
 
 @lru_cache(maxsize=None)
+def tree_census(n: int, max_degree: int) -> Counter:
+    """{(leaves, deg-1, deg-2, deg-3): count} over increasing plane trees on
+    [n] with degrees <= max_degree, from one pass.  Callers must not mutate it."""
+    return Counter(map(tree_degree_histogram, enumerate_trees(n, max_degree)))
+
+
 def degree_census(n: int, max_degree: int) -> CoeffTable:
     """Tree counts on [n] keyed by (deg-1, deg-2, deg-3) vertex counts."""
-    entries: dict[tuple, int] = {}
-    for tree in enumerate_trees(n, max_degree):
-        _, d1, d2, d3 = tree_degree_histogram(tree)
-        key = (d1, d2, d3)
-        entries[key] = entries.get(key, 0) + 1
-    return CoeffTable(n, entries)
+    return CoeffTable(n, project(tree_census(n, max_degree), lambda h: h[1:]))
 
 
 def gamma_keyed_census(n: int) -> CoeffTable:
     """Tree counts on [n] keyed the gamma way: (deg-2, deg-1, leaves)."""
-    entries: dict[tuple, int] = {}
-    for tree in enumerate_trees(n, 3):
-        leaves, d1, d2, _ = tree_degree_histogram(tree)
-        key = (d2, d1, leaves)
-        entries[key] = entries.get(key, 0) + 1
-    return CoeffTable(n, entries)
+    return CoeffTable(n, project(tree_census(n, 3), lambda h: (h[2], h[1], h[0])))

@@ -8,11 +8,12 @@ object by object.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .algebra import MVPoly
+from .algebra import MVPoly, project
 from . import matchings as mt
 
 Symbol = tuple  # (value, barred)
@@ -190,38 +191,42 @@ def word_from_text(text: str) -> Word:
 # Neighbor polynomial families
 # ---------------------------------------------------------------------------
 
-def _neighbor_counts(w: Word) -> tuple[int, int, int, int, int]:
+def neighbor_counts(w: Word) -> tuple[int, int, int, int, int]:
+    """(lne, lcr, nal, rrp, lrp): the sizes of the five neighbor classes."""
     c = neighbor_classify(w)
     return (len(c.lne), len(c.lcr), len(c.nal), len(c.rrp), len(c.lrp))
 
 
 @lru_cache(maxsize=None)
+def neighbor_census(n: int) -> Counter:
+    """{(lne, lcr, nal, rrp, lrp): count} over matching permutations of
+    order n, from one pass of neighbor_classify.  Callers must not mutate it."""
+    return Counter(map(neighbor_counts, words(n)))
+
+
+@lru_cache(maxsize=None)
+def word_census(n: int) -> Counter:
+    """{WordStats: count} over matching permutations, from one pass of
+    word_stats on the words themselves (never on their matchings)."""
+    return Counter(map(word_stats, words(n)))
+
+
+@lru_cache(maxsize=None)
 def c_poly(n: int) -> MVPoly:
     """The five-variable neighbor polynomial C_n(x1, x2, x3, y1, y2)."""
-    counts: dict[tuple, int] = {}
-    for w in words(n):
-        key = _neighbor_counts(w)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("x1", "x2", "x3", "y1", "y2"))
+    return MVPoly.from_exponents(neighbor_census(n), ("x1", "x2", "x3", "y1", "y2"))
 
 
 @lru_cache(maxsize=None)
 def nca_poly(n: int) -> MVPoly:
     """Sum of x^lne y^lcr z^nal over matching permutations."""
-    counts: dict[tuple, int] = {}
-    for w in words(n):
-        lne, lcr, nal, _, _ = _neighbor_counts(w)
-        key = (lne, lcr, nal)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("x", "y", "z"))
+    return MVPoly.from_exponents(project(neighbor_census(n), lambda k: k[:3]),
+                                 ("x", "y", "z"))
 
 
 @lru_cache(maxsize=None)
 def ncr_poly(n: int) -> MVPoly:
     """Sum of x^lne y^lcr z^(lrp-1) over matching permutations."""
-    counts: dict[tuple, int] = {}
-    for w in words(n):
-        lne, lcr, _, _, lrp = _neighbor_counts(w)
-        key = (lne, lcr, lrp - 1)
-        counts[key] = counts.get(key, 0) + 1
-    return MVPoly.from_exponents(counts, ("x", "y", "z"))
+    return MVPoly.from_exponents(
+        project(neighbor_census(n), lambda k: (k[0], k[1], k[4] - 1)),
+        ("x", "y", "z"))

@@ -1,0 +1,80 @@
+"""The census model: each family is walked once per n and kernel group, and
+every projection renders exactly what the per-family tallies rendered
+before it (golden corpus in tests/golden, captured from those tallies)."""
+import collections
+import re
+from pathlib import Path
+
+import pytest
+
+import chordlab
+from chordlab import cli
+from chordlab import matchings as mt
+from chordlab import perms as pm
+from chordlab import stirling as st
+from chordlab.checks import run_checks
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Count calls of each enumerator by (name, args), from fresh caches."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[(name, args)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((mt, "enumerate_matchings"), (pm, "enumerate_permutations"),
+                         (st, "enumerate_stirling"), (st, "enumerate_trees")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    chordlab.clear_caches()
+    yield counts
+    monkeypatch.undo()
+    chordlab.clear_caches()
+
+
+def test_suite_walks_each_family_once_per_n(walks):
+    results = run_checks("all", max_n=5, egf_order=5)
+    assert all(r.status == "pass" for r in results)
+    assert walks, "no enumerator was called"
+    assert {key: c for key, c in walks.items() if c > 1} == {}
+    # M_0..M_6 are listed once; nothing larger is ever materialised
+    assert mt._matching_list.cache_info().currsize <= 7
+
+
+def test_block_group_streams_m7_once_without_pairwise_stats(walks, monkeypatch):
+    def forbidden(m):
+        raise AssertionError("the block census must not call pairwise_stats")
+
+    monkeypatch.setattr(mt, "pairwise_stats", forbidden)
+    assert mt.trace_distribution(7).evaluate({"q": 1}) == 135135
+    assert mt.m_poly(7).evaluate({"x": 1, "y": 1, "s": 1, "t": 1}) == 135135
+    assert mt.count_even_to_odd_free(7) == 16717  # z^7 of sqrt(e^z/(2-e^z))
+    assert walks[("enumerate_matchings", (7,))] == 1
+    assert mt._matching_list.cache_info().currsize <= 7
+
+
+def _golden_polys():
+    lines = (GOLDEN / "poly_n5.txt").read_text().splitlines()
+    return [tuple(line.split("|", 1)) for line in lines]
+
+
+def test_golden_corpus_covers_every_poly_name():
+    assert sorted(name for name, _ in _golden_polys()) == sorted(cli._POLY_FAMILY)
+
+
+@pytest.mark.parametrize("name,expected", _golden_polys())
+def test_poly_output_is_byte_identical(name, expected, capsys):
+    assert cli.main(["poly", "--name", name, "--n", "5"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_verify_report_is_byte_identical_up_to_ms(capsys):
+    assert cli.main(["verify", "--report", "json", "--max-n", "5",
+                     "--egf-order", "5"]) == 0
+    out = re.sub(r'"ms": \d+', '"ms": 0', capsys.readouterr().out)
+    assert out == (GOLDEN / "verify_n5.json").read_text()

@@ -94,6 +94,11 @@ class TestRunner:
         table = report_table(results)
         assert table.splitlines()[-1] == "2/2 checks passed"
 
+    def test_report_table_counts_skips_apart(self):
+        results = run_checks(["A-RISING", "M-MAIN", "A-EGF"], max_n=0, egf_order=2)
+        assert [r.status for r in results] == ["skip", "skip", "pass"]
+        assert report_table(results).splitlines()[-1] == "1/1 checks passed, 2 skipped"
+
 
 class TestFaultInjection:
     """Criterion: perturbing any single statistic implementation must make at

@@ -204,3 +204,37 @@ class TestUsage:
             capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout.strip() == "s^2*t^2 + 2*t*x*y"
+
+
+class TestMisuse:
+    """Every misuse exits 2 with a one-line message and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--jobs", "0"],
+        ["verify", "--jobs", "-2"],
+        ["verify", "--checks", ","],
+        ["enumerate", "--family", "trees012", "--n", "0"],
+        ["enumerate", "--family", "trees0123", "--n", "0"],
+    ])
+    def test_bad_arguments(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_jobs_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHORDLAB_JOBS", "abc")
+        code, out, err = run_cli(capsys, "verify", "--checks", "A-RISING")
+        assert code == 2
+        assert out == ""
+        assert err == "error: CHORDLAB_JOBS must be a positive integer, got 'abc'\n"
+        # other subcommands never read it
+        code, out, _ = run_cli(capsys, "poly", "--name", "Mn", "--n", "1")
+        assert (code, out) == (0, "s*t\n")
+
+    def test_jobs_flag_overrides_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHORDLAB_JOBS", "abc")
+        code, out, _ = run_cli(capsys, "verify", "--checks", "A-RISING",
+                               "--max-n", "2", "--jobs", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "1/1 checks passed"

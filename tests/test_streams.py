@@ -1,0 +1,58 @@
+"""Restartable enumeration streams: a stream started at rank r is the full
+stream's suffix from r, so contiguous rank shards recombine into it."""
+import itertools
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from chordlab import matchings as mt
+from chordlab import perms as pm
+from chordlab import stirling as st
+
+STREAMS = {
+    "matchings": (mt.enumerate_matchings, 5),
+    "perms": (pm.enumerate_permutations, 5),
+    "signed": (pm.enumerate_signed, 4),
+    "stirling": (st.enumerate_stirling, 5),
+}
+
+
+@lru_cache(maxsize=None)
+def _full(family: str, n: int) -> list:
+    return list(STREAMS[family][0](n))
+
+
+@hs.composite
+def _family_and_n(draw):
+    family = draw(hs.sampled_from(sorted(STREAMS)))
+    return family, draw(hs.integers(0, STREAMS[family][1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_and_n(), hs.data())
+def test_restart_is_the_suffix(family_n, data):
+    family, n = family_n
+    full = _full(family, n)
+    rank = data.draw(hs.integers(0, len(full) + 2))
+    assert list(STREAMS[family][0](n, rank)) == full[rank:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_and_n(), hs.data())
+def test_contiguous_shards_recombine(family_n, data):
+    family, n = family_n
+    full = _full(family, n)
+    cuts = data.draw(hs.lists(hs.integers(0, len(full)), max_size=4))
+    bounds = [0, *sorted(cuts), len(full)]
+    shards = [list(itertools.islice(STREAMS[family][0](n, lo), hi - lo))
+              for lo, hi in zip(bounds, bounds[1:])]
+    assert [obj for shard in shards for obj in shard] == full
+
+
+@pytest.mark.parametrize("family", sorted(STREAMS))
+@pytest.mark.parametrize("n", [0, 2])
+def test_negative_start_rank_is_rejected(family, n):
+    with pytest.raises(ValueError):
+        next(STREAMS[family][0](n, -1))
