@@ -28,7 +28,7 @@ def clear_caches() -> None:
             perms.derangement_poly, perms.b_poly,
             stirling.q_poly, stirling.xi_table, stirling.gamma_table,
             stirling.tree_census,
-            words.neighbor_census, words.word_census,
+            words._word_list, words.neighbor_census, words.word_census,
             words.c_poly, words.nca_poly, words.ncr_poly,
         ]
     for fn in _CACHED_FUNCTIONS:

@@ -4,13 +4,14 @@ Subcommands: `enumerate` (families with statistics as text/CSV/JSON),
 `poly` (print a polynomial family member), `verify` (run the identity
 suite) and `grammar` (iterate a formal derivative from a rule file).
 Identical invocations produce byte-identical output; `--jobs` only changes
-wall time.  Exit codes: 0 success, 1 any failing check, 2 usage errors.
+wall time.  Exit codes: 0 success, 1 any failing check, 2 usage errors
+(an unwritable --out among them), 141 when the reader of stdout closes it.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -80,16 +81,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+class _OutputError(Exception):
+    """--out cannot be opened for writing."""
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream a command writes to: stdout, or `path`, opened on entry so
+    that an unwritable path fails before any work is done."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+    with fh:
+        yield fh
+
+
+def _emit(text: str, out) -> None:
+    out.write(text)
+    if not text.endswith("\n"):
+        out.write("\n")
 
 
 def _signed_row(n: int, rank: int, sigma) -> dict:
@@ -198,21 +212,29 @@ def _cmd_enumerate(args) -> int:
               "(pass --force to override)", file=sys.stderr)
         return 2
     fields, rows = _family_rows(args.family, args.n)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    with _output(args.out) as out:
+        _write_rows(args.format, args.family, fields, rows, out)
+    return 0
+
+
+def _write_rows(fmt: str, family: str, fields: list, rows, out) -> None:
+    """Write each row as it is produced; no format holds the whole stream."""
+    if fmt == "csv":
+        writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        _emit(buf.getvalue(), args.out)
-    elif args.format == "json":
-        _emit(json.dumps([row for row in rows], separators=(",", ":")), args.out)
+        writer.writerows(rows)
+    elif fmt == "json":
+        items = map(json.JSONEncoder(separators=(",", ":")).encode, rows)
+        out.write("[" + next(items, ""))
+        out.writelines("," + item for item in items)
+        out.write("]\n")
     else:
         key = {"matchings": "arcs", "mwords": "word", "perms": "oneline",
                "derangements": "oneline", "signed": "oneline",
-               "stirling": "word", "trees012": "tree", "trees0123": "tree"}[args.family]
-        _emit("\n".join(str(row[key]) for row in rows), args.out)
-    return 0
+               "stirling": "word", "trees012": "tree", "trees0123": "tree"}[family]
+        lines = (f"{row[key]}\n" for row in rows)
+        out.write(next(lines, "\n"))  # an empty stream is one empty line
+        out.writelines(lines)
 
 
 def _poly_by_name(name: str, n: int) -> MVPoly:
@@ -258,16 +280,17 @@ def _cmd_poly(args) -> int:
             print(f"error: --n {args.n} exceeds the {family} limit {limit} "
                   "(pass --force to override)", file=sys.stderr)
             return 2
-    if args.format == "json" and args.name in ("xi", "gamma"):
-        table = st.xi_table(args.n) if args.name == "xi" else st.gamma_table(args.n)
-        _emit(table.to_json(args.name), args.out)
-        return 0
-    poly = _poly_by_name(args.name, args.n)
-    if args.format == "json":
-        _emit(json.dumps({"name": args.name, "n": args.n, "poly": poly.render()},
-                         separators=(",", ":")), args.out)
-    else:
-        _emit(poly.render(), args.out)
+    with _output(args.out) as out:
+        if args.format == "json" and args.name in ("xi", "gamma"):
+            table = st.xi_table(args.n) if args.name == "xi" else st.gamma_table(args.n)
+            _emit(table.to_json(args.name), out)
+            return 0
+        poly = _poly_by_name(args.name, args.n)
+        if args.format == "json":
+            _emit(json.dumps({"name": args.name, "n": args.n, "poly": poly.render()},
+                             separators=(",", ":")), out)
+        else:
+            _emit(poly.render(), out)
     return 0
 
 
@@ -286,16 +309,17 @@ def _cmd_verify(args) -> int:
     if not selection:
         print(f"error: --checks {args.checks!r} names no check", file=sys.stderr)
         return 2
-    try:
-        results = checks.run_checks(selection, max_n=args.max_n,
-                                    egf_order=args.egf_order, jobs=jobs)
-    except checks.UnknownCheckIdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.report == "json":
-        _emit(checks.report_json(results), args.out)
-    else:
-        _emit(checks.report_table(results), args.out)
+    with _output(args.out) as out:
+        try:
+            results = checks.run_checks(selection, max_n=args.max_n,
+                                        egf_order=args.egf_order, jobs=jobs)
+        except checks.UnknownCheckIdError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.report == "json":
+            _emit(checks.report_json(results), out)
+        else:
+            _emit(checks.report_table(results), out)
     return 1 if any(r.status == "fail" for r in results) else 0
 
 
@@ -319,7 +343,8 @@ def _cmd_grammar(args) -> int:
     if args.iterations < 0:
         print("error: --iterations must be nonnegative", file=sys.stderr)
         return 2
-    _emit(gr.d_iter(g, seed, args.iterations).render(), args.out)
+    with _output(args.out) as out:
+        _emit(gr.d_iter(g, seed, args.iterations).render(), out)
     return 0
 
 
@@ -335,7 +360,19 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "grammar": _cmd_grammar,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader left (say `chordlab enumerate ... | head`): end as a
+        # SIGPIPE death would, and keep the interpreter's final flush of
+        # stdout from reporting the same broken pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    return code
 
 
 if __name__ == "__main__":

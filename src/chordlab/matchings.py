@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import MVPoly, project
 
@@ -80,19 +80,25 @@ def enumerate_matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
     rank = start_rank
     for d in range(n - 1, -1, -1):
         rank, digits[d] = divmod(rank, radices[d])
-    arcs: list[tuple[int, int]] = []
+    # Each arc sits in the slot of its closer, so the filled slots read left
+    # to right are already the standard form: no per-matching sort.
+    slots: list = [None] * (2 * n + 1)
 
     def rec(free: tuple, depth: int, on_prefix: bool) -> Iterator[Matching]:
-        if not free:
-            yield standard_form(arcs)
-            return
         a = free[0]
+        if len(free) == 2:
+            b = free[1]
+            slots[b] = (a, b)
+            yield tuple(filter(None, slots))
+            slots[b] = None
+            return
         lo = 1 + digits[depth] if on_prefix else 1
         for t in range(lo, len(free)):
-            arcs.append((a, free[t]))
+            b = free[t]
+            slots[b] = (a, b)
             yield from rec(free[1:t] + free[t + 1:], depth + 1,
                            on_prefix and t == lo)
-            arcs.pop()
+            slots[b] = None
 
     yield from rec(tuple(range(1, 2 * n + 1)), 0, True)
 
@@ -116,8 +122,7 @@ def classify_block(arc: Arc) -> BlockClass:
     return BlockClass(closer, opener)
 
 
-@dataclass(frozen=True)
-class BlockStats:
+class BlockStats(NamedTuple):
     fixb: int
     elblock: int
     olblock: int
@@ -127,31 +132,30 @@ class BlockStats:
 
 
 def block_stats(m: Matching) -> BlockStats:
-    fixb = el = ol = es = os = eto = 0
+    """Fixed blocks, the even/odd larger and smaller block classes of the
+    other blocks, and blocks from an even opener to an odd closer."""
+    fixb = el = es = eto = 0
     for a, b in m:
-        if a % 2 == 1 and b == a + 1:
-            fixb += 1
+        if a & 1:
+            if b == a + 1:
+                fixb += 1
+            elif not b & 1:
+                el += 1
         else:
-            if b % 2 == 1:
-                ol += 1
+            es += 1
+            if b & 1:
+                eto += 1
             else:
                 el += 1
-            if a % 2 == 0:
-                es += 1
-            else:
-                os += 1
-        if a % 2 == 0 and b % 2 == 1:
-            eto += 1
-    return BlockStats(fixb=fixb, elblock=el, olblock=ol, esblock=es,
-                      osblock=os, even_to_odd=eto)
+    rest = len(m) - fixb
+    return BlockStats(fixb, el, rest - el, es, rest - es, eto)
 
 
 # ---------------------------------------------------------------------------
 # Pairwise and positional statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairStats:
+class PairStats(NamedTuple):
     cr: int
     ne: int
     al: int
@@ -166,42 +170,45 @@ class PairStats:
 
 def pairwise_stats(m: Matching) -> PairStats:
     """Crossing/nesting/alignment counts, their adjacency-restricted variants
-    and the LR/RR consecutive-position counts."""
+    and the LR/RR consecutive-position counts.
+
+    One left-to-right sweep over the partner array.  Closing an arc pairs it
+    with every arc still open: those opened before it nest around it, those
+    opened after it cross it; every other pair is aligned.  The restricted
+    variants and lrp/rrp depend only on two adjacent positions.
+    """
     n = len(m)
-    cr = ne = al = lne = lcr = nal = rne = rcr = 0
-    for r in range(n):
-        i1, j1 = m[r]
-        for s in range(r + 1, n):
-            i2, j2 = m[s]  # j1 < j2 by standard form
-            if i2 > j1:
-                al += 1
-                if i2 == j1 + 1:
-                    nal += 1
-            elif i2 > i1:
-                cr += 1
-                if i2 == i1 + 1:
-                    lcr += 1
-                if j2 == j1 + 1:
-                    rcr += 1
-            else:
-                ne += 1
-                if i1 == i2 + 1:
-                    lne += 1
-                if j2 == j1 + 1:
-                    rne += 1
-    is_opener = [False] * (2 * n + 2)
+    partner = [0] * (2 * n + 1)
     for a, b in m:
-        is_opener[a] = True
-    lrp = rrp = 0
-    for i in range(1, 2 * n):
-        if is_opener[i + 1]:
-            continue
-        if is_opener[i]:
-            lrp += 1
-        else:
-            rrp += 1
-    return PairStats(cr=cr, ne=ne, al=al, lne=lne, lcr=lcr, nal=nal,
-                     rne=rne, rcr=rcr, lrp=lrp, rrp=rrp)
+        partner[a] = b
+        partner[b] = a
+    opened: list[int] = []
+    open_pairs = ne = lne = lcr = nal = rne = rcr = lrp = 0
+    prev = 0  # partner of position p - 1 (0 before position 1)
+    for p, q in enumerate(partner):
+        if q > p:  # p opens the arc (p, q)
+            if prev > p:
+                if prev > q:
+                    lne += 1
+                else:
+                    lcr += 1
+            elif prev:
+                nal += 1
+            opened.append(p)
+        elif q:  # p closes the arc (q, p)
+            if prev >= p:
+                lrp += 1
+            elif prev > q:
+                rne += 1
+            else:
+                rcr += 1
+            idx = opened.index(q)
+            ne += idx
+            del opened[idx]
+            open_pairs += len(opened)
+        prev = q
+    return PairStats(open_pairs - ne, ne, n * (n - 1) // 2 - open_pairs,
+                     lne, lcr, nal, rne, rcr, lrp, rne + rcr)
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +275,23 @@ def trace_indices(m: Matching) -> frozenset:
     """
     n = len(m)
     partner = [0] * (2 * n + 1)
-    found = set()
+    found = []
     for a, b in m:
         partner[a] = b
         partner[b] = a
-        if a % 2 == 1 and b == a + 1:
-            found.add(a)
+        if b == a + 1 and a & 1:
+            found.append(a)
     for top in range(2 * n, 0, -2):
-        if partner[top - 1] == top:
-            continue
         a = partner[top - 1]
+        if a == top:
+            continue
         b = partner[top]
-        c, d = (a, b) if a < b else (b, a)
-        partner[c] = d
-        partner[d] = c
-        if c % 2 == 1 and d == c + 1:
-            found.add(c)
+        if a > b:
+            a, b = b, a
+        partner[a] = b
+        partner[b] = a
+        if b == a + 1 and a & 1:
+            found.append(a)
     return frozenset(found)
 
 

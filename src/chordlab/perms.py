@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import MVPoly, project
 
@@ -115,8 +115,7 @@ def _digits(rank: int, radices: list[int]) -> list[int]:
 # Statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PermStats:
+class PermStats(NamedTuple):
     exc: int
     drop: int
     fix: int
@@ -143,32 +142,44 @@ def cycle_count(pi: Permutation) -> int:
 
 
 def perm_stats(pi: Permutation) -> PermStats:
-    """The statistic record used throughout; dd uses boundary pi(0)=pi(n+1)=0."""
+    """The statistic record used throughout; dd uses boundary pi(0)=pi(n+1)=0.
+
+    A pass over positions gives exc/drop and the inverse, then cda; a pass
+    over adjacent values gives asc, dd and, by bisecting the sorted values
+    seen so far, inv.
+    """
     n = len(pi)
-    exc = drop = fix = 0
+    inverse = [0] * (n + 1)
+    exc = drop = 0
     for i, v in enumerate(pi, start=1):
+        inverse[v] = i
         if v > i:
             exc += 1
         elif v < i:
             drop += 1
-        else:
-            fix += 1
-    asc = sum(1 for i in range(n - 1) if pi[i] < pi[i + 1])
-    des = (n - 1) - asc
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if pi[i] > pi[j])
-    inverse = [0] * (n + 1)
+    cda = 0
     for i, v in enumerate(pi, start=1):
-        inverse[v] = i
-    cda = sum(1 for i in range(1, n + 1) if inverse[i] < i < pi[i - 1])
-    padded = (0,) + pi + (0,)
-    dd = sum(1 for i in range(1, n + 1)
-             if padded[i - 1] > padded[i] > padded[i + 1])
-    return PermStats(exc=exc, drop=drop, fix=fix, cyc=cycle_count(pi),
-                     asc=asc, des=des, inv=inv, cda=cda, dd=dd)
+        if inverse[i] < i < v:
+            cda += 1
+    asc = dd = inv = 0
+    earlier: list[int] = []  # the values before the current one, sorted
+    a = b = 0  # pi(i-2), pi(i-1), zero before the first position
+    for c in pi:
+        if b > c:
+            if a > b:
+                dd += 1
+        elif b:
+            asc += 1
+        inv += len(earlier) - bisect_right(earlier, c)
+        insort(earlier, c)
+        a, b = b, c
+    if a > b:  # the last position against pi(n+1) = 0
+        dd += 1
+    return PermStats(exc, drop, n - exc - drop, cycle_count(pi), asc, n - 1 - asc,
+                     inv, cda, dd)
 
 
-@dataclass(frozen=True)
-class SignedStats:
+class SignedStats(NamedTuple):
     wexc: int
     exc_B: int
     drop_B: int
@@ -184,19 +195,19 @@ def signed_stats(sigma: SignedPermutation) -> SignedStats:
     the verification suite treats that convention as provisional and lets
     the B-MAIN check arbitrate it empirically.
     """
-    n = len(sigma)
-    absperm = tuple(abs(v) for v in sigma)
-    exc = fix = single = 0
+    exc = drop = fix = single = 0
     for i, v in enumerate(sigma, start=1):
-        if sigma[abs(v) - 1] > v:
+        image = sigma[abs(v) - 1]
+        if image > v:
             exc += 1
+        elif image < v:
+            drop += 1
         if v == i:
             fix += 1
         elif v == -i:
             single += 1
-    drop = sum(1 for v in sigma if sigma[abs(v) - 1] < v)
-    return SignedStats(wexc=exc + single, exc_B=exc, drop_B=drop, fix_B=fix,
-                       single=single, cyc_B=cycle_count(absperm))
+    return SignedStats(exc + single, exc, drop, fix, single,
+                       cycle_count(tuple(map(abs, sigma))))
 
 
 # ---------------------------------------------------------------------------

@@ -47,29 +47,40 @@ def enumerate_stirling(n: int, start_rank: int = 0) -> Iterator[StirlingPermutat
         rank, digits[k] = divmod(rank, radices[k])
 
     def rec(word: tuple, k: int, on_prefix: bool) -> Iterator[StirlingPermutation]:
-        if k > n:
-            yield word
-            return
         lo = digits[k - 1] if on_prefix else 0
+        pair = (k, k)
+        if k == n:
+            for gap in range(lo, 2 * k - 1):
+                yield word[:gap] + pair + word[gap:]
+            return
         for gap in range(lo, 2 * k - 1):
-            yield from rec(word[:gap] + (k, k) + word[gap:], k + 1,
+            yield from rec(word[:gap] + pair + word[gap:], k + 1,
                            on_prefix and gap == lo)
 
     yield from rec((), 1, True)
 
 
 def stirling_word_stats(word: StirlingPermutation) -> tuple[int, int, int]:
-    """(asc, plat, des) over the zero-padded word."""
-    padded = (0,) + word + (0,)
+    """(asc, plat, des) over the word padded with a zero at both ends.
+
+    The padding is not built: the sweep starts from 0, and since the values
+    are positive the closing zero adds a descent after a nonempty word and a
+    plateau after the empty one.
+    """
     asc = plat = des = 0
-    for i in range(len(padded) - 1):
-        a, b = padded[i], padded[i + 1]
-        if a < b:
+    prev = 0
+    for x in word:
+        if prev < x:
             asc += 1
-        elif a == b:
+        elif prev == x:
             plat += 1
         else:
             des += 1
+        prev = x
+    if prev:
+        des += 1
+    else:
+        plat += 1
     return asc, plat, des
 
 
@@ -168,22 +179,22 @@ def xi_table(n: int) -> CoeffTable:
     xi(n+1; i,j,k) = (1+j+2k) xi(n; i-1,j,k) + 2(1+i) xi(n; i+1,j-1,k)
                      + 3(1+j) xi(n; i,j+1,k-1),
 
-    starting from xi(1; 1,0,0) = 1; keys satisfy i + 2j + 3k = n.
+    starting from xi(1; 1,0,0) = 1; keys satisfy i + 2j + 3k = n.  Iterated
+    from order 1 up, keeping only the previous order's entries.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return CoeffTable(1, {(1, 0, 0): 1})
-    prev = xi_table(n - 1).entries
-    cur: dict[tuple, int] = {}
-    for k in range(n // 3 + 1):
-        for j in range((n - 3 * k) // 2 + 1):
-            i = n - 2 * j - 3 * k
-            total = (1 + j + 2 * k) * prev.get((i - 1, j, k), 0)
-            total += 2 * (1 + i) * prev.get((i + 1, j - 1, k), 0)
-            total += 3 * (1 + j) * prev.get((i, j + 1, k - 1), 0)
-            if total:
-                cur[(i, j, k)] = total
+    cur: dict[tuple, int] = {(1, 0, 0): 1}
+    for m in range(2, n + 1):
+        prev, cur = cur, {}
+        for k in range(m // 3 + 1):
+            for j in range((m - 3 * k) // 2 + 1):
+                i = m - 2 * j - 3 * k
+                total = (1 + j + 2 * k) * prev.get((i - 1, j, k), 0)
+                total += 2 * (1 + i) * prev.get((i + 1, j - 1, k), 0)
+                total += 3 * (1 + j) * prev.get((i, j + 1, k - 1), 0)
+                if total:
+                    cur[(i, j, k)] = total
     return CoeffTable(n, cur)
 
 
@@ -195,22 +206,22 @@ def gamma_table(n: int) -> CoeffTable:
                       + k gamma(n-1; i,j-1,k),
 
     starting from gamma(1; 0,0,1) = 1; keys satisfy i + 2j + 3k = 2n + 1.
+    Iterated from order 1 up, keeping only the previous order's entries.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return CoeffTable(1, {(0, 0, 1): 1})
-    prev = gamma_table(n - 1).entries
-    cur: dict[tuple, int] = {}
-    target = 2 * n + 1
-    for k in range(target // 3 + 1):
-        for j in range((target - 3 * k) // 2 + 1):
-            i = target - 2 * j - 3 * k
-            total = 3 * (1 + i) * prev.get((i + 1, j, k - 1), 0)
-            total += 2 * (1 + j) * prev.get((i - 1, j + 1, k - 1), 0)
-            total += k * prev.get((i, j - 1, k), 0)
-            if total:
-                cur[(i, j, k)] = total
+    cur: dict[tuple, int] = {(0, 0, 1): 1}
+    for m in range(2, n + 1):
+        prev, cur = cur, {}
+        target = 2 * m + 1
+        for k in range(target // 3 + 1):
+            for j in range((target - 3 * k) // 2 + 1):
+                i = target - 2 * j - 3 * k
+                total = 3 * (1 + i) * prev.get((i + 1, j, k - 1), 0)
+                total += 2 * (1 + j) * prev.get((i - 1, j + 1, k - 1), 0)
+                total += k * prev.get((i, j - 1, k), 0)
+                if total:
+                    cur[(i, j, k)] = total
     return CoeffTable(n, cur)
 
 

@@ -8,10 +8,10 @@ object by object.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import MVPoly, project
 from . import matchings as mt
@@ -20,14 +20,19 @@ Symbol = tuple  # (value, barred)
 Word = tuple  # tuple[Symbol, ...]
 
 
+@lru_cache(maxsize=None)
+def _symbol_pairs(n: int) -> tuple:
+    """((r, False), (r, True)) for r = 1..n, shared by every word of order n."""
+    return tuple(((r, False), (r, True)) for r in range(1, n + 1))
+
+
 def from_matching(m: mt.Matching) -> Word:
     """Label closers 1'..n' left to right, openers with their arc's value."""
-    n = len(m)
-    symbols: list[Symbol] = [None] * (2 * n)
-    for r, (a, b) in enumerate(m, start=1):
-        symbols[a - 1] = (r, False)
-        symbols[b - 1] = (r, True)
-    return tuple(symbols)
+    symbols: list[Symbol] = [None] * (2 * len(m) + 1)
+    for (a, b), (opener, closer) in zip(m, _symbol_pairs(len(m))):
+        symbols[a] = opener
+        symbols[b] = closer
+    return tuple(symbols[1:])
 
 
 def to_matching(w: Word) -> mt.Matching:
@@ -76,10 +81,18 @@ def enumerate_words(n: int, start_rank: int = 0) -> Iterator[Word]:
         yield from_matching(m)
 
 
+@lru_cache(maxsize=None)
+def _word_list(n: int) -> tuple:
+    """Materialized words for small n, reused by every word census."""
+    return tuple(map(from_matching, mt.matchings(n)))
+
+
 def words(n: int) -> Iterator[Word]:
-    """Cached for small n, like :func:`matchings.matchings`."""
-    for m in mt.matchings(n):
-        yield from_matching(m)
+    """Like :func:`enumerate_words` but cached for n <= 6, like
+    :func:`matchings.matchings`."""
+    if n <= 6:
+        return iter(_word_list(n))
+    return map(from_matching, mt.matchings(n))
 
 
 def insertion_words(n: int) -> Iterator[Word]:
@@ -103,8 +116,7 @@ def insertion_words(n: int) -> Iterator[Word]:
 # Neighbor classification and word statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NeighborClassification:
+class NeighborClassification(NamedTuple):
     lne: frozenset
     lcr: frozenset
     nal: frozenset
@@ -114,28 +126,29 @@ class NeighborClassification:
 
 def neighbor_classify(w: Word) -> NeighborClassification:
     """Partition the indices 1..2n-1 into the five neighbor classes."""
-    lne, lcr, nal, rrp, lrp = set(), set(), set(), set(), set()
-    for i in range(len(w) - 1):
-        v1, b1 = w[i]
-        v2, b2 = w[i + 1]
-        idx = i + 1
-        if b1 and b2:
-            rrp.add(idx)
-        elif b1 and not b2:
-            nal.add(idx)
-        elif not b1 and b2:
-            lrp.add(idx)
+    lne, lcr, nal, rrp, lrp = [], [], [], [], []
+    it = iter(w)
+    v1, b1 = next(it, (0, False))
+    idx = 0
+    for v2, b2 in it:
+        idx += 1
+        if b1:
+            if b2:
+                rrp.append(idx)
+            else:
+                nal.append(idx)
+        elif b2:
+            lrp.append(idx)
         elif v1 > v2:
-            lne.add(idx)
+            lne.append(idx)
         else:
-            lcr.add(idx)
-    return NeighborClassification(lne=frozenset(lne), lcr=frozenset(lcr),
-                                  nal=frozenset(nal), rrp=frozenset(rrp),
-                                  lrp=frozenset(lrp))
+            lcr.append(idx)
+        v1, b1 = v2, b2
+    return NeighborClassification(frozenset(lne), frozenset(lcr), frozenset(nal),
+                                  frozenset(rrp), frozenset(lrp))
 
 
-@dataclass(frozen=True)
-class WordStats:
+class WordStats(NamedTuple):
     inv: int
     coinv: int
     rank: int
@@ -150,24 +163,27 @@ def word_stats(w: Word) -> WordStats:
     (exactly the crossings; an ascending pair beyond that span is an
     alignment instead).  rank counts barred entries followed later by a
     larger unbarred entry (exactly the alignments).
+
+    One sweep: each unbarred entry is the second entry of its pairs, so it
+    counts the larger unbarred values before it, the smaller ones whose
+    barred partner is still ahead, and the smaller barred values before it,
+    each by bisecting a sorted list.
     """
-    closer_pos = {}
-    for pos, (value, barred) in enumerate(w):
-        if barred:
-            closer_pos[value] = pos
+    unbarred: list[int] = []  # values of the unbarred entries so far, sorted
+    spanning: list[int] = []  # those whose barred partner is still ahead
+    barred_seen: list[int] = []
     inv = coinv = rank = 0
-    for i in range(len(w)):
-        vi, bi = w[i]
-        for j in range(i + 1, len(w)):
-            vj, bj = w[j]
-            if not bi and not bj:
-                if vi > vj:
-                    inv += 1
-                elif j < closer_pos[vi]:
-                    coinv += 1
-            elif bi and not bj and vi < vj:
-                rank += 1
-    return WordStats(inv=inv, coinv=coinv, rank=rank)
+    for value, barred in w:
+        if barred:
+            insort(barred_seen, value)
+            spanning.remove(value)
+        else:
+            inv += len(unbarred) - bisect_right(unbarred, value)
+            coinv += bisect_left(spanning, value)
+            rank += bisect_left(barred_seen, value)
+            insort(unbarred, value)
+            insort(spanning, value)
+    return WordStats(inv, coinv, rank)
 
 
 def word_text(w: Word) -> str:

@@ -1,0 +1,259 @@
+"""Reference implementations of the per-object kernels.
+
+These are the straightforward versions the library's kernels replaced: a
+sorting matching enumerator, the O(n^2) pairwise and word loops, set-based
+trace and neighbor classifiers, a padded Stirling sweep and multi-pass
+permutation statistics.  They return
+plain tuples in the field order of the library's stat records (which are
+tuples too), so each can be compared with its kernel object by object.
+"""
+from chordlab import matchings as mt
+
+
+def enumerate_matchings(n, start_rank=0):
+    """Recursive pairing of the smallest free vertex, then a sort by closer."""
+    if n == 0:
+        if start_rank == 0:
+            yield ()
+        return
+    total = mt.double_factorial(2 * n - 1)
+    if start_rank >= total:
+        return
+    radices = [2 * (n - d) - 1 for d in range(n)]
+    digits = [0] * n
+    rank = start_rank
+    for d in range(n - 1, -1, -1):
+        rank, digits[d] = divmod(rank, radices[d])
+    arcs = []
+
+    def rec(free, depth, on_prefix):
+        if not free:
+            yield mt.standard_form(arcs)
+            return
+        a = free[0]
+        lo = 1 + digits[depth] if on_prefix else 1
+        for t in range(lo, len(free)):
+            arcs.append((a, free[t]))
+            yield from rec(free[1:t] + free[t + 1:], depth + 1,
+                           on_prefix and t == lo)
+            arcs.pop()
+
+    yield from rec(tuple(range(1, 2 * n + 1)), 0, True)
+
+
+def block_stats(m):
+    """(fixb, elblock, olblock, esblock, osblock, even_to_odd)."""
+    fixb = el = ol = es = os = eto = 0
+    for a, b in m:
+        if a % 2 == 1 and b == a + 1:
+            fixb += 1
+        else:
+            if b % 2 == 1:
+                ol += 1
+            else:
+                el += 1
+            if a % 2 == 0:
+                es += 1
+            else:
+                os += 1
+        if a % 2 == 0 and b % 2 == 1:
+            eto += 1
+    return (fixb, el, ol, es, os, eto)
+
+
+def pairwise_stats(m):
+    """(cr, ne, al, lne, lcr, nal, rne, rcr, lrp, rrp) by comparing every
+    pair of arcs."""
+    n = len(m)
+    cr = ne = al = lne = lcr = nal = rne = rcr = 0
+    for r in range(n):
+        i1, j1 = m[r]
+        for s in range(r + 1, n):
+            i2, j2 = m[s]  # j1 < j2 by standard form
+            if i2 > j1:
+                al += 1
+                if i2 == j1 + 1:
+                    nal += 1
+            elif i2 > i1:
+                cr += 1
+                if i2 == i1 + 1:
+                    lcr += 1
+                if j2 == j1 + 1:
+                    rcr += 1
+            else:
+                ne += 1
+                if i1 == i2 + 1:
+                    lne += 1
+                if j2 == j1 + 1:
+                    rne += 1
+    is_opener = [False] * (2 * n + 2)
+    for a, b in m:
+        is_opener[a] = True
+    lrp = rrp = 0
+    for i in range(1, 2 * n):
+        if is_opener[i + 1]:
+            continue
+        if is_opener[i]:
+            lrp += 1
+        else:
+            rrp += 1
+    return (cr, ne, al, lne, lcr, nal, rne, rcr, lrp, rrp)
+
+
+def trace_indices(m):
+    """Fixed-block openers along the reduction chain, collected in a set."""
+    n = len(m)
+    partner = [0] * (2 * n + 1)
+    found = set()
+    for a, b in m:
+        partner[a] = b
+        partner[b] = a
+        if a % 2 == 1 and b == a + 1:
+            found.add(a)
+    for top in range(2 * n, 0, -2):
+        if partner[top - 1] == top:
+            continue
+        a = partner[top - 1]
+        b = partner[top]
+        c, d = (a, b) if a < b else (b, a)
+        partner[c] = d
+        partner[d] = c
+        if c % 2 == 1 and d == c + 1:
+            found.add(c)
+    return frozenset(found)
+
+
+def neighbor_classify(w):
+    """(lne, lcr, nal, rrp, lrp) index sets, built with set.add."""
+    lne, lcr, nal, rrp, lrp = set(), set(), set(), set(), set()
+    for i in range(len(w) - 1):
+        v1, b1 = w[i]
+        v2, b2 = w[i + 1]
+        idx = i + 1
+        if b1 and b2:
+            rrp.add(idx)
+        elif b1 and not b2:
+            nal.add(idx)
+        elif not b1 and b2:
+            lrp.add(idx)
+        elif v1 > v2:
+            lne.add(idx)
+        else:
+            lcr.add(idx)
+    return tuple(map(frozenset, (lne, lcr, nal, rrp, lrp)))
+
+
+def word_stats(w):
+    """(inv, coinv, rank) by comparing every pair of positions."""
+    closer_pos = {}
+    for pos, (value, barred) in enumerate(w):
+        if barred:
+            closer_pos[value] = pos
+    inv = coinv = rank = 0
+    for i in range(len(w)):
+        vi, bi = w[i]
+        for j in range(i + 1, len(w)):
+            vj, bj = w[j]
+            if not bi and not bj:
+                if vi > vj:
+                    inv += 1
+                elif j < closer_pos[vi]:
+                    coinv += 1
+            elif bi and not bj and vi < vj:
+                rank += 1
+    return (inv, coinv, rank)
+
+
+def stirling_word_stats(word):
+    """(asc, plat, des) over an explicitly zero-padded copy of the word."""
+    padded = (0,) + word + (0,)
+    asc = plat = des = 0
+    for i in range(len(padded) - 1):
+        a, b = padded[i], padded[i + 1]
+        if a < b:
+            asc += 1
+        elif a == b:
+            plat += 1
+        else:
+            des += 1
+    return asc, plat, des
+
+
+def perm_stats(pi):
+    """(exc, drop, fix, cyc, asc, des, inv, cda, dd), one pass per statistic."""
+    n = len(pi)
+    exc = drop = fix = 0
+    for i, v in enumerate(pi, start=1):
+        if v > i:
+            exc += 1
+        elif v < i:
+            drop += 1
+        else:
+            fix += 1
+    asc = sum(1 for i in range(n - 1) if pi[i] < pi[i + 1])
+    des = (n - 1) - asc
+    inv = sum(1 for i in range(n) for j in range(i + 1, n) if pi[i] > pi[j])
+    inverse = [0] * (n + 1)
+    for i, v in enumerate(pi, start=1):
+        inverse[v] = i
+    cda = sum(1 for i in range(1, n + 1) if inverse[i] < i < pi[i - 1])
+    padded = (0,) + pi + (0,)
+    dd = sum(1 for i in range(1, n + 1)
+             if padded[i - 1] > padded[i] > padded[i + 1])
+    return (exc, drop, fix, _cycle_count(pi), asc, des, inv, cda, dd)
+
+
+def signed_stats(sigma):
+    """(wexc, exc_B, drop_B, fix_B, single, cyc_B) in two passes."""
+    absperm = tuple(abs(v) for v in sigma)
+    exc = fix = single = 0
+    for i, v in enumerate(sigma, start=1):
+        if sigma[abs(v) - 1] > v:
+            exc += 1
+        if v == i:
+            fix += 1
+        elif v == -i:
+            single += 1
+    drop = sum(1 for v in sigma if sigma[abs(v) - 1] < v)
+    return (exc + single, exc, drop, fix, single, _cycle_count(absperm))
+
+
+def _cycle_count(pi):
+    n = len(pi)
+    seen = [False] * (n + 1)
+    count = 0
+    for i in range(1, n + 1):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = pi[j - 1]
+    return count
+
+
+def enumerate_stirling(n, start_rank=0):
+    """Insert "kk" into every gap of each order k-1 word, leftmost first."""
+    if n == 0:
+        if start_rank == 0:
+            yield ()
+        return
+    radices = [2 * k - 1 for k in range(1, n + 1)]
+    digits = [0] * n
+    rank = start_rank
+    for k in range(n - 1, -1, -1):
+        rank, digits[k] = divmod(rank, radices[k])
+    if rank:
+        return
+
+    def rec(word, k, on_prefix):
+        if k > n:
+            yield word
+            return
+        lo = digits[k - 1] if on_prefix else 0
+        for gap in range(lo, 2 * k - 1):
+            yield from rec(word[:gap] + (k, k) + word[gap:], k + 1,
+                           on_prefix and gap == lo)
+
+    yield from rec((), 1, True)
+

@@ -12,6 +12,7 @@ from chordlab import cli
 from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
+from chordlab import words as wd
 from chordlab.checks import run_checks
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,3 +79,22 @@ def test_verify_report_is_byte_identical_up_to_ms(capsys):
                      "--egf-order", "5"]) == 0
     out = re.sub(r'"ms": \d+', '"ms": 0', capsys.readouterr().out)
     assert out == (GOLDEN / "verify_n5.json").read_text()
+
+
+def test_word_censuses_share_one_word_list(monkeypatch):
+    calls = collections.Counter()
+    real = wd.from_matching
+
+    def counted(m):
+        calls[len(m)] += 1
+        return real(m)
+
+    monkeypatch.setattr(wd, "from_matching", counted)
+    chordlab.clear_caches()
+    try:
+        wd.neighbor_census(5)
+        wd.word_census(5)
+        assert sum(calls.values()) == calls[5] == 945
+    finally:
+        monkeypatch.undo()
+        chordlab.clear_caches()

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from chordlab import checks
 from chordlab.cli import main
 from chordlab.algebra import parse_poly
 
@@ -238,3 +240,74 @@ class TestMisuse:
                                "--max-n", "2", "--jobs", "1")
         assert code == 0
         assert out.splitlines()[-1] == "1/1 checks passed"
+
+
+GOLDEN_ENUMERATE = json.loads(
+    (Path(__file__).parent / "golden" / "enumerate_small.json").read_text())
+
+
+class TestStreamedOutput:
+    """Rows are written as they are produced, byte for byte what the whole
+    output rendered at once wrote (tests/golden/enumerate_small.json)."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_ENUMERATE))
+    def test_stdout_is_byte_identical(self, capsys, case):
+        family, n, fmt = case.split()
+        code, out, _ = run_cli(capsys, "enumerate", "--family", family, "--n", n,
+                               "--format", fmt)
+        assert code == 0
+        assert out == GOLDEN_ENUMERATE[case]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_out_file_is_byte_identical(self, tmp_path, capsys, fmt):
+        target = tmp_path / f"rows.{fmt}"
+        code, out, _ = run_cli(capsys, "enumerate", "--family", "derangements",
+                               "--n", "4", "--format", fmt, "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == GOLDEN_ENUMERATE[f"derangements 4 {fmt}"].encode()
+
+
+def _chordlab(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "chordlab.cli", *argv],
+                          capture_output=True, text=True, **kwargs)
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--family", "perms", "--n", "3"],
+        ["poly", "--name", "Mn", "--n", "3"],
+        ["verify", "--checks", "A-RISING", "--max-n", "2"],
+        ["grammar", "--rules", "{rules}", "--seed", "a", "--iterations", "2"],
+    ])
+    def test_unwritable_out_exits_2(self, tmp_path, argv):
+        rules = tmp_path / "dumont.g"
+        rules.write_text("a -> a*b\nb -> a*b\n")
+        argv = [arg.replace("{rules}", str(rules)) for arg in argv]
+        target = tmp_path / "missing" / "out.txt"
+        result = _chordlab(*argv, "--out", str(target))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: cannot write {target}: "
+                                 "No such file or directory\n")
+
+    def test_out_is_opened_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("checks ran before --out was opened")
+
+        monkeypatch.setattr(checks, "run_checks", forbidden)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+
+    def test_closed_pipe_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chordlab.cli", "enumerate", "--family",
+             "matchings", "--n", "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert first == b"(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)(13,14)\n"
+        assert err == b""

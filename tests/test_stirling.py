@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -122,3 +124,26 @@ class TestTables:
                                     {"i": 2, "j": 0, "k": 0, "c": "1"}]}
         entries = blob["entries"]
         assert entries == sorted(entries, key=lambda e: (e["i"], e["j"], e["k"]))
+
+
+@pytest.fixture
+def shallow_stack():
+    """A recursion limit only a little above the current depth, restored
+    afterwards."""
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack())
+    sys.setrecursionlimit(depth + 60)
+    yield depth + 60
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("table", [st.xi_table, st.gamma_table])
+def test_tables_do_not_recurse(shallow_stack, table):
+    table.cache_clear()
+    try:
+        n = shallow_stack  # deeper than the stack allows, if each order recursed
+        result = table(n)
+        assert result.n == n and result.entries
+        assert table.cache_info().currsize == 1  # only the requested order
+    finally:
+        table.cache_clear()
