@@ -133,11 +133,6 @@ class MVPoly:
                 seen.add(v)
         return sorted(seen)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
 
@@ -393,16 +388,6 @@ def gamma_expand(p: MVPoly, x: str, y: str) -> list[tuple[int, MVPoly]]:
     return out
 
 
-def gamma_assemble(coeffs: Iterable[tuple[int, MVPoly]], x: str, y: str, d: int) -> MVPoly:
-    """Inverse of :func:`gamma_expand` for a degree-`d` expansion."""
-    xy = MVPoly.var(x) * MVPoly.var(y)
-    x_plus_y = MVPoly.var(x) + MVPoly.var(y)
-    total = MVPoly.zero()
-    for j, g in coeffs:
-        total = total + g * xy ** j * x_plus_y ** (d - 2 * j)
-    return total
-
-
 def esym_polys(names: Sequence[str]) -> tuple[MVPoly, MVPoly, MVPoly]:
     """Elementary symmetric polynomials e1, e2, e3 in three variables."""
     x, y, z = (MVPoly.var(n) for n in names)
@@ -632,7 +617,6 @@ class _Parser:
         self.line = line
         self.col_offset = col_offset
         self.tokens: list[tuple[str, int]] = []
-        pos = 0
         for m in _TOKEN.finditer(text):
             self.tokens.append((m.group(), m.start() + 1 + col_offset))
         self.i = 0

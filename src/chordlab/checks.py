@@ -10,10 +10,12 @@ Results are deterministic and independent of the parallelism degree.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -23,8 +25,9 @@ from . import perms as pm
 from . import stirling as st
 from . import words as wd
 from .algebra import (MVPoly, NotHomogeneousError, NotSymmetricError,
-                      TruncatedSeries, esym_assemble, esym_expand, gamma_expand,
-                      parse_poly, project, rising_factorial, stirling1_unsigned)
+                      TruncatedSeries, esym_assemble, esym_expand, esym_polys,
+                      gamma_expand, parse_poly, project, rising_factorial,
+                      stirling1_unsigned)
 
 
 class UnknownCheckIdError(Exception):
@@ -41,8 +44,7 @@ class CheckResult:
     ms: int
 
     def to_dict(self) -> dict:
-        return {"id": self.id, "status": self.status, "max_n": self.max_n,
-                "per_n": self.per_n, "witness": self.witness, "ms": self.ms}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -51,36 +53,76 @@ class Check:
     description: str
     default_max_n: int
     run: Callable  # (max_n, egf_order) -> list[(n, ok, witness|None)]
-    uses_egf_order: bool = False
 
 
 _REGISTRY: dict[str, Check] = {}
 
 
-def _check(id: str, description: str, default_max_n: int, uses_egf_order: bool = False):
+def _check(id: str, description: str, default_max_n: int):
     def install(fn):
         _REGISTRY[id] = Check(id=id, description=description,
-                              default_max_n=default_max_n, run=fn,
-                              uses_egf_order=uses_egf_order)
+                              default_max_n=default_max_n, run=fn)
         return fn
     return install
-
-
-def registry() -> dict[str, Check]:
-    return dict(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
 # Helpers shared by several checks
 # ---------------------------------------------------------------------------
 
+
 def _diff_witness(n: int, lhs: MVPoly, rhs: MVPoly, label: str = "") -> str:
     prefix = f"n={n}: " + (f"{label}: " if label else "")
     return f"{prefix}lhs - rhs = {(lhs - rhs).render()}"
 
 
-def _first_word_in_diff(n: int, diff: MVPoly, key_of, names) -> str | None:
-    """First word (stream order) whose statistic monomial appears in `diff`.
+def _identity(id: str, description: str, default_max_n: int):
+    """Register `sides` as the check that lhs == rhs for every (label, lhs,
+    rhs) triple `sides(n)` yields, for n = 1..max_n.
+
+    The triples are consumed lazily, so a later pair is computed only when
+    the earlier ones hold; n fails at the first unequal pair, witnessed by
+    its difference.
+    """
+    def install(sides):
+        def run(max_n, egf_order):
+            out = []
+            for n in range(1, max_n + 1):
+                wit = next((_diff_witness(n, lhs, rhs, label)
+                            for label, lhs, rhs in sides(n) if lhs != rhs), None)
+                out.append((n, wit is None, wit))
+            return out
+        _check(id, description, default_max_n)(run)
+        return sides
+    return install
+
+
+def _egf_rows(order: int, cases) -> list:
+    """Rows k = 0..order comparing the z^k coefficients of each (tag,
+    enumerated, series) case; z^k fails if any case differs there, and its
+    witness comes from the first such case."""
+    witnesses: dict[int, str] = {}
+    for tag, lhs, rhs in cases:
+        for k in range(order + 1):
+            if lhs.coeffs[k] != rhs.coeffs[k]:
+                witnesses.setdefault(
+                    k, f"z^{k}{tag}: enumerated {lhs.coeffs[k]}, series {rhs.coeffs[k]}")
+    return [(k, k not in witnesses, witnesses.get(k)) for k in range(order + 1)]
+
+
+@functools.cache
+def _grammar(build) -> gr.Grammar:
+    """A suite grammar, built on its first use and shared by every later n."""
+    return build()
+
+
+def _swapped(p: MVPoly, a: str = "x", b: str = "y") -> MVPoly:
+    return p.subst({a: MVPoly.var(b), b: MVPoly.var(a)})
+
+
+def _first_word_in_diff(n: int, diff: MVPoly, key_of, names) -> str:
+    """"; first word in diff: ..." naming the first word (stream order) whose
+    statistic monomial appears in `diff`, or "" when there is none.
 
     Censuses keep no objects, so a failing check rescans the words for this.
     """
@@ -91,8 +133,8 @@ def _first_word_in_diff(n: int, diff: MVPoly, key_of, names) -> str | None:
             continue
         mono = tuple(sorted((v, e) for v, e in zip(names, exps) if e))
         if mono in support:
-            return wd.word_text(w)
-    return None
+            return f"; first word in diff: {wd.word_text(w)}"
+    return ""
 
 
 def _perm_quadruple_poly(n: int) -> MVPoly:
@@ -118,12 +160,6 @@ def _exponent_transform(p: MVPoly, names, image) -> MVPoly:
         new = tuple(sorted((v, e) for v, e in mapped.items() if e))
         out[new] = out.get(new, Fraction(0)) + c
     return MVPoly(out)
-
-
-_EGF_SAMPLES_A = {"x": Fraction(1, 2), "p": Fraction(1, 3),
-                  "q": (Fraction(2), Fraction(3), Fraction(1, 2))}
-_EGF_SAMPLES_M = {"x": Fraction(1, 2), "y": Fraction(1), "s": Fraction(1, 3),
-                  "t": (Fraction(1), Fraction(1, 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -162,204 +198,125 @@ _GOLDEN_GAMMA = {1: "z", 2: "y*z", 3: "y^2*z + 2*x*z^2"}
 
 @_check("GOLDEN", "printed polynomial listings reproduce exactly", 0)
 def _run_golden(max_n, egf_order):
-    out = []
+    def listed(name, family, listing):
+        return [(f"{name}_{n}", family(n), parse_poly(text)) for n, text in listing.items()]
 
-    def compare(label, lhs, rhs):
-        ok = lhs == rhs
-        out.append((len(out) + 1, ok,
-                    None if ok else f"{label}: got {lhs.render()}, want {rhs.render()}"))
-
-    for n, text in _GOLDEN_M.items():
-        compare(f"M_{n}", mt.m_poly(n), parse_poly(text))
-    for n, text in _GOLDEN_C.items():
-        compare(f"C_{n}", wd.c_poly(n), parse_poly(text))
-    for n, text in _GOLDEN_NCA.items():
-        compare(f"NCA_{n}", wd.nca_poly(n), parse_poly(text))
-    for n, text in _GOLDEN_DB.items():
-        compare(f"dB_{n}", pm.type_b_derangement_poly(n), parse_poly(text))
     g2 = gr.esym_w_grammar()
     a = MVPoly.var("a")
+    cases = (listed("M", mt.m_poly, _GOLDEN_M) + listed("C", wd.c_poly, _GOLDEN_C)
+             + listed("NCA", wd.nca_poly, _GOLDEN_NCA)
+             + listed("dB", pm.type_b_derangement_poly, _GOLDEN_DB))
     for n, text in _GOLDEN_DG2.items():
-        compare(f"DG2^{n}(a)", gr.d_iter(g2, a, n), a * parse_poly(text))
-        compare(f"xi_{n}(w)",
-                st.xi_table(n).poly(("w1", "w2", "w3")), parse_poly(text))
-    for n, text in _GOLDEN_XI.items():
-        compare(f"xi_{n}", st.xi_poly(n), parse_poly(text))
-    for n, text in _GOLDEN_GAMMA.items():
-        compare(f"gamma_{n}", st.gamma_poly(n), parse_poly(text))
-    compare("Q_1", st.q_poly(1), parse_poly("x*y*z"))
-    return out
+        cases.append((f"DG2^{n}(a)", gr.d_iter(g2, a, n), a * parse_poly(text)))
+        cases.append((f"xi_{n}(w)", st.xi_table(n).poly(("w1", "w2", "w3")), parse_poly(text)))
+    cases += (listed("xi", st.xi_poly, _GOLDEN_XI) + listed("gamma", st.gamma_poly, _GOLDEN_GAMMA)
+              + [("Q_1", st.q_poly(1), parse_poly("x*y*z"))])
+    return [(row, (ok := lhs == rhs),
+             None if ok else f"{label}: got {lhs.render()}, want {rhs.render()}")
+            for row, (label, lhs, rhs) in enumerate(cases, start=1)]
 
 
 # ---------------------------------------------------------------------------
 # Permutation-side checks
 # ---------------------------------------------------------------------------
 
-@_check("A-EQUIDIST", "excedances are equidistributed with ascents and descents", 8)
-def _run_a_equidist(max_n, egf_order):
+
+@_identity("A-EQUIDIST", "excedances are equidistributed with ascents and descents", 8)
+def _a_equidist(n):
     # The joint (exc, drop) polynomial differs from the (asc, des) one (fixed
     # points shift the degree), so the checkable content is the univariate
     # equidistribution, homogenized to degree n-1 on the excedance side.
-    out = []
-    for n in range(1, max_n + 1):
-        census = pm.perm_census(n)
-        lhs = MVPoly.from_exponents(
-            project(census, lambda s: (s.exc, n - 1 - s.exc)), ("x", "y"))
-        rhs = MVPoly.from_exponents(project(census, lambda s: (s.asc, s.des)), ("x", "y"))
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+    census = pm.perm_census(n)
+    yield ("", MVPoly.from_exponents(project(census, lambda s: (s.exc, n - 1 - s.exc)),
+                                     ("x", "y")),
+           MVPoly.from_exponents(project(census, lambda s: (s.asc, s.des)), ("x", "y")))
 
 
-@_check("A-RISING", "cycle polynomial equals the rising factorial", 8)
-def _run_a_rising(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = pm.eulerian_xpq(n).subst({"x": 1, "p": 1})
-        rhs = rising_factorial(1, n)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+@_identity("A-RISING", "cycle polynomial equals the rising factorial", 8)
+def _a_rising(n):
+    yield "", pm.eulerian_xpq(n).subst({"x": 1, "p": 1}), rising_factorial(1, n)
 
 
-@_check("A-EGF", "(p,q)-Eulerian EGF at sampled rational points", 8, uses_egf_order=True)
+@_check("A-EGF", "(p,q)-Eulerian EGF at sampled rational points", 8)
 def _run_a_egf(max_n, egf_order):
     order = egf_order
-    x, p = _EGF_SAMPLES_A["x"], _EGF_SAMPLES_A["p"]
+    x, p = Fraction(1, 2), Fraction(1, 3)
     polys = [pm.eulerian_xpq(n) for n in range(order + 1)]
-    out = []
-    witnesses: dict[int, str] = {}
-    ok_by_k = [True] * (order + 1)
-    for q in _EGF_SAMPLES_A["q"]:
-        values = [poly.evaluate({"x": x, "p": p, "q": q}) for poly in polys]
-        lhs = TruncatedSeries.from_egf_values(values)
-        numer = TruncatedSeries.exponential(p, order)
-        denom = (TruncatedSeries.exponential(x, order)
-                 - TruncatedSeries.exponential(1, order).scale(x)).scale(
-                     1 / (1 - x))
-        rhs = (numer * denom.inverse()).pow(q)
-        for k in range(order + 1):
-            if lhs.coeffs[k] != rhs.coeffs[k]:
-                ok_by_k[k] = False
-                witnesses.setdefault(
-                    k, f"z^{k} at q={q}: enumerated {lhs.coeffs[k]}, series {rhs.coeffs[k]}")
-    for k in range(order + 1):
-        out.append((k, ok_by_k[k], witnesses.get(k)))
-    return out
+    numer = TruncatedSeries.exponential(p, order)
+    denom = (TruncatedSeries.exponential(x, order)
+             - TruncatedSeries.exponential(1, order).scale(x)).scale(1 / (1 - x))
+    return _egf_rows(order, [
+        (f" at q={q}",
+         TruncatedSeries.from_egf_values(
+             [poly.evaluate({"x": x, "p": p, "q": q}) for poly in polys]),
+         (numer * denom.inverse()).pow(q))
+        for q in (Fraction(2), Fraction(3), Fraction(1, 2))])
 
 
-@_check("A-NEG", "q = -1 specializations collapse as stated", 8)
-def _run_a_neg(max_n, egf_order):
+@_identity("A-NEG", "q = -1 specializations collapse as stated", 8)
+def _a_neg(n):
     x = MVPoly.var("x")
-    out = []
-    for n in range(1, max_n + 1):
-        a = pm.eulerian_xpq(n)
-        lhs1 = a.subst({"p": 1, "q": -1})
-        rhs1 = -((x - MVPoly.const(1)) ** (n - 1))
-        lhs2 = a.subst({"p": 0, "q": -1})
-        rhs2 = -sum((x ** k for k in range(1, n)), MVPoly.zero())
-        ok = lhs1 == rhs1 and lhs2 == rhs2
-        wit = None
-        if not ok:
-            wit = _diff_witness(n, lhs1, rhs1, "p=1") if lhs1 != rhs1 \
-                else _diff_witness(n, lhs2, rhs2, "p=0")
-        out.append((n, ok, wit))
-    return out
+    a = pm.eulerian_xpq(n)
+    yield "p=1", a.subst({"p": 1, "q": -1}), -((x - MVPoly.const(1)) ** (n - 1))
+    yield "p=0", a.subst({"p": 0, "q": -1}), -sum((x ** k for k in range(1, n)),
+                                                  MVPoly.zero())
 
 
 # ---------------------------------------------------------------------------
 # Matching polynomial checks
 # ---------------------------------------------------------------------------
 
-@_check("M-MAIN", "matching quadruple statistic matches the permutation quadruple", 7)
-def _run_m_main(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        m = mt.m_poly(n)
-        quad = _perm_quadruple_poly(n)
-        perm_side = quad.subst({
-            "x": 2 * MVPoly.var("x"), "y": 2 * MVPoly.var("y"),
-            "p": 2 * MVPoly.var("s"), "q": Fraction(1, 2) * MVPoly.var("t")})
-        ok = m == perm_side
-        wit = None if ok else _diff_witness(n, m, perm_side, "quadruple")
-        if ok:
-            a = pm.eulerian_xpq(n) * 2 ** n
-            el_side = m.subst({"y": 1, "s": MVPoly.var("p"),
-                               "t": 2 * MVPoly.var("q")})
-            ol_side = m.subst({"x": 1, "y": MVPoly.var("x"),
-                               "s": MVPoly.var("p"), "t": 2 * MVPoly.var("q")})
-            if el_side != a:
-                ok, wit = False, _diff_witness(n, el_side, a, "elblock form")
-            elif ol_side != a:
-                ok, wit = False, _diff_witness(n, ol_side, a, "olblock form")
-        out.append((n, ok, wit))
-    return out
+
+@_identity("M-MAIN", "matching quadruple statistic matches the permutation quadruple", 7)
+def _m_main(n):
+    m = mt.m_poly(n)
+    yield "quadruple", m, _perm_quadruple_poly(n).subst({
+        "x": 2 * MVPoly.var("x"), "y": 2 * MVPoly.var("y"),
+        "p": 2 * MVPoly.var("s"), "q": Fraction(1, 2) * MVPoly.var("t")})
+    a = pm.eulerian_xpq(n) * 2 ** n
+    yield "elblock form", m.subst({"y": 1, "s": MVPoly.var("p"),
+                                   "t": 2 * MVPoly.var("q")}), a
+    yield "olblock form", m.subst({"x": 1, "y": MVPoly.var("x"),
+                                   "s": MVPoly.var("p"), "t": 2 * MVPoly.var("q")}), a
 
 
-@_check("M-SYM", "M_n is symmetric in x and y", 7)
-def _run_m_sym(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        m = mt.m_poly(n)
-        swapped = m.subst({"x": MVPoly.var("y"), "y": MVPoly.var("x")})
-        ok = m == swapped
-        out.append((n, ok, None if ok else _diff_witness(n, m, swapped)))
-    return out
+@_identity("M-SYM", "M_n is symmetric in x and y", 7)
+def _m_sym(n):
+    yield "", mt.m_poly(n), _swapped(mt.m_poly(n))
 
 
-@_check("M-EGF", "matching polynomial EGF at sampled rational points", 8, uses_egf_order=True)
+@_check("M-EGF", "matching polynomial EGF at sampled rational points", 8)
 def _run_m_egf(max_n, egf_order):
     order = egf_order
-    x, y, s = (_EGF_SAMPLES_M["x"], _EGF_SAMPLES_M["y"], _EGF_SAMPLES_M["s"])
+    x, y, s = Fraction(1, 2), Fraction(1), Fraction(1, 3)
     polys = [mt.m_poly(n) for n in range(order + 1)]
-    witnesses: dict[int, str] = {}
-    ok_by_k = [True] * (order + 1)
-    for t in _EGF_SAMPLES_M["t"]:
-        values = [poly.evaluate({"x": x, "y": y, "s": s, "t": t}) for poly in polys]
-        lhs = TruncatedSeries.from_egf_values(values)
-        numer = TruncatedSeries.exponential(2 * s, order)
-        denom = (TruncatedSeries.exponential(2 * x, order).scale(y)
-                 - TruncatedSeries.exponential(2 * y, order).scale(x)).scale(
-                     1 / (y - x))
-        rhs = (numer * denom.inverse()).pow(Fraction(t, 2))
-        for k in range(order + 1):
-            if lhs.coeffs[k] != rhs.coeffs[k]:
-                ok_by_k[k] = False
-                witnesses.setdefault(
-                    k, f"z^{k} at t={t}: enumerated {lhs.coeffs[k]}, series {rhs.coeffs[k]}")
-    return [(k, ok_by_k[k], witnesses.get(k)) for k in range(order + 1)]
+    numer = TruncatedSeries.exponential(2 * s, order)
+    denom = (TruncatedSeries.exponential(2 * x, order).scale(y)
+             - TruncatedSeries.exponential(2 * y, order).scale(x)).scale(1 / (y - x))
+    return _egf_rows(order, [
+        (f" at t={t}",
+         TruncatedSeries.from_egf_values(
+             [poly.evaluate({"x": x, "y": y, "s": s, "t": t}) for poly in polys]),
+         (numer * denom.inverse()).pow(Fraction(t, 2)))
+        for t in (Fraction(1), Fraction(1, 2))])
 
 
-@_check("TRACE-RISING", "trace distribution is the step-2 rising factorial", 7)
-def _run_trace_rising(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = mt.trace_distribution(n)
-        rhs = rising_factorial(2, n)
-        alt = MVPoly.from_exponents(
-            {(k,): 2 ** (n - k) * stirling1_unsigned(n, k) for k in range(1, n + 1)},
-            ("q",))
-        ok = lhs == rhs and rhs == alt
-        wit = None
-        if lhs != rhs:
-            wit = _diff_witness(n, lhs, rhs, "enumeration vs product")
-        elif rhs != alt:
-            wit = _diff_witness(n, rhs, alt, "product vs Stirling sum")
-        out.append((n, ok, wit))
-    return out
+def _stirling1_row(n: int) -> MVPoly:
+    """sum over k of 2^(n-k) c(n, k) q^k."""
+    return MVPoly.from_exponents(
+        {(k,): 2 ** (n - k) * stirling1_unsigned(n, k) for k in range(1, n + 1)}, ("q",))
 
 
-@_check("STIRLING1-ID", "2^(n-k) weighted Stirling-1 row equals the step-2 rising factorial", 12)
-def _run_stirling1(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = MVPoly.from_exponents(
-            {(k,): 2 ** (n - k) * stirling1_unsigned(n, k) for k in range(1, n + 1)},
-            ("q",))
-        rhs = rising_factorial(2, n)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+@_identity("TRACE-RISING", "trace distribution is the step-2 rising factorial", 7)
+def _trace_rising(n):
+    yield "enumeration vs product", mt.trace_distribution(n), rising_factorial(2, n)
+    yield "product vs Stirling sum", rising_factorial(2, n), _stirling1_row(n)
+
+
+@_identity("STIRLING1-ID",
+           "2^(n-k) weighted Stirling-1 row equals the step-2 rising factorial", 12)
+def _stirling1_id(n):
+    yield "", _stirling1_row(n), rising_factorial(2, n)
 
 
 def _m_marginal(n: int) -> MVPoly:
@@ -367,37 +324,21 @@ def _m_marginal(n: int) -> MVPoly:
     return mt.m_poly(n).subst({"y": 1, "s": MVPoly.var("p"), "t": MVPoly.var("q")})
 
 
-@_check("CONV", "2^n A_n(x,p,q) is the binomial convolution of matching marginals", 6)
-def _run_conv(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = pm.eulerian_xpq(n) * 2 ** n
-        rhs = MVPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + math.comb(n, k) * _m_marginal(k) * _m_marginal(n - k)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+@_identity("CONV", "2^n A_n(x,p,q) is the binomial convolution of matching marginals", 6)
+def _conv(n):
+    yield "", pm.eulerian_xpq(n) * 2 ** n, sum(
+        (math.comb(n, k) * _m_marginal(k) * _m_marginal(n - k) for k in range(n + 1)),
+        MVPoly.zero())
 
 
-@_check("COR2", "trace-weight -2 specializations collapse as stated", 6)
-def _run_cor2(max_n, egf_order):
+@_identity("COR2", "trace-weight -2 specializations collapse as stated", 6)
+def _cor2(n):
     x = MVPoly.var("x")
-    out = []
-    for n in range(1, max_n + 1):
-        m = mt.m_poly(n)
-        lhs1 = m.subst({"y": 1, "s": 1, "t": -2})
-        rhs1 = -(2 ** n) * (x - MVPoly.const(1)) ** (n - 1)
-        lhs2 = m.subst({"y": 1, "s": 0, "t": -2})
-        rhs2 = -(2 ** n) * sum((x ** k for k in range(1, n)), MVPoly.zero())
-        ok = lhs1 == rhs1 and lhs2 == rhs2
-        wit = None
-        if lhs1 != rhs1:
-            wit = _diff_witness(n, lhs1, rhs1, "all matchings")
-        elif lhs2 != rhs2:
-            wit = _diff_witness(n, lhs2, rhs2, "fixb=0")
-        out.append((n, ok, wit))
-    return out
+    m = mt.m_poly(n)
+    yield ("all matchings", m.subst({"y": 1, "s": 1, "t": -2}),
+           -(2 ** n) * (x - MVPoly.const(1)) ** (n - 1))
+    yield ("fixb=0", m.subst({"y": 1, "s": 0, "t": -2}),
+           -(2 ** n) * sum((x ** k for k in range(1, n)), MVPoly.zero()))
 
 
 @_check("M-GAMMA", "s-stratified gamma expansion of M_n exists with the stated positivity", 6)
@@ -513,80 +454,49 @@ def _run_b_main(max_n, egf_order):
     return out
 
 
-@_check("B-DUAL", "dual convolution for B_n(x,1,q) and the reciprocal transform", 5)
-def _run_b_dual(max_n, egf_order):
-    out = []
-
+@_identity("B-DUAL", "dual convolution for B_n(x,1,q) and the reciprocal transform", 5)
+def _b_dual(n):
     def m_both(k):  # x^(elblock+fixb) q^trace
         return mt.m_poly(k).subst({"y": 1, "s": MVPoly.var("x"), "t": MVPoly.var("q")})
 
     def m_tilde(k):  # x^elblock q^trace
         return mt.m_poly(k).subst({"y": 1, "s": 1, "t": MVPoly.var("q")})
 
-    for n in range(1, max_n + 1):
-        lhs = pm.b_poly(n).subst({"p": 1})
-        rhs = MVPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + math.comb(n, k) * m_both(k) * m_tilde(n - k)
-        ok = lhs == rhs
-        wit = None if ok else _diff_witness(n, lhs, rhs, "convolution")
-        if ok:
-            reciprocal = _exponent_transform(
-                m_tilde(n), ("x", "q"),
-                lambda vec: {"x": n - vec[0], "q": vec[1]})
-            if m_both(n) != reciprocal:
-                ok = False
-                wit = _diff_witness(n, m_both(n), reciprocal, "x^n M~(1/x,q)")
-        out.append((n, ok, wit))
-    return out
+    yield ("convolution", pm.b_poly(n).subst({"p": 1}),
+           sum((math.comb(n, k) * m_both(k) * m_tilde(n - k) for k in range(n + 1)),
+               MVPoly.zero()))
+    yield "x^n M~(1/x,q)", m_both(n), _exponent_transform(
+        m_tilde(n), ("x", "q"), lambda vec: {"x": n - vec[0], "q": vec[1]})
 
 
-@_check("COLORED", "r-colored Eulerian polynomials specialize to types A and B", 6)
-def _run_colored(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        ok, wit = True, None
-        type_a = pm.colored_eulerian(n, 1)
-        a_n = pm.eulerian_xy(n).subst({"y": 1})
-        if type_a != a_n:
-            ok, wit = False, _diff_witness(n, type_a, a_n, "r=1")
-        elif n <= 5:
-            type_b = pm.colored_eulerian(n, 2)
-            b_n = pm.b_poly(n).subst({"p": 1, "q": 1})
-            if type_b != b_n:
-                ok, wit = False, _diff_witness(n, type_b, b_n, "r=2")
-        out.append((n, ok, wit))
-    return out
+@_identity("COLORED", "r-colored Eulerian polynomials specialize to types A and B", 6)
+def _colored(n):
+    yield "r=1", pm.colored_eulerian(n, 1), pm.eulerian_xy(n).subst({"y": 1})
+    if n <= 5:
+        yield "r=2", pm.colored_eulerian(n, 2), pm.b_poly(n).subst({"p": 1, "q": 1})
 
 
-@_check("CALLAN-EGF", "even-to-odd-free matchings have EGF sqrt(e^z/(2-e^z))", 8,
-        uses_egf_order=True)
+@_check("CALLAN-EGF", "even-to-odd-free matchings have EGF sqrt(e^z/(2-e^z))", 8)
 def _run_callan(max_n, egf_order):
     order = egf_order
-    values = [mt.count_even_to_odd_free(n) for n in range(order + 1)]
-    lhs = TruncatedSeries.from_egf_values(values)
+    lhs = TruncatedSeries.from_egf_values(
+        [mt.count_even_to_odd_free(n) for n in range(order + 1)])
     ez = TruncatedSeries.exponential(1, order)
     denom = TruncatedSeries.one(order).scale(2) - ez
-    rhs = (ez * denom.inverse()).pow(Fraction(1, 2))
-    out = []
-    for k in range(order + 1):
-        ok = lhs.coeffs[k] == rhs.coeffs[k]
-        out.append((k, ok, None if ok else
-                    f"z^{k}: enumerated {lhs.coeffs[k]}, series {rhs.coeffs[k]}"))
-    return out
+    return _egf_rows(order, [("", lhs, (ez * denom.inverse()).pow(Fraction(1, 2)))])
 
 
 # ---------------------------------------------------------------------------
 # Matching permutation checks
 # ---------------------------------------------------------------------------
 
+
 @_check("MP-BIJ", "matching/word bijection round-trips and transfers statistics", 6)
 def _run_mp_bij(max_n, egf_order):
     out = []
     for n in range(1, max_n + 1):
         ok, wit = True, None
-        for m in mt.matchings(n):
-            w = wd.from_matching(m)
+        for m, w in zip(mt.matchings(n), wd.words(n)):
             try:
                 wd.validate_word(w)
             except ValueError as exc:
@@ -627,48 +537,29 @@ def _run_i_stats(max_n, egf_order):
         ok = lhs == rhs
         wit = None
         if not ok:
-            word = _first_word_in_diff(n, lhs - rhs, lambda w: key(wd.word_stats(w)),
-                                       ("x", "y", "q"))
-            wit = _diff_witness(n, lhs, rhs) + (f"; first word in diff: {word}" if word else "")
+            wit = _diff_witness(n, lhs, rhs) + _first_word_in_diff(
+                n, lhs - rhs, lambda w: key(wd.word_stats(w)), ("x", "y", "q"))
         out.append((n, ok, wit))
     return out
 
 
-@_check("KZ-SYM", "crossing/nesting symmetry with alignments (Kasraoui-Zeng)", 6)
-def _run_kz(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        p = mt.i_poly(n)
-        swapped = p.subst({"x": MVPoly.var("y"), "y": MVPoly.var("x")})
-        ok = p == swapped
-        out.append((n, ok, None if ok else _diff_witness(n, p, swapped)))
-    return out
+@_identity("KZ-SYM", "crossing/nesting symmetry with alignments (Kasraoui-Zeng)", 6)
+def _kz_sym(n):
+    yield "", mt.i_poly(n), _swapped(mt.i_poly(n))
 
 
-@_check("KLAZAR-SYM", "joint crossing/nesting distribution is symmetric (Klazar)", 6)
-def _run_klazar(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        p = MVPoly.from_exponents(
-            project(mt.pair_census(n), lambda ps: (ps.cr, ps.ne)), ("x", "y"))
-        swapped = p.subst({"x": MVPoly.var("y"), "y": MVPoly.var("x")})
-        ok = p == swapped
-        out.append((n, ok, None if ok else _diff_witness(n, p, swapped)))
-    return out
+@_identity("KLAZAR-SYM", "joint crossing/nesting distribution is symmetric (Klazar)", 6)
+def _klazar(n):
+    p = MVPoly.from_exponents(project(mt.pair_census(n), lambda ps: (ps.cr, ps.ne)),
+                              ("x", "y"))
+    yield "", p, _swapped(p)
 
 
-@_check("C-GRAMMAR", "five-variable grammar generates the neighbor polynomials", 6)
-def _run_c_grammar(max_n, egf_order):
-    g = gr.neighbor_grammar()
-    seed = MVPoly.var("I") * MVPoly.var("y2") * MVPoly.var("E")
-    ie = MVPoly.var("I") * MVPoly.var("E")
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = gr.d_iter(g, seed, n)
-        rhs = ie * wd.c_poly(n + 1)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+@_identity("C-GRAMMAR", "five-variable grammar generates the neighbor polynomials", 6)
+def _c_grammar(n):
+    I, E = MVPoly.var("I"), MVPoly.var("E")
+    yield ("", gr.d_iter(_grammar(gr.neighbor_grammar), I * MVPoly.var("y2") * E, n),
+           I * E * wd.c_poly(n + 1))
 
 
 @_check("C-EPOS", "xi expansion of C_(n+1) and e-positivity of the NCA polynomials", 6)
@@ -708,114 +599,71 @@ def _run_c_epos(max_n, egf_order):
 # Tree and table checks
 # ---------------------------------------------------------------------------
 
+
+def _same_table(n: int, left: str, lhs: dict, right: str, rhs: dict) -> tuple:
+    """Row for n comparing two coefficient tables, printed whole on failure."""
+    ok = lhs == rhs
+    return (n, ok, None if ok else f"n={n}: {left} {lhs} != {right} {rhs}")
+
+
 @_check("XI-TREE", "xi table equals the 0-1-2-3 increasing plane tree census", 7)
 def _run_xi_tree(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = st.xi_table(n)
-        rhs = st.degree_census(n + 1, 3)
-        ok = lhs.entries == rhs.entries
-        out.append((n, ok, None if ok else
-                    f"n={n}: table {lhs.entries} != census {rhs.entries}"))
-    return out
+    return [_same_table(n, "table", st.xi_table(n).entries,
+                        "census", st.degree_census(n + 1, 3).entries)
+            for n in range(1, max_n + 1)]
 
 
 @_check("GAMMA-TREE", "gamma table equals the leaf/degree census", 7)
 def _run_gamma_tree(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = st.gamma_table(n)
-        rhs = st.gamma_keyed_census(n)
-        ok = lhs.entries == rhs.entries
-        out.append((n, ok, None if ok else
-                    f"n={n}: table {lhs.entries} != census {rhs.entries}"))
-    return out
+    return [_same_table(n, "table", st.gamma_table(n).entries,
+                        "census", st.gamma_keyed_census(n).entries)
+            for n in range(1, max_n + 1)]
 
 
 @_check("XI-GAMMA", "index bijection between the xi and gamma tables", 7)
 def _run_xi_gamma(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        xi = st.xi_table(n).entries
-        gamma = st.gamma_table(n + 1).entries
-        mapped = {}
-        for (i, j, k), c in xi.items():
-            mapped[(j, i, n + 1 - i - j - k)] = c
-        ok = mapped == gamma
-        out.append((n, ok, None if ok else
-                    f"n={n}: remapped xi {mapped} != gamma {gamma}"))
-    return out
+    return [_same_table(n, "remapped xi",
+                        {(j, i, n + 1 - i - j - k): c
+                         for (i, j, k), c in st.xi_table(n).entries.items()},
+                        "gamma", st.gamma_table(n + 1).entries)
+            for n in range(1, max_n + 1)]
 
 
 # ---------------------------------------------------------------------------
 # Stirling permutation checks
 # ---------------------------------------------------------------------------
 
-@_check("Q-DUMONT", "Dumont's recurrence for Q_n(x,y,z)", 6)
-def _run_q_dumont(max_n, egf_order):
+
+@_identity("Q-DUMONT", "Dumont's recurrence for Q_n(x,y,z)", 6)
+def _q_dumont(n):
+    q = st.q_poly(n)
     xyz = MVPoly.var("x") * MVPoly.var("y") * MVPoly.var("z")
-    out = []
-    for n in range(1, max_n + 1):
-        q = st.q_poly(n)
-        rhs = xyz * (q.partial("x") + q.partial("y") + q.partial("z"))
-        lhs = st.q_poly(n + 1)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+    yield "", st.q_poly(n + 1), xyz * (q.partial("x") + q.partial("y") + q.partial("z"))
 
 
-@_check("Q-SYM", "Q_n(x,y,z) is symmetric in all three variables", 6)
-def _run_q_sym(max_n, egf_order):
-    import itertools as it
-    out = []
-    for n in range(1, max_n + 1):
-        q = st.q_poly(n)
-        ok, wit = True, None
-        for perm in it.permutations(("x", "y", "z")):
-            image = q.subst({v: MVPoly.var(w) for v, w in zip(("x", "y", "z"), perm)})
-            if image != q:
-                ok = False
-                wit = _diff_witness(n, q, image, f"permutation {perm}")
-                break
-        out.append((n, ok, wit))
-    return out
+@_identity("Q-SYM", "Q_n(x,y,z) is symmetric in all three variables", 6)
+def _q_sym(n):
+    q = st.q_poly(n)
+    for perm in itertools.permutations(("x", "y", "z")):
+        yield (f"permutation {perm}", q,
+               q.subst({v: MVPoly.var(w) for v, w in zip(("x", "y", "z"), perm)}))
 
 
-@_check("Q-GRAMMAR", "the xyz grammar iterates to Q_n(x,y,z)", 7)
-def _run_q_grammar(max_n, egf_order):
-    g = gr.stirling_word_grammar()
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = gr.d_iter(g, MVPoly.var("x"), n)
-        rhs = st.q_poly(n)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+@_identity("Q-GRAMMAR", "the xyz grammar iterates to Q_n(x,y,z)", 7)
+def _q_grammar(n):
+    yield ("", gr.d_iter(_grammar(gr.stirling_word_grammar), MVPoly.var("x"), n),
+           st.q_poly(n))
 
 
-@_check("Q-CHEN22", "Q_n in the elementary symmetric basis, table and grammar sides", 6)
-def _run_q_chen22(max_n, egf_order):
-    h = gr.esym_uvw_grammar()
-    out = []
-    for n in range(1, max_n + 1):
-        q = st.q_poly(n)
-        table_side = esym_assemble(
-            [(k, Fraction(v)) for k, v in sorted(st.gamma_table(n).entries.items())],
-            ("x", "y", "z"))
-        ok = q == table_side
-        wit = None if ok else _diff_witness(n, q, table_side, "gamma table")
-        if ok:
-            e1, e2, e3 = (MVPoly.var("x") + MVPoly.var("y") + MVPoly.var("z"),
-                          MVPoly.var("x") * MVPoly.var("y")
-                          + MVPoly.var("y") * MVPoly.var("z")
-                          + MVPoly.var("z") * MVPoly.var("x"),
-                          MVPoly.var("x") * MVPoly.var("y") * MVPoly.var("z"))
-            grammar_side = gr.d_iter(h, MVPoly.var("w"), n - 1).subst(
-                {"u": e1, "v": e2, "w": e3})
-            if q != grammar_side:
-                ok, wit = False, _diff_witness(n, q, grammar_side, "grammar H")
-        out.append((n, ok, wit))
-    return out
+@_identity("Q-CHEN22", "Q_n in the elementary symmetric basis, table and grammar sides", 6)
+def _q_chen22(n):
+    q = st.q_poly(n)
+    yield "gamma table", q, esym_assemble(
+        [(k, Fraction(v)) for k, v in sorted(st.gamma_table(n).entries.items())],
+        ("x", "y", "z"))
+    e1, e2, e3 = esym_polys(("x", "y", "z"))
+    yield "grammar H", q, gr.d_iter(_grammar(gr.esym_uvw_grammar), MVPoly.var("w"),
+                                    n - 1).subst({"u": e1, "v": e2, "w": e3})
 
 
 @_check("C-Q-TRANSFORM", "neighbor polynomials are monomial transforms of Q_n", 6)
@@ -824,20 +672,16 @@ def _run_cq_transform(max_n, egf_order):
     for n in range(1, max_n + 1):
         q = st.q_poly(n)
         ok, wit = True, None
+        images = [
+            lambda v: {"x1": n - v[0], "x2": n - v[1], "x3": n - v[2],
+                       "y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]},
+            lambda v: {"x": n - v[0], "y": n - v[1], "z": n - v[2]},
+            lambda v: {"x1": n - v[0], "x2": n - v[1], "y2": n + 1 - v[2]},
+            lambda v: {"y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]},
+        ]
         try:
-            full = _exponent_transform(
-                q, ("x", "y", "z"),
-                lambda v: {"x1": n - v[0], "x2": n - v[1], "x3": n - v[2],
-                           "y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]})
-            nca = _exponent_transform(
-                q, ("x", "y", "z"),
-                lambda v: {"x": n - v[0], "y": n - v[1], "z": n - v[2]})
-            lnelcrlrp = _exponent_transform(
-                q, ("x", "y", "z"),
-                lambda v: {"x1": n - v[0], "x2": n - v[1], "y2": n + 1 - v[2]})
-            rrplrp = _exponent_transform(
-                q, ("x", "y", "z"),
-                lambda v: {"y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]})
+            full, nca, lnelcrlrp, rrplrp = [
+                _exponent_transform(q, ("x", "y", "z"), image) for image in images]
         except NotSymmetricError as exc:
             out.append((n, False, f"n={n}: {exc}"))
             continue
@@ -855,50 +699,26 @@ def _run_cq_transform(max_n, egf_order):
     return out
 
 
-@_check("Q-LNE", "left-nesting distribution follows the second-order Eulerian triangle", 7)
-def _run_q_lne(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = MVPoly.from_exponents(
-            project(mt.pair_census(n), lambda ps: (n - ps.lne,)), ("x",))
-        rhs = st.q_univariate(n)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+@_identity("Q-LNE", "left-nesting distribution follows the second-order Eulerian triangle", 7)
+def _q_lne(n):
+    yield "", MVPoly.from_exponents(
+        project(mt.pair_census(n), lambda ps: (n - ps.lne,)), ("x",)), st.q_univariate(n)
 
 
-@_check("Q-LRP", "LR-pair distribution follows the second-order Eulerian triangle", 7)
-def _run_q_lrp(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = MVPoly.from_exponents(
-            project(mt.pair_census(n), lambda ps: (n + 1 - ps.lrp,)), ("x",))
-        rhs = st.q_univariate(n)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+@_identity("Q-LRP", "LR-pair distribution follows the second-order Eulerian triangle", 7)
+def _q_lrp(n):
+    yield "", MVPoly.from_exponents(
+        project(mt.pair_census(n), lambda ps: (n + 1 - ps.lrp,)), ("x",)), st.q_univariate(n)
 
 
-@_check("NCA-RECU", "first-order recurrence for the NCA polynomials", 6)
-def _run_nca_recu(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        ok, wit = True, None
-        if n in _GOLDEN_NCA:
-            golden = parse_poly(_GOLDEN_NCA[n])
-            if wd.nca_poly(n) != golden:
-                ok, wit = False, _diff_witness(n, wd.nca_poly(n), golden, "golden")
-        if ok:
-            p = wd.nca_poly(n)
-            rhs = n * (MVPoly.var("x") + MVPoly.var("y") + MVPoly.var("z")) * p \
-                - (MVPoly.var("x") ** 2 * p.partial("x")
-                   + MVPoly.var("y") ** 2 * p.partial("y")
-                   + MVPoly.var("z") ** 2 * p.partial("z"))
-            lhs = wd.nca_poly(n + 1)
-            if lhs != rhs:
-                ok, wit = False, _diff_witness(n, lhs, rhs, "recurrence")
-        out.append((n, ok, wit))
-    return out
+@_identity("NCA-RECU", "first-order recurrence for the NCA polynomials", 6)
+def _nca_recu(n):
+    p = wd.nca_poly(n)
+    if n in _GOLDEN_NCA:
+        yield "golden", p, parse_poly(_GOLDEN_NCA[n])
+    x, y, z = MVPoly.var("x"), MVPoly.var("y"), MVPoly.var("z")
+    yield "recurrence", wd.nca_poly(n + 1), n * (x + y + z) * p - (
+        x ** 2 * p.partial("x") + y ** 2 * p.partial("y") + z ** 2 * p.partial("z"))
 
 
 @_check("SIX-EULERIAN", "all six restricted neighbor sums give A_n(x,y)", 6)
@@ -920,11 +740,8 @@ def _run_six_eulerian(max_n, egf_order):
         for label, selector in cases:
             poly = MVPoly.from_exponents(project(wd.neighbor_census(n), selector), names)
             if poly != target:
-                ok = False
-                word = _first_word_in_diff(
+                ok, wit = False, _diff_witness(n, poly, target, label) + _first_word_in_diff(
                     n, poly - target, lambda w: selector(wd.neighbor_counts(w)), names)
-                wit = (_diff_witness(n, poly, target, label)
-                       + (f"; first word in diff: {word}" if word else ""))
                 break
         out.append((n, ok, wit))
     return out
@@ -933,6 +750,7 @@ def _run_six_eulerian(max_n, egf_order):
 # ---------------------------------------------------------------------------
 # Counting checks
 # ---------------------------------------------------------------------------
+
 
 @_check("COUNT-CATALAN", "noncrossing matchings are counted by Catalan numbers", 7)
 def _run_catalan(max_n, egf_order):
@@ -999,94 +817,54 @@ def _run_foata(max_n, egf_order):
 # Grammar-vs-enumeration checks
 # ---------------------------------------------------------------------------
 
-@_check("G-EXC", "quadruple-statistic grammar matches enumeration over S_n", 7)
-def _run_g_exc(max_n, egf_order):
-    g = gr.quadruple_statistic_grammar()
-    seed = MVPoly.var("I")
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = gr.d_iter(g, seed, n)
-        rhs = seed * _perm_quadruple_poly(n)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+
+@_identity("G-EXC", "quadruple-statistic grammar matches enumeration over S_n", 7)
+def _g_exc(n):
+    I = MVPoly.var("I")
+    yield ("", gr.d_iter(_grammar(gr.quadruple_statistic_grammar), I, n),
+           I * _perm_quadruple_poly(n))
 
 
-@_check("G-MATCH", "matching-statistic grammar matches enumeration over M_n", 7)
-def _run_g_match(max_n, egf_order):
-    g = gr.matching_statistic_grammar()
-    seed = MVPoly.var("J")
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = gr.d_iter(g, seed, n)
-        rhs = seed * mt.m_poly(n).subst({"x": MVPoly.var("a"), "y": MVPoly.var("b")})
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+@_identity("G-MATCH", "matching-statistic grammar matches enumeration over M_n", 7)
+def _g_match(n):
+    J = MVPoly.var("J")
+    yield ("", gr.d_iter(_grammar(gr.matching_statistic_grammar), J, n),
+           J * mt.m_poly(n).subst({"x": MVPoly.var("a"), "y": MVPoly.var("b")}))
 
 
-@_check("G-CHANGE", "change of variables carries the S_n grammar to the matching grammar", 6)
-def _run_g_change(max_n, egf_order):
-    g = gr.quadruple_statistic_grammar()
-    g1 = gr.matching_statistic_grammar()
+@_identity("G-CHANGE", "change of variables carries the S_n grammar to the matching grammar", 6)
+def _g_change(n):
     binding = {"I": MVPoly.var("J"), "p": 2 * MVPoly.var("s"),
                "q": Fraction(1, 2) * MVPoly.var("t"),
                "x": 2 * MVPoly.var("a"), "y": 2 * MVPoly.var("b")}
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = gr.d_iter(g, MVPoly.var("I"), n).subst(binding)
-        rhs = gr.d_iter(g1, MVPoly.var("J"), n)
-        ok = lhs == rhs
-        out.append((n, ok, None if ok else _diff_witness(n, lhs, rhs)))
-    return out
+    yield ("", gr.d_iter(_grammar(gr.quadruple_statistic_grammar), MVPoly.var("I"),
+                         n).subst(binding),
+           gr.d_iter(_grammar(gr.matching_statistic_grammar), MVPoly.var("J"), n))
 
 
-@_check("G-DUMONT", "Dumont's grammar iterates to a b^n A_n(a/b)", 8)
-def _run_g_dumont(max_n, egf_order):
-    g = gr.dumont_grammar()
+@_identity("G-DUMONT", "Dumont's grammar iterates to a b^n A_n(a/b)", 8)
+def _g_dumont(n):
+    g = _grammar(gr.dumont_grammar)
     a, b = MVPoly.var("a"), MVPoly.var("b")
-    out = []
-    for n in range(1, max_n + 1):
-        da = gr.d_iter(g, a, n)
-        db = gr.d_iter(g, b, n)
-        eulerian = pm.eulerian_xy(n).subst({"y": 1})
-        # a b^n A_n(a/b): the x^k term of A_n becomes a^(k+1) b^(n-k)
-        rhs = a * sum((c * MVPoly.var("a", dict(m).get("x", 0))
-                       * MVPoly.var("b", n - dict(m).get("x", 0))
-                       for m, c in eulerian.terms.items()), MVPoly.zero())
-        ok = da == db == rhs
-        wit = None
-        if da != db:
-            wit = _diff_witness(n, da, db, "D^n(a) vs D^n(b)")
-        elif da != rhs:
-            wit = _diff_witness(n, da, rhs, "vs a b^n A_n(a/b)")
-        out.append((n, ok, wit))
-    return out
+    da = gr.d_iter(g, a, n)
+    yield "D^n(a) vs D^n(b)", da, gr.d_iter(g, b, n)
+    # a b^n A_n(a/b): the x^k term of A_n becomes a^(k+1) b^(n-k)
+    eulerian = pm.eulerian_xy(n).subst({"y": 1})
+    yield "vs a b^n A_n(a/b)", da, a * sum(
+        (c * MVPoly.var("a", dict(m).get("x", 0)) * MVPoly.var("b", n - dict(m).get("x", 0))
+         for m, c in eulerian.terms.items()), MVPoly.zero())
 
 
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
 
-_ORDER = [
-    "GOLDEN",
-    "A-EQUIDIST", "A-RISING", "A-EGF", "A-NEG",
-    "M-MAIN", "M-SYM", "M-EGF", "TRACE-RISING", "STIRLING1-ID",
-    "CONV", "COR2", "M-GAMMA", "DER-COUNT", "DNK",
-    "B-MAIN", "B-DUAL", "COLORED", "CALLAN-EGF",
-    "MP-BIJ", "I-STATS", "KZ-SYM", "KLAZAR-SYM",
-    "C-GRAMMAR", "C-EPOS", "XI-TREE", "GAMMA-TREE", "XI-GAMMA",
-    "Q-DUMONT", "Q-SYM", "Q-GRAMMAR", "Q-CHEN22", "C-Q-TRANSFORM",
-    "Q-LNE", "Q-LRP", "NCA-RECU", "SIX-EULERIAN",
-    "COUNT-CATALAN", "COUNT-NARAYANA", "COUNT-LNE-FACT", "FOATA-GAMMA",
-    "G-EXC", "G-MATCH", "G-CHANGE", "G-DUMONT",
-]
-
 DEFAULT_EGF_ORDER = 8
 
 
 def check_ids() -> list[str]:
-    return list(_ORDER)
+    """Every check id, in the order the checks are defined above."""
+    return list(_REGISTRY)
 
 
 def _run_single(check_id: str, max_n: int | None, egf_order: int) -> CheckResult:
@@ -1094,32 +872,20 @@ def _run_single(check_id: str, max_n: int | None, egf_order: int) -> CheckResult
     effective = check.default_max_n if max_n is None else max_n
     started = time.monotonic()
     try:
-        if check.uses_egf_order:
-            rows = check.run(effective, egf_order)
-            reported_max = egf_order
-        elif check.id == "GOLDEN":
-            rows = check.run(effective, egf_order)
-            reported_max = len(rows)
-        else:
-            if effective < 1:
-                return CheckResult(id=check_id, status="skip", max_n=effective,
-                                   per_n=[], witness=None, ms=0)
-            rows = check.run(effective, egf_order)
-            reported_max = effective
+        rows = check.run(effective, egf_order)
     except Exception as exc:  # a crashing side counts as a failure, not an abort
         ms = int(round((time.monotonic() - started) * 1000))
         return CheckResult(id=check_id, status="fail", max_n=effective,
                            per_n=[], witness=f"exception: {exc!r}", ms=ms)
+    if not rows:
+        return CheckResult(id=check_id, status="skip", max_n=effective,
+                           per_n=[], witness=None, ms=0)
     ms = int(round((time.monotonic() - started) * 1000))
     per_n = [{"n": n, "status": "pass" if ok else "fail"} for n, ok, _ in rows]
-    failures = [(n, wit) for n, ok, wit in rows if not ok]
-    status = "fail" if failures else "pass"
-    witness = None
-    if failures:
-        n, wit = failures[0]
-        witness = wit if wit is not None else f"n={n}: mismatch"
-    return CheckResult(id=check_id, status=status, max_n=reported_max,
-                       per_n=per_n, witness=witness, ms=ms)
+    witnesses = [wit for _, ok, wit in rows if not ok]
+    return CheckResult(id=check_id, status="fail" if witnesses else "pass",
+                       max_n=rows[-1][0], per_n=per_n,
+                       witness=witnesses[0] if witnesses else None, ms=ms)
 
 
 def _worker(args) -> CheckResult:
@@ -1134,7 +900,7 @@ def run_checks(selection="all", max_n: int | None = None,
     Results do not depend on `jobs`; failing checks never abort the run.
     """
     if selection == "all" or selection is None:
-        ids = list(_ORDER)
+        ids = list(_REGISTRY)
     else:
         ids = list(selection)
         for check_id in ids:
@@ -1144,8 +910,7 @@ def run_checks(selection="all", max_n: int | None = None,
     if jobs <= 1 or len(ids) <= 1:
         return [_run_single(check_id, max_n, order) for check_id in ids]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_worker, [(cid, max_n, order) for cid in ids]))
-    return results
+        return list(pool.map(_worker, [(cid, max_n, order) for cid in ids]))
 
 
 def report_json(results: Iterable[CheckResult]) -> str:

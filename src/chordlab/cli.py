@@ -108,17 +108,12 @@ def _emit(text: str, out) -> None:
 
 def _signed_row(n: int, rank: int, sigma) -> dict:
     s = pm.signed_stats(sigma)
-    window = tuple(abs(v) for v in sigma)
-    padded = (0,) + sigma + (0,)
-    asc = sum(1 for i in range(n - 1) if sigma[i] < sigma[i + 1])
-    des = (n - 1) - asc if n else 0
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
-    dd = sum(1 for i in range(1, n + 1) if padded[i - 1] > padded[i] > padded[i + 1])
-    abs_stats = pm.perm_stats(window)
+    asc, des, inv, dd = pm.oneline_stats(sigma)
+    cda = pm.perm_stats(tuple(map(abs, sigma))).cda
     return {
         "n": n, "rank": rank, "oneline": " ".join(map(str, sigma)),
         "exc": s.exc_B, "drop": s.drop_B, "fix": s.fix_B, "cyc": s.cyc_B,
-        "asc": asc, "des": des, "inv": inv, "cda": abs_stats.cda, "dd": dd,
+        "asc": asc, "des": des, "inv": inv, "cda": cda, "dd": dd,
         "wexc": s.wexc, "single": s.single,
     }
 
@@ -309,6 +304,10 @@ def _cmd_verify(args) -> int:
     if not selection:
         print(f"error: --checks {args.checks!r} names no check", file=sys.stderr)
         return 2
+    for flag, value in (("--max-n", args.max_n), ("--egf-order", args.egf_order)):
+        if value is not None and value < 0:
+            print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
+            return 2
     with _output(args.out) as out:
         try:
             results = checks.run_checks(selection, max_n=args.max_n,

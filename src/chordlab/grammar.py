@@ -89,11 +89,6 @@ def parse_grammar(text: str) -> Grammar:
 
 # Grammars that come up repeatedly in the verification suite.
 
-def stirling_grammar() -> Grammar:
-    """{a -> ab, b -> b}; iterates to rows of Stirling set numbers."""
-    return parse_grammar("a -> a*b\nb -> b")
-
-
 def dumont_grammar() -> Grammar:
     """{a -> ab, b -> ab}; iterates to the Eulerian polynomials."""
     return parse_grammar("a -> a*b\nb -> a*b")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -106,21 +105,6 @@ def enumerate_matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
 # ---------------------------------------------------------------------------
 # Block classification
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockClass:
-    closer_class: str  # fixed | even_larger | odd_larger
-    opener_class: str  # fixed | even_smaller | odd_smaller
-
-
-def classify_block(arc: Arc) -> BlockClass:
-    a, b = arc
-    if a % 2 == 1 and b == a + 1:
-        return BlockClass("fixed", "fixed")
-    closer = "odd_larger" if b % 2 == 1 else "even_larger"
-    opener = "even_smaller" if a % 2 == 0 else "odd_smaller"
-    return BlockClass(closer, opener)
-
 
 class BlockStats(NamedTuple):
     fixb: int

@@ -1,4 +1,4 @@
-"""Permutations, signed permutations, derangements and inversion sequences.
+"""Permutations, signed permutations and derangements.
 
 Permutations are one-line tuples pi with pi[i-1] = pi(i); signed permutations
 are window tuples over {+-1..+-n} whose absolute values form a permutation.
@@ -20,7 +20,6 @@ from .algebra import MVPoly, project
 
 Permutation = tuple  # tuple[int, ...], values 1..n
 SignedPermutation = tuple  # tuple[int, ...], values in {+-1..+-n}
-InversionSequence = tuple  # tuple[int, ...], 0 <= e[i] <= i
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +140,36 @@ def cycle_count(pi: Permutation) -> int:
     return count
 
 
+def oneline_stats(w: tuple) -> tuple[int, int, int, int]:
+    """(asc, des, inv, dd) of a word of distinct nonzero integers, such as a
+    permutation or the window of a signed permutation; dd uses the boundary
+    w(0) = w(n+1) = 0.
+
+    One pass over adjacent values gives asc and dd and, by bisecting the
+    sorted values seen so far, inv.
+    """
+    asc = dd = inv = 0
+    earlier: list[int] = []  # the values before the current one, sorted
+    a = b = 0  # w(i-2), w(i-1), zero before the first position
+    for c in w:
+        if b > c:
+            if a > b:
+                dd += 1
+        elif b:
+            asc += 1
+        inv += len(earlier) - bisect_right(earlier, c)
+        insort(earlier, c)
+        a, b = b, c
+    if a > b > 0:  # the last position against w(n+1) = 0
+        dd += 1
+    return asc, len(w) - 1 - asc if w else 0, inv, dd
+
+
 def perm_stats(pi: Permutation) -> PermStats:
     """The statistic record used throughout; dd uses boundary pi(0)=pi(n+1)=0.
 
-    A pass over positions gives exc/drop and the inverse, then cda; a pass
-    over adjacent values gives asc, dd and, by bisecting the sorted values
-    seen so far, inv.
+    A pass over positions gives exc/drop and the inverse, then cda; the
+    one-line statistics come from :func:`oneline_stats`.
     """
     n = len(pi)
     inverse = [0] * (n + 1)
@@ -161,22 +184,8 @@ def perm_stats(pi: Permutation) -> PermStats:
     for i, v in enumerate(pi, start=1):
         if inverse[i] < i < v:
             cda += 1
-    asc = dd = inv = 0
-    earlier: list[int] = []  # the values before the current one, sorted
-    a = b = 0  # pi(i-2), pi(i-1), zero before the first position
-    for c in pi:
-        if b > c:
-            if a > b:
-                dd += 1
-        elif b:
-            asc += 1
-        inv += len(earlier) - bisect_right(earlier, c)
-        insort(earlier, c)
-        a, b = b, c
-    if a > b:  # the last position against pi(n+1) = 0
-        dd += 1
-    return PermStats(exc, drop, n - exc - drop, cycle_count(pi), asc, n - 1 - asc,
-                     inv, cda, dd)
+    asc, des, inv, dd = oneline_stats(pi)
+    return PermStats(exc, drop, n - exc - drop, cycle_count(pi), asc, des, inv, cda, dd)
 
 
 class SignedStats(NamedTuple):
@@ -208,33 +217,6 @@ def signed_stats(sigma: SignedPermutation) -> SignedStats:
             single += 1
     return SignedStats(exc + single, exc, drop, fix, single,
                        cycle_count(tuple(map(abs, sigma))))
-
-
-# ---------------------------------------------------------------------------
-# Inversion sequences
-# ---------------------------------------------------------------------------
-
-def to_inversion_sequence(pi: Permutation) -> InversionSequence:
-    """e_i = #{j < i : pi(j) > pi(i)}."""
-    n = len(pi)
-    return tuple(sum(1 for j in range(i) if pi[j] > pi[i]) for i in range(n))
-
-
-def from_inversion_sequence(e: InversionSequence) -> Permutation:
-    """Inverse of :func:`to_inversion_sequence`."""
-    n = len(e)
-    for i, v in enumerate(e):
-        if not 0 <= v <= i:
-            raise ValueError(f"entry {v} out of range at position {i + 1}")
-    pool = sorted(range(1, n + 1), reverse=True)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = pool.pop(e[i])
-    return tuple(out)
-
-
-def enumerate_inversion_sequences(n: int) -> Iterator[InversionSequence]:
-    yield from itertools.product(*(range(i + 1) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------

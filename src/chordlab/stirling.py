@@ -166,11 +166,6 @@ class CoeffTable:
                 for (i, j, k), c in sorted(self.entries.items())]
         return json.dumps({"family": family, "n": self.n, "entries": rows})
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoeffTable):
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
-
 
 @lru_cache(maxsize=None)
 def xi_table(n: int) -> CoeffTable:

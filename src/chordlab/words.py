@@ -95,23 +95,6 @@ def words(n: int) -> Iterator[Word]:
     return map(from_matching, mt.matchings(n))
 
 
-def insertion_words(n: int) -> Iterator[Word]:
-    """Independent generator used only as a cross-check oracle for small n.
-
-    Grows a word of order k from order k-1 by appending k' and inserting the
-    unbarred k just before the word or right after any of its entries.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        yield ((1, False), (1, True))
-        return
-    for w in insertion_words(n - 1):
-        tail = ((n, True),)
-        for pos in range(2 * n - 1):
-            yield w[:pos] + ((n, False),) + w[pos:] + tail
-
-
 # ---------------------------------------------------------------------------
 # Neighbor classification and word statistics
 # ---------------------------------------------------------------------------

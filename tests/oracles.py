@@ -6,8 +6,13 @@ trace and neighbor classifiers, a padded Stirling sweep and multi-pass
 permutation statistics.  They return
 plain tuples in the field order of the library's stat records (which are
 tuples too), so each can be compared with its kernel object by object.
+
+The last three are test-only constructions: the O(n^2) one-line statistics
+of a signed permutation, the insertion generator of matching permutations
+and the inverse of `gamma_expand`.
 """
 from chordlab import matchings as mt
+from chordlab.algebra import MVPoly
 
 
 def enumerate_matchings(n, start_rank=0):
@@ -191,7 +196,7 @@ def perm_stats(pi):
         else:
             fix += 1
     asc = sum(1 for i in range(n - 1) if pi[i] < pi[i + 1])
-    des = (n - 1) - asc
+    des = (n - 1) - asc if n else 0
     inv = sum(1 for i in range(n) for j in range(i + 1, n) if pi[i] > pi[j])
     inverse = [0] * (n + 1)
     for i, v in enumerate(pi, start=1):
@@ -257,3 +262,42 @@ def enumerate_stirling(n, start_rank=0):
 
     yield from rec((), 1, True)
 
+
+
+def signed_oneline_stats(sigma):
+    """(asc, des, inv, dd) of a signed permutation, dd with zero boundaries."""
+    n = len(sigma)
+    padded = (0,) + sigma + (0,)
+    asc = sum(1 for i in range(n - 1) if sigma[i] < sigma[i + 1])
+    des = (n - 1) - asc if n else 0
+    inv = sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
+    dd = sum(1 for i in range(1, n + 1) if padded[i - 1] > padded[i] > padded[i + 1])
+    return asc, des, inv, dd
+
+
+def insertion_words(n):
+    """Matching permutations grown independently of the matching stream.
+
+    A word of order k comes from one of order k-1 by appending k' and
+    inserting the unbarred k just before the word or right after any of its
+    entries.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n == 1:
+        yield ((1, False), (1, True))
+        return
+    for w in insertion_words(n - 1):
+        tail = ((n, True),)
+        for pos in range(2 * n - 1):
+            yield w[:pos] + ((n, False),) + w[pos:] + tail
+
+
+def gamma_assemble(coeffs, x, y, d):
+    """Inverse of `gamma_expand` for a degree-d expansion."""
+    xy = MVPoly.var(x) * MVPoly.var(y)
+    x_plus_y = MVPoly.var(x) + MVPoly.var(y)
+    total = MVPoly.zero()
+    for j, g in coeffs:
+        total = total + g * xy ** j * x_plus_y ** (d - 2 * j)
+    return total

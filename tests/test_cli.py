@@ -217,12 +217,20 @@ class TestMisuse:
         ["verify", "--checks", ","],
         ["enumerate", "--family", "trees012", "--n", "0"],
         ["enumerate", "--family", "trees0123", "--n", "0"],
+        ["verify", "--egf-order", "-1"],
+        ["verify", "--max-n", "-2"],
     ])
     def test_bad_arguments(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_bounds_stay_valid(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--checks", "M-MAIN,A-EGF",
+                               "--max-n", "0", "--egf-order", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "1/1 checks passed, 1 skipped"
 
     def test_bad_jobs_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CHORDLAB_JOBS", "abc")

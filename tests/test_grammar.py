@@ -7,13 +7,13 @@ from chordlab.grammar import DuplicateRuleError, Grammar, d_apply, d_iter, parse
 
 
 def test_chen_first_derivative():
-    g = gr.stirling_grammar()
+    g = parse_grammar("a -> a*b\nb -> b")
     assert d_apply(g, MVPoly.var("a")) == parse_poly("a*b")
     assert d_apply(g, MVPoly.var("b")) == parse_poly("b")
 
 
 def test_constant_derives_to_zero():
-    g = gr.stirling_grammar()
+    g = parse_grammar("a -> a*b\nb -> b")
     assert d_apply(g, MVPoly.const(5)).is_zero
     assert d_apply(g, parse_poly("q^2 + 3")).is_zero  # q has no rule
 
@@ -30,7 +30,7 @@ def test_neighbor_grammar_first_step():
 
 
 def test_chen_second_derivative_is_stirling_row():
-    g = gr.stirling_grammar()
+    g = parse_grammar("a -> a*b\nb -> b")
     assert d_iter(g, MVPoly.var("a"), 2) == parse_poly("a*b + a*b^2")
 
 
@@ -99,7 +99,7 @@ monos = hst.dictionaries(hst.sampled_from("abxy"), hst.integers(1, 2),
                          max_size=3).map(lambda d: tuple(sorted(d.items())))
 polys = hst.dictionaries(monos, coeffs, max_size=3).map(MVPoly)
 grammars = hst.sampled_from([
-    gr.stirling_grammar(), gr.dumont_grammar(), gr.quadruple_statistic_grammar()])
+    parse_grammar("a -> a*b\nb -> b"), gr.dumont_grammar(), gr.quadruple_statistic_grammar()])
 
 
 @given(grammars, polys, polys)

@@ -61,6 +61,12 @@ def test_signed_kernel(n):
         assert pm.signed_stats(sigma) == oracles.signed_stats(sigma), sigma
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_oneline_stats_on_signed_permutations(n):
+    for sigma in pm.enumerate_signed(n):
+        assert pm.oneline_stats(sigma) == oracles.signed_oneline_stats(sigma), sigma
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_stirling_kernel(n):
     for word in st.enumerate_stirling(n):

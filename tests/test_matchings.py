@@ -55,11 +55,6 @@ class TestBlockStats:
                 assert bs.fixb + bs.osblock + bs.olblock == n
                 assert bs.esblock == n - bs.fixb - bs.elblock
 
-    def test_classify_block(self):
-        assert mt.classify_block((1, 2)) == mt.BlockClass("fixed", "fixed")
-        assert mt.classify_block((2, 3)) == mt.BlockClass("odd_larger", "even_smaller")
-        assert mt.classify_block((1, 4)) == mt.BlockClass("even_larger", "odd_smaller")
-
 
 class TestPairwiseStats:
     def test_nesting(self):

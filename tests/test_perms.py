@@ -1,5 +1,3 @@
-import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -67,29 +65,6 @@ class TestStats:
         assert pm.perm_stats((3, 1, 2)).cda == 0
         # 2 3 1: i=2 has pi^{-1}(2)=1 < 2 < pi(2)=3
         assert pm.perm_stats((2, 3, 1)).cda == 1
-
-
-class TestInversionSequences:
-    def test_identity(self):
-        assert pm.to_inversion_sequence((1, 2, 3, 4)) == (0, 0, 0, 0)
-
-    def test_decreasing(self):
-        assert pm.to_inversion_sequence((3, 2, 1)) == (0, 1, 2)
-
-    def test_round_trip_s5(self):
-        for pi in pm.enumerate_permutations(5):
-            assert pm.from_inversion_sequence(pm.to_inversion_sequence(pi)) == pi
-
-    def test_round_trip_sequences_n5(self):
-        count = 0
-        for e in pm.enumerate_inversion_sequences(5):
-            assert pm.to_inversion_sequence(pm.from_inversion_sequence(e)) == e
-            count += 1
-        assert count == math.factorial(5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pm.from_inversion_sequence((1,))
 
 
 class TestEulerianFamilies:
