@@ -649,20 +649,21 @@ class _Parser:
         return p
 
     def expr(self) -> MVPoly:
-        negate = False
-        if self.peek() == "-":
-            self.next()
-            negate = True
-        elif self.peek() == "+":
-            self.next()
-        total = self.term()
-        if negate:
-            total = -total
+        total = self.signed_term()
         while self.peek() in ("+", "-"):
             op = self.next()
-            t = self.term()
+            t = self.signed_term()
             total = total + t if op == "+" else total - t
         return total
+
+    def signed_term(self) -> MVPoly:
+        """A term with at most one leading sign; `render` writes a negative
+        coefficient after `+`, as in ``x + -2*y``."""
+        sign = self.peek()
+        if sign in ("+", "-"):
+            self.next()
+        t = self.term()
+        return -t if sign == "-" else t
 
     def term(self) -> MVPoly:
         total = self.factor()

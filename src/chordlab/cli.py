@@ -30,6 +30,9 @@ _HARD_LIMITS = {
     "matchings": 10, "mwords": 10, "perms": 10, "signed": 8,
     "derangements": 10, "stirling": 10, "trees012": 12, "trees0123": 12,
 }
+# `verify --max-n` becomes every check's bound; the checks that walk S_n and
+# M_n default to at most 8, and one order more costs them minutes to hours.
+_VERIFY_MAX_N = 8
 
 _POLY_FAMILY = {
     "An": "perms", "Anxy": "perms", "Anpq": "perms", "dn": "perms",
@@ -71,6 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="worker processes (default: $CHORDLAB_JOBS, else 1)")
     p_verify.add_argument("--report", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
+    p_verify.add_argument("--force", action="store_true",
+                          help="allow --max-n above the verify limit")
 
     p_gram = sub.add_parser("grammar", help="apply a grammar derivative")
     p_gram.add_argument("--rules", required=True)
@@ -308,6 +313,10 @@ def _cmd_verify(args) -> int:
         if value is not None and value < 0:
             print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
             return 2
+    if args.max_n is not None and args.max_n > _VERIFY_MAX_N and not args.force:
+        print(f"error: --max-n {args.max_n} exceeds the verify limit {_VERIFY_MAX_N} "
+              "(pass --force to override)", file=sys.stderr)
+        return 2
     with _output(args.out) as out:
         try:
             results = checks.run_checks(selection, max_n=args.max_n,

@@ -5,16 +5,18 @@ The derivative of a monomial is computed directly,
 
     D(prod v_i^e_i) = sum_i e_i v_i^(e_i-1) rule(v_i) prod_{j!=i} v_j^e_j,
 
-which keeps everything in canonical MVPoly form.  Variables without a rule
-are constants for D_G, i.e. the same as an explicit rule ``v -> 0``.
+on dense exponent vectors with integer numerators (see `d_iter`).
+Variables without a rule are constants for D_G, i.e. the same as an
+explicit rule ``v -> 0``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import MVPoly, Mono, ParseError, _mono_mul, parse_poly
+from .algebra import MVPoly, Mono, ParseError, _mono_degree, parse_poly
 
 
 class GrammarError(Exception):
@@ -38,34 +40,64 @@ class Grammar:
 
 def d_apply(g: Grammar, p: MVPoly) -> MVPoly:
     """One application of the formal derivative D_G."""
-    out: dict[Mono, Fraction] = {}
-    for mono, c in p.terms.items():
-        for idx, (name, e) in enumerate(mono):
-            rule = g.rules.get(name)
-            if rule is None or rule.is_zero:
-                continue
-            if e == 1:
-                base = mono[:idx] + mono[idx + 1:]
-            else:
-                base = mono[:idx] + ((name, e - 1),) + mono[idx + 1:]
-            scale = c * e
-            for rmono, rc in rule.terms.items():
-                merged = _mono_mul(base, rmono)
-                s = out.get(merged, Fraction(0)) + scale * rc
-                if s:
-                    out[merged] = s
-                elif merged in out:
-                    del out[merged]
-    return MVPoly(out)
+    return d_iter(g, p, 1)
 
 
 def d_iter(g: Grammar, p: MVPoly, n: int) -> MVPoly:
-    """The n-fold derivative D_G^n(p); n = 0 returns p unchanged."""
+    """The n-fold derivative D_G^n(p); n = 0 returns p unchanged.
+
+    Converts once on entry and once on exit.  In between, a monomial is its
+    dense exponent vector packed into one int: a bit field per variable, in
+    one sorted order of the seed's variables and every variable of the
+    rules, each field wide enough for the largest total degree n steps can
+    reach.  A coefficient is an int: the seed is scaled by den_p, the lcm of
+    its coefficient denominators, and every rule by den_r, the lcm of
+    theirs.  A rule v -> sum rc*m becomes (delta, rc*den_r) pairs, where
+    delta is m's packed exponents minus v's unit, so a step is one int
+    addition per new term.  The result is exact: its coefficients are the
+    numerators over den_p * den_r**n.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    names = sorted(set(p.variables()).union(
+        g.rules, *(rule.variables() for rule in g.rules.values())))
+    # a step replaces one unit of v by a rule monomial, so the total degree
+    # rises by at most the largest rule degree minus one
+    growth = max((_mono_degree(m) - 1 for rule in g.rules.values() for m in rule.terms),
+                 default=0)
+    top = max(map(_mono_degree, p.terms), default=0) + n * max(growth, 0)
+    width = max(top.bit_length(), 1)
+    mask = (1 << width) - 1
+    shift = {v: width * i for i, v in enumerate(names)}
+
+    def pack(mono: Mono) -> int:
+        return sum(e << shift[v] for v, e in mono)
+
+    def unpack(key: int) -> Mono:
+        return tuple((v, e) for v, e in ((v, key >> s & mask) for v, s in shift.items())
+                     if e)
+
+    den_p = math.lcm(*(c.denominator for c in p.terms.values()))
+    den_r = math.lcm(*(c.denominator for rule in g.rules.values()
+                       for c in rule.terms.values()))
+    active = [(shift[v], [(pack(m) - (1 << shift[v]), int(rc * den_r))
+                          for m, rc in rule.terms.items()])
+              for v, rule in g.rules.items() if not rule.is_zero]
+    cur = {pack(mono): int(c * den_p) for mono, c in p.terms.items()}
     for _ in range(n):
-        p = d_apply(g, p)
-    return p
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in cur.items():
+            for s, pairs in active:
+                e = key >> s & mask
+                if e:
+                    ce = c * e
+                    for delta, rc in pairs:
+                        new = key + delta
+                        out[new] = get(new, 0) + ce * rc
+        cur = {key: c for key, c in out.items() if c}
+    den = den_p * den_r ** n
+    return MVPoly({unpack(key): Fraction(c, den) for key, c in cur.items()})
 
 
 def parse_grammar(text: str) -> Grammar:

@@ -175,22 +175,30 @@ def xi_table(n: int) -> CoeffTable:
                      + 3(1+j) xi(n; i,j+1,k-1),
 
     starting from xi(1; 1,0,0) = 1; keys satisfy i + 2j + 3k = n.  Iterated
-    from order 1 up, keeping only the previous order's entries.
+    from order 1 up, keeping only the previous order as lists indexed
+    [k][j] (i follows from the order).  Each term is read only where its
+    key is valid, which makes the index in range: the first needs i >= 1,
+    the second j >= 1, the third k >= 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cur: dict[tuple, int] = {(1, 0, 0): 1}
+    cur = [[1]]
     for m in range(2, n + 1):
-        prev, cur = cur, {}
+        prev, cur = cur, []
         for k in range(m // 3 + 1):
+            same = prev[k] if k < len(prev) else ()
+            below = prev[k - 1] if k else ()
+            row = []
             for j in range((m - 3 * k) // 2 + 1):
                 i = m - 2 * j - 3 * k
-                total = (1 + j + 2 * k) * prev.get((i - 1, j, k), 0)
-                total += 2 * (1 + i) * prev.get((i + 1, j - 1, k), 0)
-                total += 3 * (1 + j) * prev.get((i, j + 1, k - 1), 0)
-                if total:
-                    cur[(i, j, k)] = total
-    return CoeffTable(n, cur)
+                total = (1 + j + 2 * k) * same[j] if i else 0
+                if j:
+                    total += 2 * (1 + i) * same[j - 1]
+                if k:
+                    total += 3 * (1 + j) * below[j + 1]
+                row.append(total)
+            cur.append(row)
+    return CoeffTable(n, _entries(cur, n))
 
 
 @lru_cache(maxsize=None)
@@ -201,23 +209,41 @@ def gamma_table(n: int) -> CoeffTable:
                       + k gamma(n-1; i,j-1,k),
 
     starting from gamma(1; 0,0,1) = 1; keys satisfy i + 2j + 3k = 2n + 1.
-    Iterated from order 1 up, keeping only the previous order's entries.
+    Iterated from order 1 up, keeping only the previous order as lists
+    indexed [k][j] (i follows from the order).  The first two terms read
+    row k-1 and the third is multiplied by k, so row 0 is all zeros; beyond
+    that the second term needs i >= 1 and the third j >= 1, which keeps
+    every index in range.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cur: dict[tuple, int] = {(0, 0, 1): 1}
+    cur = [[0, 0], [1]]
     for m in range(2, n + 1):
-        prev, cur = cur, {}
+        prev, cur = cur, []
         target = 2 * m + 1
         for k in range(target // 3 + 1):
+            same = prev[k] if k < len(prev) else ()
+            below = prev[k - 1] if k else ()
+            row = []
             for j in range((target - 3 * k) // 2 + 1):
                 i = target - 2 * j - 3 * k
-                total = 3 * (1 + i) * prev.get((i + 1, j, k - 1), 0)
-                total += 2 * (1 + j) * prev.get((i - 1, j + 1, k - 1), 0)
-                total += k * prev.get((i, j - 1, k), 0)
-                if total:
-                    cur[(i, j, k)] = total
-    return CoeffTable(n, cur)
+                total = 0
+                if k:
+                    total = 3 * (1 + i) * below[j]
+                    if i:
+                        total += 2 * (1 + j) * below[j + 1]
+                    if j:
+                        total += k * same[j - 1]
+                row.append(total)
+            cur.append(row)
+    return CoeffTable(n, _entries(cur, 2 * n + 1))
+
+
+def _entries(rows: list, order: int) -> dict:
+    """{(i, j, k): c} of the nonzero entries of lists indexed [k][j] with
+    i + 2j + 3k = order, in the (k, j) order of the lists."""
+    return {(order - 2 * j - 3 * k, j, k): c
+            for k, row in enumerate(rows) for j, c in enumerate(row) if c}
 
 
 def xi_poly(n: int) -> MVPoly:

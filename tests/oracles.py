@@ -6,13 +6,18 @@ trace and neighbor classifiers, a padded Stirling sweep and multi-pass
 permutation statistics.  They return
 plain tuples in the field order of the library's stat records (which are
 tuples too), so each can be compared with its kernel object by object.
+Two algebra kernels have references here too: the grammar derivative on
+sparse (variable, exponent) monomials with `Fraction` coefficients, and
+the xi/gamma recurrences on tuple-keyed dictionaries.
 
 The last three are test-only constructions: the O(n^2) one-line statistics
 of a signed permutation, the insertion generator of matching permutations
 and the inverse of `gamma_expand`.
 """
+from fractions import Fraction
+
 from chordlab import matchings as mt
-from chordlab.algebra import MVPoly
+from chordlab.algebra import MVPoly, _mono_mul
 
 
 def enumerate_matchings(n, start_rank=0):
@@ -301,3 +306,61 @@ def gamma_assemble(coeffs, x, y, d):
     for j, g in coeffs:
         total = total + g * xy ** j * x_plus_y ** (d - 2 * j)
     return total
+
+
+def d_apply(g, p):
+    """One derivative step, merging each rule monomial into the sparse
+    monomial with its variable's exponent lowered."""
+    out = {}
+    for mono, c in p.terms.items():
+        for idx, (name, e) in enumerate(mono):
+            rule = g.rules.get(name)
+            if rule is None or rule.is_zero:
+                continue
+            if e == 1:
+                base = mono[:idx] + mono[idx + 1:]
+            else:
+                base = mono[:idx] + ((name, e - 1),) + mono[idx + 1:]
+            scale = c * e
+            for rmono, rc in rule.terms.items():
+                merged = _mono_mul(base, rmono)
+                s = out.get(merged, Fraction(0)) + scale * rc
+                if s:
+                    out[merged] = s
+                elif merged in out:
+                    del out[merged]
+    return MVPoly(out)
+
+
+def xi_table(n):
+    """xi entries {(i, j, k): c}, i + 2j + 3k = n, by tuple-keyed lookups."""
+    cur = {(1, 0, 0): 1}
+    for m in range(2, n + 1):
+        prev, cur = cur, {}
+        for k in range(m // 3 + 1):
+            for j in range((m - 3 * k) // 2 + 1):
+                i = m - 2 * j - 3 * k
+                total = (1 + j + 2 * k) * prev.get((i - 1, j, k), 0)
+                total += 2 * (1 + i) * prev.get((i + 1, j - 1, k), 0)
+                total += 3 * (1 + j) * prev.get((i, j + 1, k - 1), 0)
+                if total:
+                    cur[(i, j, k)] = total
+    return cur
+
+
+def gamma_table(n):
+    """gamma entries {(i, j, k): c}, i + 2j + 3k = 2n + 1, by tuple-keyed
+    lookups."""
+    cur = {(0, 0, 1): 1}
+    for m in range(2, n + 1):
+        prev, cur = cur, {}
+        target = 2 * m + 1
+        for k in range(target // 3 + 1):
+            for j in range((target - 3 * k) // 2 + 1):
+                i = target - 2 * j - 3 * k
+                total = 3 * (1 + i) * prev.get((i + 1, j, k - 1), 0)
+                total += 2 * (1 + j) * prev.get((i - 1, j + 1, k - 1), 0)
+                total += k * prev.get((i, j - 1, k), 0)
+                if total:
+                    cur[(i, j, k)] = total
+    return cur

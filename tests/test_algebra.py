@@ -84,8 +84,11 @@ class TestRendering:
         assert MVPoly.const(Fraction(-3, 4)).render() == "-3/4"
 
     def test_parse_round_trip(self):
-        for text in ("0", "x", "2*x^3*y + 1/2", "a^2*b + a*b^2", "-x + y"):
+        for text in ("0", "x", "2*x^3*y + 1/2", "a^2*b + a*b^2", "-x + y",
+                     "x - y", "x^2 - 3/2*y - 1"):
             assert parse_poly(parse_poly(text).render()) == parse_poly(text)
+        assert parse_poly("x + -2*y") == parse_poly("x - 2*y")
+        assert parse_poly("x - -y") == parse_poly("x + y")
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -94,6 +97,8 @@ class TestRendering:
             parse_poly("x ^ y")
         with pytest.raises(ParseError):
             parse_poly("(x + y")
+        with pytest.raises(ParseError):
+            parse_poly("x + --y")
 
 
 class TestGammaExpand:

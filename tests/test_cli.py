@@ -219,6 +219,8 @@ class TestMisuse:
         ["enumerate", "--family", "trees0123", "--n", "0"],
         ["verify", "--egf-order", "-1"],
         ["verify", "--max-n", "-2"],
+        ["verify", "--max-n", "12", "--checks", "A-RISING"],
+        ["verify", "--max-n", "12", "--egf-order", "3", "--report", "json"],
     ])
     def test_bad_arguments(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -231,6 +233,20 @@ class TestMisuse:
                                "--max-n", "0", "--egf-order", "0")
         assert code == 0
         assert out.splitlines()[-1] == "1/1 checks passed, 1 skipped"
+
+    def test_max_n_guard(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-n", "9")
+        assert (code, out) == (2, "")
+        assert err == ("error: --max-n 9 exceeds the verify limit 8 "
+                       "(pass --force to override)\n")
+        code, out, _ = run_cli(capsys, "verify", "--checks", "A-RISING",
+                               "--max-n", "8")
+        assert code == 0
+        assert out.splitlines()[-1] == "1/1 checks passed"
+        code, out, _ = run_cli(capsys, "verify", "--checks", "STIRLING1-ID",
+                               "--max-n", "9", "--force")
+        assert code == 0
+        assert "max_n=9" in out and out.splitlines()[-1] == "1/1 checks passed"
 
     def test_bad_jobs_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CHORDLAB_JOBS", "abc")

@@ -1,15 +1,22 @@
-"""Differential tests: every per-object kernel agrees with its reference
-implementation in tests/oracles.py, object by object, over whole families
-for n <= 6 and over random matchings up to n = 12."""
+"""Differential tests: every kernel agrees with its reference
+implementation in tests/oracles.py.  Per-object kernels are compared object
+by object over whole families for n <= 6 and over random matchings up to
+n = 12; the grammar derivative over every named grammar and over random
+rational grammars; the xi/gamma tables entry by entry up to order 80."""
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import oracles
+from chordlab import grammar as gr
 from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
+from chordlab.algebra import MVPoly, parse_poly
 
 SIZES = range(7)
 
@@ -101,3 +108,69 @@ def test_kernels_on_random_matchings(m):
     assert wd.to_matching(w) == m
     assert wd.neighbor_classify(w) == oracles.neighbor_classify(w)
     assert wd.word_stats(w) == oracles.word_stats(w)
+
+
+GRAMMAR_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "grammars"
+FILE_SEEDS = {"matching.g": "J", "neighbor.g": "I*y2*E", "quadruple.g": "I"}
+NAMED_GRAMMARS = [
+    (gr.dumont_grammar, "a"), (gr.quadruple_statistic_grammar, "I"),
+    (gr.matching_statistic_grammar, "J"), (gr.neighbor_grammar, "I*y2*E"),
+    (gr.stirling_word_grammar, "x"), (gr.esym_w_grammar, "a"),
+    (gr.esym_uvw_grammar, "w"),
+]
+
+
+def _named_grammars():
+    for build, seed in NAMED_GRAMMARS:
+        yield pytest.param(build(), seed, id=build.__name__)
+    for name, seed in FILE_SEEDS.items():
+        yield pytest.param(gr.parse_grammar((GRAMMAR_DIR / name).read_text()), seed,
+                           id=name)
+
+
+def test_every_grammar_file_is_covered():
+    assert sorted(p.name for p in GRAMMAR_DIR.glob("*.g")) == sorted(FILE_SEEDS)
+
+
+def _check_derivatives(g, seed, steps):
+    """D^n(seed) and one step from it agree with the oracle for n <= steps."""
+    ref = seed
+    for n in range(steps + 1):
+        assert gr.d_iter(g, seed, n) == ref, n
+        step = oracles.d_apply(g, ref)
+        assert gr.d_apply(g, ref) == step, n
+        ref = step
+
+
+@pytest.mark.parametrize("g, seed", _named_grammars())
+def test_grammar_derivative(g, seed):
+    _check_derivatives(g, parse_poly(seed), 10)
+
+
+VARIABLES = "abcd"
+fractions = hs.builds(Fraction, hs.integers(-4, 4), hs.integers(1, 3))
+monomials = hs.dictionaries(hs.sampled_from(VARIABLES + "e"), hs.integers(1, 3),
+                            max_size=3).map(lambda d: tuple(sorted(d.items())))
+polys = hs.dictionaries(monomials, fractions, max_size=4).map(MVPoly)
+rules = hs.one_of(polys, hs.just(MVPoly.zero()))  # v -> 0 among random rules
+grammars = hs.dictionaries(hs.sampled_from(VARIABLES), rules,
+                           max_size=len(VARIABLES)).map(lambda r: gr.Grammar(rules=r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammars, polys)
+@example(gr.parse_grammar("a -> a\nb -> -b"), parse_poly("a*b"))  # D(ab) = 0
+@example(gr.parse_grammar("a -> b*c - c*b\nb -> 2/3*a"), parse_poly("a^2*b + c"))
+@example(gr.parse_grammar("a -> 1/2*b - c\nb -> 0\nc -> 3"), parse_poly("2/3*a^2*e - 5"))
+@example(gr.parse_grammar("a -> a*b"), MVPoly.const(Fraction(7, 2)))
+@example(gr.parse_grammar("a -> a*b"), MVPoly.zero())
+def test_grammar_derivative_on_random_grammars(g, seed):
+    _check_derivatives(g, seed, 3)
+
+
+def test_tables_match_the_tuple_keyed_recurrences():
+    for n in range(1, 81):
+        # list equality: the same entries in the same key order
+        assert list(st.xi_table(n).entries.items()) == list(oracles.xi_table(n).items()), n
+        assert list(st.gamma_table(n).entries.items()) == list(
+            oracles.gamma_table(n).items()), n
