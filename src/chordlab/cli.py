@@ -30,8 +30,9 @@ _HARD_LIMITS = {
     "matchings": 10, "mwords": 10, "perms": 10, "signed": 8,
     "derangements": 10, "stirling": 10, "trees012": 12, "trees0123": 12,
 }
-# `verify --max-n` becomes every check's bound; the checks that walk S_n and
-# M_n default to at most 8, and one order more costs them minutes to hours.
+# `verify --max-n` becomes every check's bound and `--egf-order` every series
+# order; the checks that walk S_n and M_n default to at most 8 (M-EGF walks
+# M_order), and one order more costs them minutes to hours.
 _VERIFY_MAX_N = 8
 
 _POLY_FAMILY = {
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--report", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--force", action="store_true",
-                          help="allow --max-n above the verify limit")
+                          help="allow --max-n and --egf-order above the verify limit")
 
     p_gram = sub.add_parser("grammar", help="apply a grammar derivative")
     p_gram.add_argument("--rules", required=True)
@@ -111,20 +112,13 @@ def _emit(text: str, out) -> None:
         out.write("\n")
 
 
-def _signed_row(n: int, rank: int, sigma) -> dict:
-    s = pm.signed_stats(sigma)
-    asc, des, inv, dd = pm.oneline_stats(sigma)
-    cda = pm.perm_stats(tuple(map(abs, sigma))).cda
-    return {
-        "n": n, "rank": rank, "oneline": " ".join(map(str, sigma)),
-        "exc": s.exc_B, "drop": s.drop_B, "fix": s.fix_B, "cyc": s.cyc_B,
-        "asc": asc, "des": des, "inv": inv, "cda": cda, "dd": dd,
-        "wexc": s.wexc, "single": s.single,
-    }
-
-
 def _family_rows(family: str, n: int):
-    """(fieldnames, iterator of row dicts) for one enumeration family."""
+    """(fieldnames, iterator of row tuples) for one enumeration family.
+
+    Each row holds its fields in `fields` order.  Field 2 is the object's
+    text and every other field an int.  Kernels are looked up on their
+    modules for every row, so a patched kernel reaches the output.
+    """
     if family == "matchings":
         fields = ["n", "rank", "arcs", "fixb", "elblock", "olblock", "esblock",
                   "osblock", "cr", "ne", "al", "lne", "lcr", "nal", "lrp",
@@ -132,15 +126,10 @@ def _family_rows(family: str, n: int):
 
         def rows():
             for rank, m in enumerate(mt.enumerate_matchings(n)):
-                bs = mt.block_stats(m)
-                ps = mt.pairwise_stats(m)
-                yield {"n": n, "rank": rank, "arcs": mt.arcs_text(m),
-                       "fixb": bs.fixb, "elblock": bs.elblock,
-                       "olblock": bs.olblock, "esblock": bs.esblock,
-                       "osblock": bs.osblock, "cr": ps.cr, "ne": ps.ne,
-                       "al": ps.al, "lne": ps.lne, "lcr": ps.lcr,
-                       "nal": ps.nal, "lrp": ps.lrp, "rrp": ps.rrp,
-                       "trace": mt.trace(m)}
+                fixb, el, ol, es, os_, _ = mt.block_stats(m)
+                cr, ne, al, lne, lcr, nal, _, _, lrp, rrp = mt.pairwise_stats(m)
+                yield (n, rank, mt.arcs_text(m), fixb, el, ol, es, os_, cr, ne,
+                       al, lne, lcr, nal, lrp, rrp, mt.trace(m))
         return fields, rows()
     if family == "mwords":
         fields = ["n", "rank", "word", "lne", "lcr", "nal", "rrp", "lrp",
@@ -148,12 +137,9 @@ def _family_rows(family: str, n: int):
 
         def rows():
             for rank, w in enumerate(wd.enumerate_words(n)):
-                c = wd.neighbor_classify(w)
-                s = wd.word_stats(w)
-                yield {"n": n, "rank": rank, "word": wd.word_text(w),
-                       "lne": len(c.lne), "lcr": len(c.lcr), "nal": len(c.nal),
-                       "rrp": len(c.rrp), "lrp": len(c.lrp), "inv": s.inv,
-                       "coinv": s.coinv, "rank_stat": s.rank}
+                lne, lcr, nal, rrp, lrp = wd.neighbor_classify(w)
+                yield (n, rank, wd.word_text(w), len(lne), len(lcr), len(nal),
+                       len(rrp), len(lrp)) + wd.word_stats(w)
         return fields, rows()
     if family in ("perms", "derangements"):
         fields = ["n", "rank", "oneline", "exc", "drop", "fix", "cyc", "asc",
@@ -163,11 +149,7 @@ def _family_rows(family: str, n: int):
 
         def rows():
             for rank, pi in enumerate(stream):
-                s = pm.perm_stats(pi)
-                yield {"n": n, "rank": rank, "oneline": " ".join(map(str, pi)),
-                       "exc": s.exc, "drop": s.drop, "fix": s.fix, "cyc": s.cyc,
-                       "asc": s.asc, "des": s.des, "inv": s.inv, "cda": s.cda,
-                       "dd": s.dd}
+                yield (n, rank, " ".join(map(str, pi))) + pm.perm_stats(pi)
         return fields, rows()
     if family == "signed":
         fields = ["n", "rank", "oneline", "exc", "drop", "fix", "cyc", "asc",
@@ -175,16 +157,19 @@ def _family_rows(family: str, n: int):
 
         def rows():
             for rank, sigma in enumerate(pm.enumerate_signed(n)):
-                yield _signed_row(n, rank, sigma)
+                wexc, exc, drop, fix, single, cyc = pm.signed_stats(sigma)
+                asc, des, inv, dd = pm.oneline_stats(sigma)
+                cda = pm.perm_stats(tuple(map(abs, sigma))).cda
+                yield (n, rank, " ".join(map(str, sigma)), exc, drop, fix, cyc,
+                       asc, des, inv, cda, dd, wexc, single)
         return fields, rows()
     if family == "stirling":
         fields = ["n", "rank", "word", "asc", "plat", "des"]
 
         def rows():
             for rank, word in enumerate(st.enumerate_stirling(n)):
-                asc, plat, des = st.stirling_word_stats(word)
-                yield {"n": n, "rank": rank, "word": " ".join(map(str, word)),
-                       "asc": asc, "plat": plat, "des": des}
+                yield ((n, rank, " ".join(map(str, word)))
+                       + st.stirling_word_stats(word))
         return fields, rows()
     if family in ("trees012", "trees0123"):
         degree = 2 if family == "trees012" else 3
@@ -192,9 +177,7 @@ def _family_rows(family: str, n: int):
 
         def rows():
             for rank, tree in enumerate(st.enumerate_trees(n, degree)):
-                leaves, d1, d2, d3 = st.tree_degree_histogram(tree)
-                yield {"n": n, "rank": rank, "tree": st.tree_text(tree),
-                       "leaves": leaves, "deg1": d1, "deg2": d2, "deg3": d3}
+                yield (n, rank, st.tree_text(tree)) + st.tree_degree_histogram(tree)
         return fields, rows()
     raise ValueError(f"unknown family {family!r}")
 
@@ -213,26 +196,31 @@ def _cmd_enumerate(args) -> int:
         return 2
     fields, rows = _family_rows(args.family, args.n)
     with _output(args.out) as out:
-        _write_rows(args.format, args.family, fields, rows, out)
+        _write_rows(args.format, fields, rows, out)
     return 0
 
 
-def _write_rows(fmt: str, family: str, fields: list, rows, out) -> None:
-    """Write each row as it is produced; no format holds the whole stream."""
+def _write_rows(fmt: str, fields: list, rows, out) -> None:
+    """Write each row tuple as it is produced; no format holds the whole
+    stream."""
     if fmt == "csv":
-        writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(fields)
         writer.writerows(rows)
     elif fmt == "json":
-        items = map(json.JSONEncoder(separators=(",", ":")).encode, rows)
-        out.write("[" + next(items, ""))
-        out.writelines("," + item for item in items)
+        # What JSONEncoder(separators=(",", ":")) writes for the row as a
+        # dict: its keys in field order, ints as %d, the text escaped by the
+        # encoder's own ASCII escaper.  Each item carries its leading comma.
+        escape = json.encoder.encode_basestring_ascii
+        template = ",{" + ",".join(f"{escape(name)}:%{'s' if i == 2 else 'd'}"
+                                   for i, name in enumerate(fields)) + "}"
+        items = (template % (row[0], row[1], escape(row[2]), *row[3:])
+                 for row in rows)
+        out.write("[" + next(items, ",")[1:])
+        out.writelines(items)
         out.write("]\n")
     else:
-        key = {"matchings": "arcs", "mwords": "word", "perms": "oneline",
-               "derangements": "oneline", "signed": "oneline",
-               "stirling": "word", "trees012": "tree", "trees0123": "tree"}[family]
-        lines = (f"{row[key]}\n" for row in rows)
+        lines = (f"{row[2]}\n" for row in rows)
         out.write(next(lines, "\n"))  # an empty stream is one empty line
         out.writelines(lines)
 
@@ -313,10 +301,11 @@ def _cmd_verify(args) -> int:
         if value is not None and value < 0:
             print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
             return 2
-    if args.max_n is not None and args.max_n > _VERIFY_MAX_N and not args.force:
-        print(f"error: --max-n {args.max_n} exceeds the verify limit {_VERIFY_MAX_N} "
-              "(pass --force to override)", file=sys.stderr)
-        return 2
+    for flag, value in (("--max-n", args.max_n), ("--egf-order", args.egf_order)):
+        if value is not None and value > _VERIFY_MAX_N and not args.force:
+            print(f"error: {flag} {value} exceeds the verify limit {_VERIFY_MAX_N} "
+                  "(pass --force to override)", file=sys.stderr)
+            return 2
     with _output(args.out) as out:
         try:
             results = checks.run_checks(selection, max_n=args.max_n,

@@ -8,7 +8,6 @@ exactly once.  Plain tuples keep the enumeration of the larger M_n cheap;
 """
 from __future__ import annotations
 
-import re
 from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -37,23 +36,6 @@ def standard_form(arcs) -> Matching:
     fixed = [(a, b) if a < b else (b, a) for a, b in arcs]
     fixed.sort(key=lambda arc: arc[1])
     return tuple(fixed)
-
-
-def validate_matching(m: Matching) -> None:
-    """Raise ValueError unless `m` is a standard-form matching on [2n]."""
-    n = len(m)
-    seen = set()
-    last_closer = 0
-    for a, b in m:
-        if not a < b:
-            raise ValueError(f"arc ({a},{b}) has opener >= closer")
-        if b <= last_closer:
-            raise ValueError("arcs are not sorted by closer")
-        last_closer = b
-        seen.add(a)
-        seen.add(b)
-    if seen != set(range(1, 2 * n + 1)):
-        raise ValueError("vertices do not cover [2n] exactly once")
 
 
 def enumerate_matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
@@ -107,6 +89,7 @@ def enumerate_matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
 # ---------------------------------------------------------------------------
 
 class BlockStats(NamedTuple):
+    # cli._family_rows unpacks these fields by position; keep their order.
     fixb: int
     elblock: int
     olblock: int
@@ -140,6 +123,7 @@ def block_stats(m: Matching) -> BlockStats:
 # ---------------------------------------------------------------------------
 
 class PairStats(NamedTuple):
+    # cli._family_rows unpacks these fields by position; keep their order.
     cr: int
     ne: int
     al: int
@@ -346,19 +330,14 @@ def trace_distribution(n: int) -> MVPoly:
     return MVPoly.from_exponents(project(block_census(n), lambda k: (k[3],)), ("q",))
 
 
+_ARC_TEXT: dict = {}  # arc -> "(a,b)"; at most C(2n, 2) arcs on [2n]
+
+
 def arcs_text(m: Matching) -> str:
     """Standard-form serialization like (1,3)(2,4)."""
-    return "".join(f"({a},{b})" for a, b in m)
-
-
-def arcs_from_text(text: str) -> Matching:
-    """Inverse of :func:`arcs_text`; validates the result."""
-    text = text.strip()
-    if not text:
-        return ()
-    parts = re.findall(r"\((\d+),(\d+)\)", text)
-    if "".join(f"({a},{b})" for a, b in parts) != text.replace(" ", ""):
-        raise ValueError(f"malformed arc list: {text!r}")
-    m = standard_form((int(a), int(b)) for a, b in parts)
-    validate_matching(m)
-    return m
+    try:
+        return "".join(map(_ARC_TEXT.__getitem__, m))
+    except KeyError:
+        for a, b in m:
+            _ARC_TEXT[a, b] = f"({a},{b})"
+        return "".join(map(_ARC_TEXT.__getitem__, m))

@@ -115,6 +115,7 @@ def _digits(rank: int, radices: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class PermStats(NamedTuple):
+    # cli._family_rows appends these fields as row columns; keep their order.
     exc: int
     drop: int
     fix: int
@@ -189,6 +190,7 @@ def perm_stats(pi: Permutation) -> PermStats:
 
 
 class SignedStats(NamedTuple):
+    # cli._family_rows unpacks these fields by position; keep their order.
     wexc: int
     exc_B: int
     drop_B: int

@@ -141,12 +141,20 @@ def tree_degree_histogram(tree: PlaneTree) -> tuple[int, int, int, int]:
 
 def tree_text(tree: PlaneTree) -> str:
     """Nested rendering such as 1(2(4),3)."""
-    def render(v: int) -> str:
+    parts: list[str] = []
+
+    def render(v: int) -> None:
         kids = tree[v]
         if not kids:
-            return str(v)
-        return f"{v}({','.join(render(k) for k in kids)})"
-    return render(1)
+            parts.append(str(v))
+            return
+        parts.append(f"{v}(")
+        for k in kids:
+            render(k)
+            parts.append(",")
+        parts[-1] = ")"  # the comma after the last child closes the list
+    render(1)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

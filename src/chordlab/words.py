@@ -100,6 +100,7 @@ def words(n: int) -> Iterator[Word]:
 # ---------------------------------------------------------------------------
 
 class NeighborClassification(NamedTuple):
+    # cli._family_rows unpacks these fields by position; keep their order.
     lne: frozenset
     lcr: frozenset
     nal: frozenset
@@ -132,6 +133,7 @@ def neighbor_classify(w: Word) -> NeighborClassification:
 
 
 class WordStats(NamedTuple):
+    # cli._family_rows appends these fields as row columns; keep their order.
     inv: int
     coinv: int
     rank: int
@@ -172,18 +174,6 @@ def word_stats(w: Word) -> WordStats:
 def word_text(w: Word) -> str:
     """Space-separated rendering, barred symbols with a trailing apostrophe."""
     return " ".join(f"{v}'" if b else str(v) for v, b in w)
-
-
-def word_from_text(text: str) -> Word:
-    out = []
-    for token in text.split():
-        if token.endswith("'"):
-            out.append((int(token[:-1]), True))
-        else:
-            out.append((int(token), False))
-    w = tuple(out)
-    validate_word(w)
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,22 @@ Two algebra kernels have references here too: the grammar derivative on
 sparse (variable, exponent) monomials with `Fraction` coefficients, and
 the xi/gamma recurrences on tuple-keyed dictionaries.
 
-The last three are test-only constructions: the O(n^2) one-line statistics
-of a signed permutation, the insertion generator of matching permutations
-and the inverse of `gamma_expand`.
+Next come test-only constructions: the O(n^2) one-line statistics of a
+signed permutation, the insertion generator of matching permutations, the
+inverse of `gamma_expand`, a matching validator and the parsers that read a
+matching or a word back from its text.  Last is the CLI's earlier
+`enumerate` writer, which built one dict per object and serialised it with
+`csv.DictWriter` or `JSONEncoder`.
 """
+import csv
+import json
+import re
 from fractions import Fraction
 
 from chordlab import matchings as mt
+from chordlab import perms as pm
+from chordlab import stirling as st
+from chordlab import words as wd
 from chordlab.algebra import MVPoly, _mono_mul
 
 
@@ -364,3 +373,164 @@ def gamma_table(n):
                 if total:
                     cur[(i, j, k)] = total
     return cur
+
+
+# ---------------------------------------------------------------------------
+# Test-only parsers and validators
+# ---------------------------------------------------------------------------
+
+def validate_matching(m):
+    """Raise ValueError unless `m` is a standard-form matching on [2n]."""
+    n = len(m)
+    seen = set()
+    last_closer = 0
+    for a, b in m:
+        if not a < b:
+            raise ValueError(f"arc ({a},{b}) has opener >= closer")
+        if b <= last_closer:
+            raise ValueError("arcs are not sorted by closer")
+        last_closer = b
+        seen.add(a)
+        seen.add(b)
+    if seen != set(range(1, 2 * n + 1)):
+        raise ValueError("vertices do not cover [2n] exactly once")
+
+
+def arcs_from_text(text):
+    """Inverse of `matchings.arcs_text`; validates the result."""
+    text = text.strip()
+    if not text:
+        return ()
+    parts = re.findall(r"\((\d+),(\d+)\)", text)
+    if "".join(f"({a},{b})" for a, b in parts) != text.replace(" ", ""):
+        raise ValueError(f"malformed arc list: {text!r}")
+    m = mt.standard_form((int(a), int(b)) for a, b in parts)
+    validate_matching(m)
+    return m
+
+
+def word_from_text(text):
+    """Inverse of `words.word_text`; validates the result."""
+    out = []
+    for token in text.split():
+        if token.endswith("'"):
+            out.append((int(token[:-1]), True))
+        else:
+            out.append((int(token), False))
+    w = tuple(out)
+    wd.validate_word(w)
+    return w
+
+
+# ---------------------------------------------------------------------------
+# The CLI's dict-row serialisers: one dict per object, then csv.DictWriter,
+# JSONEncoder or a per-family text key
+# ---------------------------------------------------------------------------
+
+def _signed_row(n, rank, sigma):
+    s = pm.signed_stats(sigma)
+    asc, des, inv, dd = pm.oneline_stats(sigma)
+    cda = pm.perm_stats(tuple(map(abs, sigma))).cda
+    return {
+        "n": n, "rank": rank, "oneline": " ".join(map(str, sigma)),
+        "exc": s.exc_B, "drop": s.drop_B, "fix": s.fix_B, "cyc": s.cyc_B,
+        "asc": asc, "des": des, "inv": inv, "cda": cda, "dd": dd,
+        "wexc": s.wexc, "single": s.single,
+    }
+
+
+def family_rows(family, n):
+    """(fieldnames, iterator of row dicts) for one enumeration family."""
+    if family == "matchings":
+        fields = ["n", "rank", "arcs", "fixb", "elblock", "olblock", "esblock",
+                  "osblock", "cr", "ne", "al", "lne", "lcr", "nal", "lrp",
+                  "rrp", "trace"]
+
+        def rows():
+            for rank, m in enumerate(mt.enumerate_matchings(n)):
+                bs = mt.block_stats(m)
+                ps = mt.pairwise_stats(m)
+                yield {"n": n, "rank": rank, "arcs": mt.arcs_text(m),
+                       "fixb": bs.fixb, "elblock": bs.elblock,
+                       "olblock": bs.olblock, "esblock": bs.esblock,
+                       "osblock": bs.osblock, "cr": ps.cr, "ne": ps.ne,
+                       "al": ps.al, "lne": ps.lne, "lcr": ps.lcr,
+                       "nal": ps.nal, "lrp": ps.lrp, "rrp": ps.rrp,
+                       "trace": mt.trace(m)}
+        return fields, rows()
+    if family == "mwords":
+        fields = ["n", "rank", "word", "lne", "lcr", "nal", "rrp", "lrp",
+                  "inv", "coinv", "rank_stat"]
+
+        def rows():
+            for rank, w in enumerate(wd.enumerate_words(n)):
+                c = wd.neighbor_classify(w)
+                s = wd.word_stats(w)
+                yield {"n": n, "rank": rank, "word": wd.word_text(w),
+                       "lne": len(c.lne), "lcr": len(c.lcr), "nal": len(c.nal),
+                       "rrp": len(c.rrp), "lrp": len(c.lrp), "inv": s.inv,
+                       "coinv": s.coinv, "rank_stat": s.rank}
+        return fields, rows()
+    if family in ("perms", "derangements"):
+        fields = ["n", "rank", "oneline", "exc", "drop", "fix", "cyc", "asc",
+                  "des", "inv", "cda", "dd"]
+        stream = (pm.enumerate_permutations(n) if family == "perms"
+                  else pm.enumerate_derangements(n))
+
+        def rows():
+            for rank, pi in enumerate(stream):
+                s = pm.perm_stats(pi)
+                yield {"n": n, "rank": rank, "oneline": " ".join(map(str, pi)),
+                       "exc": s.exc, "drop": s.drop, "fix": s.fix, "cyc": s.cyc,
+                       "asc": s.asc, "des": s.des, "inv": s.inv, "cda": s.cda,
+                       "dd": s.dd}
+        return fields, rows()
+    if family == "signed":
+        fields = ["n", "rank", "oneline", "exc", "drop", "fix", "cyc", "asc",
+                  "des", "inv", "cda", "dd", "wexc", "single"]
+
+        def rows():
+            for rank, sigma in enumerate(pm.enumerate_signed(n)):
+                yield _signed_row(n, rank, sigma)
+        return fields, rows()
+    if family == "stirling":
+        fields = ["n", "rank", "word", "asc", "plat", "des"]
+
+        def rows():
+            for rank, word in enumerate(st.enumerate_stirling(n)):
+                asc, plat, des = st.stirling_word_stats(word)
+                yield {"n": n, "rank": rank, "word": " ".join(map(str, word)),
+                       "asc": asc, "plat": plat, "des": des}
+        return fields, rows()
+    if family in ("trees012", "trees0123"):
+        degree = 2 if family == "trees012" else 3
+        fields = ["n", "rank", "tree", "leaves", "deg1", "deg2", "deg3"]
+
+        def rows():
+            for rank, tree in enumerate(st.enumerate_trees(n, degree)):
+                leaves, d1, d2, d3 = st.tree_degree_histogram(tree)
+                yield {"n": n, "rank": rank, "tree": st.tree_text(tree),
+                       "leaves": leaves, "deg1": d1, "deg2": d2, "deg3": d3}
+        return fields, rows()
+    raise ValueError(f"unknown family {family!r}")
+
+
+def write_rows(fmt, family, fields, rows, out):
+    """Write each row dict in `fmt`; the CLI's tuple-row writer must
+    produce the same bytes."""
+    if fmt == "csv":
+        writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    elif fmt == "json":
+        items = map(json.JSONEncoder(separators=(",", ":")).encode, rows)
+        out.write("[" + next(items, ""))
+        out.writelines("," + item for item in items)
+        out.write("]\n")
+    else:
+        key = {"matchings": "arcs", "mwords": "word", "perms": "oneline",
+               "derangements": "oneline", "signed": "oneline",
+               "stirling": "word", "trees012": "tree", "trees0123": "tree"}[family]
+        lines = (f"{row[key]}\n" for row in rows)
+        out.write(next(lines, "\n"))  # an empty stream is one empty line
+        out.writelines(lines)

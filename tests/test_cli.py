@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from chordlab import checks
+import oracles
+from chordlab import checks, cli
+from chordlab import matchings as mt
+from chordlab import perms as pm
+from chordlab import words as wd
 from chordlab.cli import main
 from chordlab.algebra import parse_poly
 
@@ -221,6 +226,8 @@ class TestMisuse:
         ["verify", "--max-n", "-2"],
         ["verify", "--max-n", "12", "--checks", "A-RISING"],
         ["verify", "--max-n", "12", "--egf-order", "3", "--report", "json"],
+        ["verify", "--egf-order", "12", "--checks", "M-EGF"],
+        ["verify", "--max-n", "3", "--egf-order", "9", "--report", "json"],
     ])
     def test_bad_arguments(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -247,6 +254,21 @@ class TestMisuse:
                                "--max-n", "9", "--force")
         assert code == 0
         assert "max_n=9" in out and out.splitlines()[-1] == "1/1 checks passed"
+
+    def test_egf_order_guard(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--checks", "M-EGF",
+                                 "--egf-order", "9")
+        assert (code, out) == (2, "")
+        assert err == ("error: --egf-order 9 exceeds the verify limit 8 "
+                       "(pass --force to override)\n")
+        code, out, _ = run_cli(capsys, "verify", "--checks", "A-EGF",
+                               "--egf-order", "8", "--report", "json")
+        assert code == 0
+        assert json.loads(out)["results"][0]["max_n"] == 8
+        code, out, _ = run_cli(capsys, "verify", "--checks", "A-RISING",
+                               "--max-n", "3", "--egf-order", "9", "--force")
+        assert code == 0
+        assert out.splitlines()[-1] == "1/1 checks passed"
 
     def test_bad_jobs_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CHORDLAB_JOBS", "abc")
@@ -289,6 +311,62 @@ class TestStreamedOutput:
                                "--n", "4", "--format", fmt, "--out", str(target))
         assert (code, out) == (0, "")
         assert target.read_bytes() == GOLDEN_ENUMERATE[f"derangements 4 {fmt}"].encode()
+
+
+FAMILY_SIZES = [(family, n) for family in sorted(cli._HARD_LIMITS)
+                for n in range(1 if family.startswith("trees") else 0, 6)]
+
+
+class TestRowWriters:
+    """The tuple rows and their direct writers give the bytes of the dict
+    rows serialised by csv.DictWriter and JSONEncoder (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("family,n", FAMILY_SIZES)
+    def test_same_bytes_as_dict_rows(self, family, n, fmt):
+        want, got = io.StringIO(), io.StringIO()
+        oracles.write_rows(fmt, family, *oracles.family_rows(family, n), want)
+        cli._write_rows(fmt, *cli._family_rows(family, n), got)
+        assert got.getvalue() == want.getvalue()
+
+    def test_rows_are_tuples_in_field_order(self):
+        fields, rows = cli._family_rows("matchings", 5)
+        dict_fields, dict_rows = oracles.family_rows("matchings", 5)
+        assert fields == dict_fields
+        for row, want in zip(rows, dict_rows, strict=True):
+            assert type(row) is tuple
+            assert row == tuple(want[name] for name in fields)
+
+    def test_json_escapes_the_text_field_like_json_encoder(self):
+        fields = ["n", "rank", "word", "inv"]
+        rows = [(3, 0, 'say "a\\b" caf\u00e9 \U0001d11e\n', 7), (3, 1, "", -2)]
+        out = io.StringIO()
+        cli._write_rows("json", fields, iter(rows), out)
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        items = [encode(dict(zip(fields, row))) for row in rows]
+        assert out.getvalue() == "[" + ",".join(items) + "]\n"
+        assert out.getvalue().isascii()
+
+    @pytest.mark.parametrize("family,module,kernel", [
+        ("matchings", mt, "pairwise_stats"),
+        ("mwords", wd, "word_stats"),
+        ("perms", pm, "perm_stats"),
+        ("signed", pm, "perm_stats"),
+    ])
+    def test_kernels_are_read_per_row(self, capsys, monkeypatch, family, module,
+                                      kernel):
+        argv = ("enumerate", "--family", family, "--n", "3", "--format", "csv")
+        _, before, _ = run_cli(capsys, *argv)
+        original = getattr(module, kernel)
+
+        def perturbed(obj):
+            return original(obj)._make(value + 100 for value in original(obj))
+
+        monkeypatch.setattr(module, kernel, perturbed)
+        code, after, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert after != before
+        assert after.splitlines()[0] == before.splitlines()[0]
 
 
 def _chordlab(*argv, **kwargs):

@@ -100,7 +100,7 @@ def matchings(draw):
 @settings(max_examples=300, deadline=None)
 @given(matchings())
 def test_kernels_on_random_matchings(m):
-    mt.validate_matching(m)
+    oracles.validate_matching(m)
     assert mt.block_stats(m) == oracles.block_stats(m)
     assert mt.pairwise_stats(m) == oracles.pairwise_stats(m)
     assert mt.trace_indices(m) == oracles.trace_indices(m)

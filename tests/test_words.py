@@ -37,7 +37,7 @@ class TestBijection:
 
 class TestNeighborClassification:
     def test_worked_example(self):
-        w = wd.word_from_text("2 1 1' 3 4 2' 3' 4' 5 5'")
+        w = oracles.word_from_text("2 1 1' 3 4 2' 3' 4' 5 5'")
         c = wd.neighbor_classify(w)
         assert sorted(c.lne) == [1]
         assert sorted(c.lcr) == [4]
@@ -46,7 +46,7 @@ class TestNeighborClassification:
         assert sorted(c.lrp) == [2, 5, 9]
 
     def test_simple_word(self):
-        c = wd.neighbor_classify(wd.word_from_text("1 1' 2 2'"))
+        c = wd.neighbor_classify(oracles.word_from_text("1 1' 2 2'"))
         assert sorted(c.lrp) == [1, 3]
         assert sorted(c.nal) == [2]
 
@@ -65,16 +65,16 @@ class TestNeighborClassification:
 
 class TestWordStats:
     def test_aligned_pair(self):
-        s = wd.word_stats(wd.word_from_text("1 1' 2 2'"))
+        s = wd.word_stats(oracles.word_from_text("1 1' 2 2'"))
         # the ascending unbarred pair sits outside arc 1's span: an alignment
         assert (s.inv, s.coinv, s.rank) == (0, 0, 1)
 
     def test_crossing_pair(self):
-        s = wd.word_stats(wd.word_from_text("1 2 1' 2'"))
+        s = wd.word_stats(oracles.word_from_text("1 2 1' 2'"))
         assert (s.inv, s.coinv, s.rank) == (0, 1, 0)
 
     def test_nested_pair(self):
-        s = wd.word_stats(wd.word_from_text("2 1 1' 2'"))
+        s = wd.word_stats(oracles.word_from_text("2 1 1' 2'"))
         assert (s.inv, s.coinv, s.rank) == (1, 0, 0)
 
     def test_statistic_transfer_m4(self):
@@ -115,4 +115,4 @@ class TestNeighborPolynomials:
 
     def test_word_text_round_trip(self):
         for w in wd.enumerate_words(3):
-            assert wd.word_from_text(wd.word_text(w)) == w
+            assert oracles.word_from_text(wd.word_text(w)) == w
