@@ -2,22 +2,22 @@
 
 Every named check computes both sides of one identity by independent code
 paths (enumeration against formula, recurrence, grammar iteration or
-truncated series) and reports per-n outcomes.  Failing checks
-always carry a witness: a polynomial difference plus, where it makes sense,
-the first enumerated object whose statistics land in that difference.
-Results are deterministic and independent of the parallelism degree.
+truncated series) and reports one `(n, witness)` row per n; a row fails
+exactly when it carries a witness: a polynomial difference plus, where it
+makes sense, the first enumerated object whose statistics land in that
+difference.  Results are deterministic and independent of the parallelism
+degree.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import itertools
 import json
 import math
+import operator
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import grammar as gr
 from . import matchings as mt
@@ -34,8 +34,7 @@ class UnknownCheckIdError(Exception):
     pass
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     status: str               # pass | fail | skip
     max_n: int
@@ -44,25 +43,35 @@ class CheckResult:
     ms: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     id: str
     description: str
     default_max_n: int
-    run: Callable  # (max_n, egf_order) -> list[(n, ok, witness|None)]
+    run: Callable  # (max_n, egf_order) -> [(n, witness | None)]
 
 
 _REGISTRY: dict[str, Check] = {}
 
 
 def _check(id: str, description: str, default_max_n: int):
-    def install(fn):
-        _REGISTRY[id] = Check(id=id, description=description,
-                              default_max_n=default_max_n, run=fn)
-        return fn
+    """Register `run(max_n, egf_order)` as returning its `(n, witness |
+    None)` rows directly; for checks whose rows are not n = 1..max_n."""
+    def install(run):
+        _REGISTRY[id] = Check(id, description, default_max_n, run)
+        return run
+    return install
+
+
+def _per_n(id: str, description: str, default_max_n: int):
+    """Register `witness(n)` as the check that holds at n = 1..max_n exactly
+    when it returns None; otherwise it returns the witness text."""
+    def install(witness):
+        _check(id, description, default_max_n)(
+            lambda max_n, egf_order: [(n, witness(n)) for n in range(1, max_n + 1)])
+        return witness
     return install
 
 
@@ -76,23 +85,22 @@ def _diff_witness(n: int, lhs: MVPoly, rhs: MVPoly, label: str = "") -> str:
     return f"{prefix}lhs - rhs = {(lhs - rhs).render()}"
 
 
+def _first_diff(n: int, sides: Iterable) -> str | None:
+    """The witness of the first unequal (label, lhs, rhs) triple, else None.
+
+    `sides` is consumed lazily: a later pair is computed only when the
+    earlier ones hold.
+    """
+    return next((_diff_witness(n, lhs, rhs, label)
+                 for label, lhs, rhs in sides if lhs != rhs), None)
+
+
 def _identity(id: str, description: str, default_max_n: int):
     """Register `sides` as the check that lhs == rhs for every (label, lhs,
-    rhs) triple `sides(n)` yields, for n = 1..max_n.
-
-    The triples are consumed lazily, so a later pair is computed only when
-    the earlier ones hold; n fails at the first unequal pair, witnessed by
-    its difference.
-    """
+    rhs) triple `sides(n)` yields, for n = 1..max_n; n fails at the first
+    unequal pair, witnessed by its difference."""
     def install(sides):
-        def run(max_n, egf_order):
-            out = []
-            for n in range(1, max_n + 1):
-                wit = next((_diff_witness(n, lhs, rhs, label)
-                            for label, lhs, rhs in sides(n) if lhs != rhs), None)
-                out.append((n, wit is None, wit))
-            return out
-        _check(id, description, default_max_n)(run)
+        _per_n(id, description, default_max_n)(lambda n: _first_diff(n, sides(n)))
         return sides
     return install
 
@@ -107,7 +115,7 @@ def _egf_rows(order: int, cases) -> list:
             if lhs.coeffs[k] != rhs.coeffs[k]:
                 witnesses.setdefault(
                     k, f"z^{k}{tag}: enumerated {lhs.coeffs[k]}, series {rhs.coeffs[k]}")
-    return [(k, k not in witnesses, witnesses.get(k)) for k in range(order + 1)]
+    return [(k, witnesses.get(k)) for k in range(order + 1)]
 
 
 @functools.cache
@@ -211,8 +219,7 @@ def _run_golden(max_n, egf_order):
         cases.append((f"xi_{n}(w)", st.xi_table(n).poly(("w1", "w2", "w3")), parse_poly(text)))
     cases += (listed("xi", st.xi_poly, _GOLDEN_XI) + listed("gamma", st.gamma_poly, _GOLDEN_GAMMA)
               + [("Q_1", st.q_poly(1), parse_poly("x*y*z"))])
-    return [(row, (ok := lhs == rhs),
-             None if ok else f"{label}: got {lhs.render()}, want {rhs.render()}")
+    return [(row, None if lhs == rhs else f"{label}: got {lhs.render()}, want {rhs.render()}")
             for row, (label, lhs, rhs) in enumerate(cases, start=1)]
 
 
@@ -341,93 +348,64 @@ def _cor2(n):
            -(2 ** n) * sum((x ** k for k in range(1, n)), MVPoly.zero()))
 
 
-@_check("M-GAMMA", "s-stratified gamma expansion of M_n exists with the stated positivity", 6)
-def _run_m_gamma(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        m = mt.m_poly(n)
-        ok, wit = True, None
-        by_s = m.coefficients_in(("s",))
-        reassembled = MVPoly.zero()
-        for (i,), slice_poly in sorted(by_s.items()):
-            try:
-                coeffs = gamma_expand(slice_poly, "x", "y")
-            except (NotSymmetricError, NotHomogeneousError) as exc:
-                ok, wit = False, f"n={n}: s^{i} slice: {exc}"
-                break
-            for j, g in coeffs:
-                # g = 2^n gamma_{n,i,j}(t/2); recover gamma and check it
-                gamma_t = g.subst({"t": 2 * MVPoly.var("t")}) * Fraction(1, 2 ** n)
-                bad = [c for c in gamma_t.terms.values()
-                       if c < 0 or c.denominator != 1]
-                if bad:
-                    ok = False
-                    wit = (f"n={n}: gamma[{i},{j}](t) = {gamma_t.render()} "
-                           "is not a nonnegative integer polynomial")
-                    break
-                reassembled = reassembled + (
-                    MVPoly.var("s") ** i * g
-                    * (MVPoly.var("x") * MVPoly.var("y")) ** j
-                    * (MVPoly.var("x") + MVPoly.var("y")) ** (n - i - 2 * j))
-            if not ok:
-                break
-        if ok and reassembled != m:
-            ok, wit = False, _diff_witness(n, reassembled, m, "reassembly")
-        out.append((n, ok, wit))
-    return out
+@_per_n("M-GAMMA", "s-stratified gamma expansion of M_n exists with the stated positivity", 6)
+def _m_gamma(n):
+    m = mt.m_poly(n)
+    reassembled = MVPoly.zero()
+    for (i,), slice_poly in sorted(m.coefficients_in(("s",)).items()):
+        try:
+            coeffs = gamma_expand(slice_poly, "x", "y")
+        except (NotSymmetricError, NotHomogeneousError) as exc:
+            return f"n={n}: s^{i} slice: {exc}"
+        for j, g in coeffs:
+            # g = 2^n gamma_{n,i,j}(t/2); recover gamma and check it
+            gamma_t = g.subst({"t": 2 * MVPoly.var("t")}) * Fraction(1, 2 ** n)
+            if any(c < 0 or c.denominator != 1 for c in gamma_t.terms.values()):
+                return (f"n={n}: gamma[{i},{j}](t) = {gamma_t.render()} "
+                        "is not a nonnegative integer polynomial")
+            reassembled = reassembled + (
+                MVPoly.var("s") ** i * g
+                * (MVPoly.var("x") * MVPoly.var("y")) ** j
+                * (MVPoly.var("x") + MVPoly.var("y")) ** (n - i - 2 * j))
+    return _first_diff(n, [("reassembly", reassembled, m)])
 
 
-@_check("DER-COUNT", "derangement counts on both sides of the correspondence", 7)
-def _run_der_count(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        matching_side = mt.m_poly(n).evaluate(
-            {"x": 1, "y": 1, "s": 0, "t": 2})
-        rhs = sum(Fraction((-1) ** i, math.factorial(i)) for i in range(n + 1)) \
-            * (2 ** n * math.factorial(n))
-        derangements = sum(c for s, c in pm.perm_census(n).items() if s.fix == 0)
-        ok = matching_side == rhs and derangements == pm.derangement_count(n)
-        wit = None
-        if matching_side != rhs:
-            wit = f"n={n}: fixb-free weight {matching_side} != {rhs}"
-        elif not ok:
-            wit = f"n={n}: {derangements} derangements, formula {pm.derangement_count(n)}"
-        out.append((n, ok, wit))
-    return out
+@_per_n("DER-COUNT", "derangement counts on both sides of the correspondence", 7)
+def _der_count(n):
+    matching_side = mt.m_poly(n).evaluate({"x": 1, "y": 1, "s": 0, "t": 2})
+    rhs = sum(Fraction((-1) ** i, math.factorial(i)) for i in range(n + 1)) \
+        * (2 ** n * math.factorial(n))
+    if matching_side != rhs:
+        return f"n={n}: fixb-free weight {matching_side} != {rhs}"
+    derangements = sum(c for s, c in pm.perm_census(n).items() if s.fix == 0)
+    if derangements != pm.derangement_count(n):
+        return f"n={n}: {derangements} derangements, formula {pm.derangement_count(n)}"
+    return None
 
 
-@_check("DNK", "derangement cycle polynomial identities (cda-free expansion)", 6)
-def _run_dnk(max_n, egf_order):
+@_per_n("DNK", "derangement cycle polynomial identities (cda-free expansion)", 6)
+def _dnk(n):
     x = MVPoly.var("x")
-    out = []
-    for n in range(1, max_n + 1):
-        d = pm.derangement_poly(n)
-        table = pm.dnk_table(n)
-        bad_keys = [k for k in table if not 1 <= k <= n // 2]
-        if bad_keys:
-            out.append((n, False,
-                        f"n={n}: cda-free excedances {sorted(bad_keys)} "
-                        f"fall outside 1..{n // 2}"))
-            continue
-        rhs = MVPoly.zero()
-        for k, qpoly in table.items():
-            rhs = rhs + qpoly * x ** k * (MVPoly.const(1) + x) ** (n - 2 * k)
-        ok = d == rhs
-        wit = None if ok else _diff_witness(n, d, rhs, "Shin-Zeng expansion")
-        if ok:
-            matching_side = mt.m_poly(n).subst({"y": 1, "s": 0, "t": MVPoly.var("q")})
-            scaled = d.subst({"q": Fraction(1, 2) * MVPoly.var("q")}) * 2 ** n
-            weighted = MVPoly.zero()
-            for k, qpoly in table.items():
-                lifted = MVPoly({mono: c * 2 ** (n - dict(mono).get("q", 0))
-                                 for mono, c in qpoly.terms.items()})
-                weighted = weighted + lifted * x ** k * (MVPoly.const(1) + x) ** (n - 2 * k)
-            if matching_side != scaled:
-                ok, wit = False, _diff_witness(n, matching_side, scaled, "matching vs 2^n d_n(x,q/2)")
-            elif matching_side != weighted:
-                ok, wit = False, _diff_witness(n, matching_side, weighted, "matching vs weighted expansion")
-        out.append((n, ok, wit))
-    return out
+    d = pm.derangement_poly(n)
+    table = pm.dnk_table(n)
+    bad_keys = [k for k in table if not 1 <= k <= n // 2]
+    if bad_keys:
+        return f"n={n}: cda-free excedances {sorted(bad_keys)} fall outside 1..{n // 2}"
+
+    def expansion(weigh):
+        return sum((weigh(qpoly) * x ** k * (MVPoly.const(1) + x) ** (n - 2 * k)
+                    for k, qpoly in table.items()), MVPoly.zero())
+
+    rhs = expansion(lambda qpoly: qpoly)
+    if d != rhs:
+        return _diff_witness(n, d, rhs, "Shin-Zeng expansion")
+    matching_side = mt.m_poly(n).subst({"y": 1, "s": 0, "t": MVPoly.var("q")})
+    return _first_diff(n, [
+        ("matching vs 2^n d_n(x,q/2)", matching_side,
+         d.subst({"q": Fraction(1, 2) * MVPoly.var("q")}) * 2 ** n),
+        ("matching vs weighted expansion", matching_side, expansion(
+            lambda qpoly: MVPoly({mono: c * 2 ** (n - dict(mono).get("q", 0))
+                                  for mono, c in qpoly.terms.items()})))])
 
 
 _B_NOTE = ("note: this check arbitrates the |sigma|-cycle convention for "
@@ -435,23 +413,15 @@ _B_NOTE = ("note: this check arbitrates the |sigma|-cycle convention for "
            "rather than a code bug")
 
 
-@_check("B-MAIN", "type-B Eulerian polynomial equals both stated forms", 5)
-def _run_b_main(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        b = pm.b_poly(n)
-        half = Fraction(1, 2) * (MVPoly.var("p") + MVPoly.var("x"))
-        via_a = pm.eulerian_xpq(n).subst({"p": half}) * 2 ** n
-        via_m = mt.m_poly(n).subst(
-            {"y": 1, "s": half, "t": 2 * MVPoly.var("q")})
-        ok = b == via_a and b == via_m
-        wit = None
-        if b != via_a:
-            wit = _diff_witness(n, b, via_a, "vs 2^n A_n(x,(p+x)/2,q)") + "; " + _B_NOTE
-        elif b != via_m:
-            wit = _diff_witness(n, b, via_m, "vs matching form") + "; " + _B_NOTE
-        out.append((n, ok, wit))
-    return out
+@_per_n("B-MAIN", "type-B Eulerian polynomial equals both stated forms", 5)
+def _b_main(n):
+    b = pm.b_poly(n)
+    half = Fraction(1, 2) * (MVPoly.var("p") + MVPoly.var("x"))
+    wit = _first_diff(n, [
+        ("vs 2^n A_n(x,(p+x)/2,q)", b, pm.eulerian_xpq(n).subst({"p": half}) * 2 ** n),
+        ("vs matching form", b,
+         mt.m_poly(n).subst({"y": 1, "s": half, "t": 2 * MVPoly.var("q")}))])
+    return None if wit is None else f"{wit}; {_B_NOTE}"
 
 
 @_identity("B-DUAL", "dual convolution for B_n(x,1,q) and the reciprocal transform", 5)
@@ -491,56 +461,40 @@ def _run_callan(max_n, egf_order):
 # ---------------------------------------------------------------------------
 
 
-@_check("MP-BIJ", "matching/word bijection round-trips and transfers statistics", 6)
-def _run_mp_bij(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        ok, wit = True, None
-        for m, w in zip(mt.matchings(n), wd.words(n)):
-            try:
-                wd.validate_word(w)
-            except ValueError as exc:
-                ok, wit = False, f"n={n}: {mt.arcs_text(m)}: invalid word ({exc})"
-                break
-            if wd.to_matching(w) != m:
-                ok, wit = False, f"n={n}: round-trip failed on {mt.arcs_text(m)}"
-                break
-            ps = mt.pairwise_stats(m)
-            nc = wd.neighbor_classify(w)
-            transferred = (len(nc.lne), len(nc.lcr), len(nc.nal),
-                           len(nc.rrp), len(nc.lrp))
-            if transferred != (ps.lne, ps.lcr, ps.nal, ps.rrp, ps.lrp):
-                ok, wit = False, (f"n={n}: neighbor stats differ on "
-                                  f"{mt.arcs_text(m)}: word {transferred}, "
-                                  f"matching {(ps.lne, ps.lcr, ps.nal, ps.rrp, ps.lrp)}")
-                break
-            ws = wd.word_stats(w)
-            if (ws.inv, ws.coinv, ws.rank) != (ps.ne, ps.cr, ps.al):
-                ok, wit = False, (f"n={n}: inv/coinv/rank differ on "
-                                  f"{mt.arcs_text(m)}: word "
-                                  f"{(ws.inv, ws.coinv, ws.rank)}, matching "
-                                  f"{(ps.ne, ps.cr, ps.al)}")
-                break
-        out.append((n, ok, wit))
-    return out
+@_per_n("MP-BIJ", "matching/word bijection round-trips and transfers statistics", 6)
+def _mp_bij(n):
+    for m, w in zip(mt.matchings(n), wd.words(n)):
+        try:
+            wd.validate_word(w)
+        except ValueError as exc:
+            return f"n={n}: {mt.arcs_text(m)}: invalid word ({exc})"
+        if wd.to_matching(w) != m:
+            return f"n={n}: round-trip failed on {mt.arcs_text(m)}"
+        ps = mt.pairwise_stats(m)
+        nc = wd.neighbor_classify(w)
+        transferred = (len(nc.lne), len(nc.lcr), len(nc.nal), len(nc.rrp), len(nc.lrp))
+        matching = (ps.lne, ps.lcr, ps.nal, ps.rrp, ps.lrp)
+        if transferred != matching:
+            return (f"n={n}: neighbor stats differ on {mt.arcs_text(m)}: "
+                    f"word {transferred}, matching {matching}")
+        ws = wd.word_stats(w)
+        if (ws.inv, ws.coinv, ws.rank) != (ps.ne, ps.cr, ps.al):
+            return (f"n={n}: inv/coinv/rank differ on {mt.arcs_text(m)}: "
+                    f"word {(ws.inv, ws.coinv, ws.rank)}, matching {(ps.ne, ps.cr, ps.al)}")
+    return None
 
 
-@_check("I-STATS", "I_n(x,y,q) equals the inv/coinv/rank word polynomial", 6)
-def _run_i_stats(max_n, egf_order):
-    def key(s):
-        return (s.inv, s.coinv, s.rank)
+_I_KEY = operator.attrgetter("inv", "coinv", "rank")
 
-    out = []
-    for n in range(1, max_n + 1):
-        lhs = mt.i_poly(n)
-        rhs = MVPoly.from_exponents(project(wd.word_census(n), key), ("x", "y", "q"))
-        ok = lhs == rhs
-        wit = None
-        if not ok:
-            wit = _diff_witness(n, lhs, rhs) + _first_word_in_diff(
-                n, lhs - rhs, lambda w: key(wd.word_stats(w)), ("x", "y", "q"))
-        out.append((n, ok, wit))
-    return out
+
+@_per_n("I-STATS", "I_n(x,y,q) equals the inv/coinv/rank word polynomial", 6)
+def _i_stats(n):
+    lhs = mt.i_poly(n)
+    rhs = MVPoly.from_exponents(project(wd.word_census(n), _I_KEY), ("x", "y", "q"))
+    if lhs == rhs:
+        return None
+    return _diff_witness(n, lhs, rhs) + _first_word_in_diff(
+        n, lhs - rhs, lambda w: _I_KEY(wd.word_stats(w)), ("x", "y", "q"))
 
 
 @_identity("KZ-SYM", "crossing/nesting symmetry with alignments (Kasraoui-Zeng)", 6)
@@ -562,37 +516,29 @@ def _c_grammar(n):
            I * E * wd.c_poly(n + 1))
 
 
-@_check("C-EPOS", "xi expansion of C_(n+1) and e-positivity of the NCA polynomials", 6)
-def _run_c_epos(max_n, egf_order):
+@_per_n("C-EPOS", "xi expansion of C_(n+1) and e-positivity of the NCA polynomials", 6)
+def _c_epos(n):
+    nca = wd.nca_poly(n)
+    ncr = wd.ncr_poly(n)
+    if nca != ncr:
+        return _diff_witness(n, nca, ncr, "NCA vs NCR")
+    if n >= 2:
+        try:
+            got = dict(esym_expand(nca, ("x", "y", "z")))
+        except NotSymmetricError as exc:
+            return f"n={n}: NCA not e-expandable: {exc}"
+        expected = {k: Fraction(v) for k, v in st.xi_table(n - 1).entries.items()}
+        if got != expected:
+            return f"n={n}: e-coefficients {got} != xi table {expected}"
+    if n + 1 > 6:
+        return None
     x1, x2, x3 = MVPoly.var("x1"), MVPoly.var("x2"), MVPoly.var("x3")
     y1, y2 = MVPoly.var("y1"), MVPoly.var("y2")
     w1 = x1 * y1 + x2 * y1 + x3 * y2
     w2 = x1 * x2 * y1 ** 2 + x1 * x3 * y1 * y2 + x2 * x3 * y1 * y2
     w3 = x1 * x2 * x3 * y1 ** 2 * y2
-    out = []
-    for n in range(1, max_n + 1):
-        ok, wit = True, None
-        nca = wd.nca_poly(n)
-        ncr = wd.ncr_poly(n)
-        if nca != ncr:
-            ok, wit = False, _diff_witness(n, nca, ncr, "NCA vs NCR")
-        if ok and n >= 2:
-            try:
-                coeffs = esym_expand(nca, ("x", "y", "z"))
-            except NotSymmetricError as exc:
-                ok, wit = False, f"n={n}: NCA not e-expandable: {exc}"
-            else:
-                expected = {k: Fraction(v) for k, v in st.xi_table(n - 1).entries.items()}
-                got = dict(coeffs)
-                if got != expected:
-                    ok, wit = False, f"n={n}: e-coefficients {got} != xi table {expected}"
-        if ok and n + 1 <= 6:
-            lhs = wd.c_poly(n + 1)
-            rhs = y2 * st.xi_poly(n).subst({"x": w1, "y": w2, "z": w3})
-            if lhs != rhs:
-                ok, wit = False, _diff_witness(n, lhs, rhs, "C_(n+1) expansion")
-        out.append((n, ok, wit))
-    return out
+    return _first_diff(n, [("C_(n+1) expansion", wd.c_poly(n + 1),
+                            y2 * st.xi_poly(n).subst({"x": w1, "y": w2, "z": w3}))])
 
 
 # ---------------------------------------------------------------------------
@@ -600,33 +546,29 @@ def _run_c_epos(max_n, egf_order):
 # ---------------------------------------------------------------------------
 
 
-def _same_table(n: int, left: str, lhs: dict, right: str, rhs: dict) -> tuple:
-    """Row for n comparing two coefficient tables, printed whole on failure."""
-    ok = lhs == rhs
-    return (n, ok, None if ok else f"n={n}: {left} {lhs} != {right} {rhs}")
+def _same_table(n: int, left: str, lhs: dict, right: str, rhs: dict) -> str | None:
+    """Witness for n comparing two coefficient tables, printed whole."""
+    return None if lhs == rhs else f"n={n}: {left} {lhs} != {right} {rhs}"
 
 
-@_check("XI-TREE", "xi table equals the 0-1-2-3 increasing plane tree census", 7)
-def _run_xi_tree(max_n, egf_order):
-    return [_same_table(n, "table", st.xi_table(n).entries,
-                        "census", st.degree_census(n + 1, 3).entries)
-            for n in range(1, max_n + 1)]
+@_per_n("XI-TREE", "xi table equals the 0-1-2-3 increasing plane tree census", 7)
+def _xi_tree(n):
+    return _same_table(n, "table", st.xi_table(n).entries,
+                       "census", st.degree_census(n + 1, 3).entries)
 
 
-@_check("GAMMA-TREE", "gamma table equals the leaf/degree census", 7)
-def _run_gamma_tree(max_n, egf_order):
-    return [_same_table(n, "table", st.gamma_table(n).entries,
-                        "census", st.gamma_keyed_census(n).entries)
-            for n in range(1, max_n + 1)]
+@_per_n("GAMMA-TREE", "gamma table equals the leaf/degree census", 7)
+def _gamma_tree(n):
+    return _same_table(n, "table", st.gamma_table(n).entries,
+                       "census", st.gamma_keyed_census(n).entries)
 
 
-@_check("XI-GAMMA", "index bijection between the xi and gamma tables", 7)
-def _run_xi_gamma(max_n, egf_order):
-    return [_same_table(n, "remapped xi",
-                        {(j, i, n + 1 - i - j - k): c
-                         for (i, j, k), c in st.xi_table(n).entries.items()},
-                        "gamma", st.gamma_table(n + 1).entries)
-            for n in range(1, max_n + 1)]
+@_per_n("XI-GAMMA", "index bijection between the xi and gamma tables", 7)
+def _xi_gamma(n):
+    return _same_table(n, "remapped xi",
+                       {(j, i, n + 1 - i - j - k): c
+                        for (i, j, k), c in st.xi_table(n).entries.items()},
+                       "gamma", st.gamma_table(n + 1).entries)
 
 
 # ---------------------------------------------------------------------------
@@ -666,37 +608,27 @@ def _q_chen22(n):
                                     n - 1).subst({"u": e1, "v": e2, "w": e3})
 
 
-@_check("C-Q-TRANSFORM", "neighbor polynomials are monomial transforms of Q_n", 6)
-def _run_cq_transform(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        q = st.q_poly(n)
-        ok, wit = True, None
-        images = [
-            lambda v: {"x1": n - v[0], "x2": n - v[1], "x3": n - v[2],
-                       "y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]},
-            lambda v: {"x": n - v[0], "y": n - v[1], "z": n - v[2]},
-            lambda v: {"x1": n - v[0], "x2": n - v[1], "y2": n + 1 - v[2]},
-            lambda v: {"y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]},
-        ]
-        try:
-            full, nca, lnelcrlrp, rrplrp = [
-                _exponent_transform(q, ("x", "y", "z"), image) for image in images]
-        except NotSymmetricError as exc:
-            out.append((n, False, f"n={n}: {exc}"))
-            continue
-        cases = [
-            ("C_n", wd.c_poly(n), full),
-            ("NCA", wd.nca_poly(n), nca),
-            ("lne/lcr/lrp", wd.c_poly(n).subst({"x3": 1, "y1": 1}), lnelcrlrp),
-            ("rrp/lrp", wd.c_poly(n).subst({"x1": 1, "x2": 1, "x3": 1}), rrplrp),
-        ]
-        for label, lhs, rhs in cases:
-            if lhs != rhs:
-                ok, wit = False, _diff_witness(n, lhs, rhs, label)
-                break
-        out.append((n, ok, wit))
-    return out
+@_per_n("C-Q-TRANSFORM", "neighbor polynomials are monomial transforms of Q_n", 6)
+def _cq_transform(n):
+    q = st.q_poly(n)
+    images = [
+        lambda v: {"x1": n - v[0], "x2": n - v[1], "x3": n - v[2],
+                   "y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]},
+        lambda v: {"x": n - v[0], "y": n - v[1], "z": n - v[2]},
+        lambda v: {"x1": n - v[0], "x2": n - v[1], "y2": n + 1 - v[2]},
+        lambda v: {"y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]},
+    ]
+    try:
+        full, nca, lnelcrlrp, rrplrp = [
+            _exponent_transform(q, ("x", "y", "z"), image) for image in images]
+    except NotSymmetricError as exc:
+        return f"n={n}: {exc}"
+    return _first_diff(n, [
+        ("C_n", wd.c_poly(n), full),
+        ("NCA", wd.nca_poly(n), nca),
+        ("lne/lcr/lrp", wd.c_poly(n).subst({"x3": 1, "y1": 1}), lnelcrlrp),
+        ("rrp/lrp", wd.c_poly(n).subst({"x1": 1, "x2": 1, "x3": 1}), rrplrp),
+    ])
 
 
 @_identity("Q-LNE", "left-nesting distribution follows the second-order Eulerian triangle", 7)
@@ -721,30 +653,27 @@ def _nca_recu(n):
         x ** 2 * p.partial("x") + y ** 2 * p.partial("y") + z ** 2 * p.partial("z"))
 
 
-@_check("SIX-EULERIAN", "all six restricted neighbor sums give A_n(x,y)", 6)
-def _run_six_eulerian(max_n, egf_order):
+# selectors over the neighbor census key (lne, lcr, nal, rrp, lrp)
+_SIX_CASES = [
+    ("nal=0: x^lne y^lcr", lambda c: (c[0], c[1]) if not c[2] else None),
+    ("lcr=0: x^lne y^nal", lambda c: (c[0], c[2]) if not c[1] else None),
+    ("lne=0: x^lcr y^nal", lambda c: (c[1], c[2]) if not c[0] else None),
+    ("lne=0: x^lcr y^(lrp-1)", lambda c: (c[1], c[4] - 1) if not c[0] else None),
+    ("lcr=0: x^lne y^(lrp-1)", lambda c: (c[0], c[4] - 1) if not c[1] else None),
+    ("lrp=1: x^lne y^lcr", lambda c: (c[0], c[1]) if c[4] == 1 else None),
+]
+
+
+@_per_n("SIX-EULERIAN", "all six restricted neighbor sums give A_n(x,y)", 6)
+def _six_eulerian(n):
     names = ("x", "y")
-    # selectors over the neighbor census key (lne, lcr, nal, rrp, lrp)
-    cases = [
-        ("nal=0: x^lne y^lcr", lambda c: (c[0], c[1]) if not c[2] else None),
-        ("lcr=0: x^lne y^nal", lambda c: (c[0], c[2]) if not c[1] else None),
-        ("lne=0: x^lcr y^nal", lambda c: (c[1], c[2]) if not c[0] else None),
-        ("lne=0: x^lcr y^(lrp-1)", lambda c: (c[1], c[4] - 1) if not c[0] else None),
-        ("lcr=0: x^lne y^(lrp-1)", lambda c: (c[0], c[4] - 1) if not c[1] else None),
-        ("lrp=1: x^lne y^lcr", lambda c: (c[0], c[1]) if c[4] == 1 else None),
-    ]
-    out = []
-    for n in range(1, max_n + 1):
-        target = pm.eulerian_xy(n)
-        ok, wit = True, None
-        for label, selector in cases:
-            poly = MVPoly.from_exponents(project(wd.neighbor_census(n), selector), names)
-            if poly != target:
-                ok, wit = False, _diff_witness(n, poly, target, label) + _first_word_in_diff(
-                    n, poly - target, lambda w: selector(wd.neighbor_counts(w)), names)
-                break
-        out.append((n, ok, wit))
-    return out
+    target = pm.eulerian_xy(n)
+    for label, selector in _SIX_CASES:
+        poly = MVPoly.from_exponents(project(wd.neighbor_census(n), selector), names)
+        if poly != target:
+            return _diff_witness(n, poly, target, label) + _first_word_in_diff(
+                n, poly - target, lambda w: selector(wd.neighbor_counts(w)), names)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -752,65 +681,44 @@ def _run_six_eulerian(max_n, egf_order):
 # ---------------------------------------------------------------------------
 
 
-@_check("COUNT-CATALAN", "noncrossing matchings are counted by Catalan numbers", 7)
-def _run_catalan(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        count = sum(c for ps, c in mt.pair_census(n).items() if ps.cr == 0)
-        catalan = math.comb(2 * n, n) // (n + 1)
-        ok = count == catalan
-        out.append((n, ok, None if ok else f"n={n}: {count} != C_n = {catalan}"))
-    return out
+@_per_n("COUNT-CATALAN", "noncrossing matchings are counted by Catalan numbers", 7)
+def _catalan(n):
+    count = sum(c for ps, c in mt.pair_census(n).items() if ps.cr == 0)
+    catalan = math.comb(2 * n, n) // (n + 1)
+    return None if count == catalan else f"n={n}: {count} != C_n = {catalan}"
 
 
-@_check("COUNT-NARAYANA", "both Narayana refinements hold", 7)
-def _run_narayana(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        # In a noncrossing matching an opener followed by a closer is an
-        # adjacent block (i, i+1), so lrp counts its adjacent blocks.
-        census = mt.pair_census(n)
-        noncrossing = project(census, lambda ps: None if ps.cr else ps.lrp)
-        nonnesting = project(census, lambda ps: None if ps.ne else ps.lrp)
-        expected = {k: math.comb(n, k - 1) * math.comb(n, k) // n
-                    for k in range(1, n + 1)}
-        expected = {k: v for k, v in expected.items() if v}
-        ok = noncrossing == expected and nonnesting == expected
-        wit = None
-        if noncrossing != expected:
-            wit = f"n={n}: adjacent-block profile {noncrossing} != {expected}"
-        elif not ok:
-            wit = f"n={n}: LR-pair profile {nonnesting} != {expected}"
-        out.append((n, ok, wit))
-    return out
+@_per_n("COUNT-NARAYANA", "both Narayana refinements hold", 7)
+def _narayana(n):
+    # In a noncrossing matching an opener followed by a closer is an
+    # adjacent block (i, i+1), so lrp counts its adjacent blocks.
+    census = mt.pair_census(n)
+    expected = {k: math.comb(n, k - 1) * math.comb(n, k) // n for k in range(1, n + 1)}
+    noncrossing = project(census, lambda ps: None if ps.cr else ps.lrp)
+    if noncrossing != expected:
+        return f"n={n}: adjacent-block profile {noncrossing} != {expected}"
+    nonnesting = project(census, lambda ps: None if ps.ne else ps.lrp)
+    if nonnesting != expected:
+        return f"n={n}: LR-pair profile {nonnesting} != {expected}"
+    return None
 
 
-@_check("COUNT-LNE-FACT", "matchings without left-nestings are counted by n!", 7)
-def _run_lne_fact(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        count = sum(c for ps, c in mt.pair_census(n).items() if ps.lne == 0)
-        ok = count == math.factorial(n)
-        out.append((n, ok, None if ok else f"n={n}: {count} != n! = {math.factorial(n)}"))
-    return out
+@_per_n("COUNT-LNE-FACT", "matchings without left-nestings are counted by n!", 7)
+def _lne_fact(n):
+    count = sum(c for ps, c in mt.pair_census(n).items() if ps.lne == 0)
+    return None if count == math.factorial(n) else f"n={n}: {count} != n! = {math.factorial(n)}"
 
 
-@_check("FOATA-GAMMA", "gamma coefficients of A_n(x,y) count both stated objects", 7)
-def _run_foata(max_n, egf_order):
-    out = []
-    for n in range(1, max_n + 1):
-        coeffs = dict(gamma_expand(pm.eulerian_xy(n), "x", "y"))
-        gamma = {j: int(p.constant_term()) for j, p in coeffs.items()}
-        alpha = project(pm.perm_census(n), lambda s: None if s.dd else s.des)
-        trees = project(st.tree_census(n, 2), lambda h: h[2])
-        ok = gamma == alpha and gamma == trees
-        wit = None
-        if gamma != alpha:
-            wit = f"n={n}: gamma {gamma} != no-double-descent counts {alpha}"
-        elif not ok:
-            wit = f"n={n}: gamma {gamma} != 0-1-2 tree census {trees}"
-        out.append((n, ok, wit))
-    return out
+@_per_n("FOATA-GAMMA", "gamma coefficients of A_n(x,y) count both stated objects", 7)
+def _foata(n):
+    gamma = {j: int(p.constant_term()) for j, p in gamma_expand(pm.eulerian_xy(n), "x", "y")}
+    alpha = project(pm.perm_census(n), lambda s: None if s.dd else s.des)
+    if gamma != alpha:
+        return f"n={n}: gamma {gamma} != no-double-descent counts {alpha}"
+    trees = project(st.tree_census(n, 2), lambda h: h[2])
+    if gamma != trees:
+        return f"n={n}: gamma {gamma} != 0-1-2 tree census {trees}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -881,36 +789,34 @@ def _run_single(check_id: str, max_n: int | None, egf_order: int) -> CheckResult
         return CheckResult(id=check_id, status="skip", max_n=effective,
                            per_n=[], witness=None, ms=0)
     ms = int(round((time.monotonic() - started) * 1000))
-    per_n = [{"n": n, "status": "pass" if ok else "fail"} for n, ok, _ in rows]
-    witnesses = [wit for _, ok, wit in rows if not ok]
-    return CheckResult(id=check_id, status="fail" if witnesses else "pass",
-                       max_n=rows[-1][0], per_n=per_n,
-                       witness=witnesses[0] if witnesses else None, ms=ms)
-
-
-def _worker(args) -> CheckResult:
-    check_id, max_n, egf_order = args
-    return _run_single(check_id, max_n, egf_order)
+    per_n = [{"n": n, "status": "pass" if wit is None else "fail"} for n, wit in rows]
+    witness = next((wit for _, wit in rows if wit is not None), None)
+    return CheckResult(id=check_id, status="pass" if witness is None else "fail",
+                       max_n=rows[-1][0], per_n=per_n, witness=witness, ms=ms)
 
 
 def run_checks(selection="all", max_n: int | None = None,
                egf_order: int | None = None, jobs: int = 1) -> list[CheckResult]:
     """Run the named checks (or all of them) and return ordered results.
 
-    Results do not depend on `jobs`; failing checks never abort the run.
+    `selection` is "all", None, one check id, or an iterable of ids; an id
+    named twice runs once.  Results do not depend on `jobs`; failing checks
+    never abort the run.
     """
     if selection == "all" or selection is None:
         ids = list(_REGISTRY)
     else:
-        ids = list(selection)
+        ids = list(dict.fromkeys([selection] if isinstance(selection, str) else selection))
         for check_id in ids:
             if check_id not in _REGISTRY:
                 raise UnknownCheckIdError(f"unknown check id: {check_id}")
     order = DEFAULT_EGF_ORDER if egf_order is None else egf_order
     if jobs <= 1 or len(ids) <= 1:
         return [_run_single(check_id, max_n, order) for check_id in ids]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_worker, [(cid, max_n, order) for cid in ids]))
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for it
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_run_single, ids, itertools.repeat(max_n),
+                             itertools.repeat(order)))
 
 
 def report_json(results: Iterable[CheckResult]) -> str:

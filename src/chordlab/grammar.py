@@ -12,9 +12,8 @@ explicit rule ``v -> 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .algebra import MVPoly, Mono, ParseError, _mono_degree, parse_poly
 
@@ -30,12 +29,8 @@ class DuplicateRuleError(GrammarError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(NamedTuple):
     rules: Mapping[str, MVPoly]
-
-    def rule(self, v: str) -> MVPoly:
-        return self.rules.get(v, MVPoly.zero())
 
 
 def d_apply(g: Grammar, p: MVPoly) -> MVPoly:

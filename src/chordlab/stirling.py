@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import MVPoly, project
 
@@ -161,8 +160,7 @@ def tree_text(tree: PlaneTree) -> str:
 # Coefficient tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(NamedTuple):
     n: int
     entries: dict  # (i, j, k) -> positive int
 

@@ -41,6 +41,15 @@ class TestRunner:
         with pytest.raises(UnknownCheckIdError):
             run_checks(["NO-SUCH-CHECK"])
 
+    def test_bare_string_is_one_check_id(self):
+        results = run_checks("M-SYM", max_n=2)
+        assert [r.id for r in results] == ["M-SYM"]
+        assert results[0].status == "pass"
+
+    def test_repeated_id_runs_once(self):
+        results = run_checks(["M-SYM", "A-RISING", "M-SYM"], max_n=2)
+        assert [r.id for r in results] == ["M-SYM", "A-RISING"]
+
     def test_all_ids_registered(self):
         ids = check_ids()
         assert len(ids) == len(set(ids))

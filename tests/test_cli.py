@@ -136,6 +136,13 @@ class TestVerify:
         assert "STIRLING1-ID" in out
         assert out.strip().endswith("1/1 checks passed")
 
+    def test_repeated_check_id_is_one_row(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--checks", "M-SYM,M-SYM",
+                               "--max-n", "2")
+        assert code == 0
+        assert out.count("M-SYM") == 1
+        assert out.strip().endswith("1/1 checks passed")
+
     def test_unknown_check_id(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--checks", "BOGUS")
         assert code == 2
@@ -211,6 +218,15 @@ class TestUsage:
             capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout.strip() == "s^2*t^2 + 2*t*x*y"
+
+    def test_import_leaves_heavy_stdlib_modules_unloaded(self):
+        # Every start pays for what `import chordlab.cli` loads; the process
+        # pool is imported only by a verify run with --jobs above 1.
+        probe = ("import sys, chordlab.cli; print(sorted(set(sys.modules) & {"
+                 "'dataclasses', 'inspect', 'concurrent.futures', 'logging'}))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestMisuse:

@@ -2,8 +2,9 @@
 
 The fault-injection tests assert only that some check fails with a witness.
 Here all 45 checks run at max_n 4 and egf_order 5, clean and under each of
-the eleven perturbations those tests apply, and every report entry (ms
-zeroed) is compared with tests/golden/verify_faults_n4.json.
+fifteen perturbations (the eleven those tests apply, plus four that reach
+fields only a few checks read), and every report entry (ms zeroed) is
+compared with tests/golden/verify_faults_n4.json.
 
 Regenerate the golden file (only when a witness is meant to change) with
     PYTHONPATH=src python tests/test_witnesses.py
@@ -71,6 +72,13 @@ def _no_boundary_dd(real):
     return stats
 
 
+def _deg1_deg2_swapped(real):
+    def swapped(tree):
+        h0, h1, h2, h3 = real(tree)
+        return h0, h2, h1, h3
+    return swapped
+
+
 # name -> (module, attribute, perturbation of the real function)
 PERTURBATIONS = {
     "flipped-lne-lcr": (wd, "neighbor_classify", _flipped_lne_lcr),
@@ -91,6 +99,13 @@ PERTURBATIONS = {
                           fix_B=real(s).fix_B + real(s).single, single=0)),
     "no-cda": (pm, "perm_stats", lambda real: lambda pi: real(pi)._replace(cda=0)),
     "no-boundary-dd": (pm, "perm_stats", _no_boundary_dd),
+    "ne-into-cr": (mt, "pairwise_stats",
+                   lambda real: lambda m: real(m)._replace(cr=real(m).cr + real(m).ne, ne=0)),
+    "no-even-to-odd": (mt, "block_stats",
+                       lambda real: lambda m: real(m)._replace(even_to_odd=0)),
+    "cyc-plus-1": (pm, "perm_stats",
+                   lambda real: lambda pi: real(pi)._replace(cyc=real(pi).cyc + 1)),
+    "deg1-deg2-swapped": (st, "tree_degree_histogram", _deg1_deg2_swapped),
 }
 CASES = ["clean", *PERTURBATIONS]
 
