@@ -456,10 +456,6 @@ class TruncatedSeries:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1] + [0] * order)
 
@@ -604,6 +600,18 @@ def rising_factorial(step: Scalar, n: int) -> MVPoly:
     return total
 
 
+def start_digits(start_rank: int, radices: Sequence[int]) -> list[int] | None:
+    """The mixed-radix digits of a restartable stream's start rank, most
+    significant first; None when the rank is past the stream's
+    prod(radices) objects."""
+    if start_rank < 0:
+        raise ValueError("start_rank must be nonnegative")
+    digits = [0] * len(radices)
+    for d in range(len(radices) - 1, -1, -1):
+        start_rank, digits[d] = divmod(start_rank, radices[d])
+    return None if start_rank else digits
+
+
 # ---------------------------------------------------------------------------
 # Text-format parser (the grammar rule files reuse this syntax)
 # ---------------------------------------------------------------------------
@@ -612,18 +620,15 @@ _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[-+*^/()]|\S")
 
 
 class _Parser:
-    def __init__(self, text: str, line: int = 1, col_offset: int = 0):
+    def __init__(self, text: str, line: int = 1):
         self.text = text
         self.line = line
-        self.col_offset = col_offset
-        self.tokens: list[tuple[str, int]] = []
-        for m in _TOKEN.finditer(text):
-            self.tokens.append((m.group(), m.start() + 1 + col_offset))
+        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
         self.i = 0
 
     def _fail(self, message: str, col: int | None = None) -> None:
         if col is None:
-            col = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text) + 1 + self.col_offset
+            col = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text) + 1
         raise ParseError(message, self.line, col)
 
     def peek(self) -> str | None:

@@ -373,8 +373,7 @@ def _m_gamma(n):
 @_per_n("DER-COUNT", "derangement counts on both sides of the correspondence", 7)
 def _der_count(n):
     matching_side = mt.m_poly(n).evaluate({"x": 1, "y": 1, "s": 0, "t": 2})
-    rhs = sum(Fraction((-1) ** i, math.factorial(i)) for i in range(n + 1)) \
-        * (2 ** n * math.factorial(n))
+    rhs = 2 ** n * pm.derangement_count(n)
     if matching_side != rhs:
         return f"n={n}: fixb-free weight {matching_side} != {rhs}"
     derangements = sum(c for s, c in pm.perm_census(n).items() if s.fix == 0)
@@ -814,7 +813,7 @@ def run_checks(selection="all", max_n: int | None = None,
     if jobs <= 1 or len(ids) <= 1:
         return [_run_single(check_id, max_n, order) for check_id in ids]
     from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for it
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
         return list(pool.map(_run_single, ids, itertools.repeat(max_n),
                              itertools.repeat(order)))
 

@@ -22,26 +22,13 @@ from . import matchings as mt
 from . import perms as pm
 from . import stirling as st
 from . import words as wd
-from .algebra import MVPoly, ParseError, parse_poly
+from .algebra import ParseError, parse_poly
 from .grammar import DuplicateRuleError
 
-# Families whose enumeration explodes; overridable with --force.
-_HARD_LIMITS = {
-    "matchings": 10, "mwords": 10, "perms": 10, "signed": 8,
-    "derangements": 10, "stirling": 10, "trees012": 12, "trees0123": 12,
-}
 # `verify --max-n` becomes every check's bound and `--egf-order` every series
 # order; the checks that walk S_n and M_n default to at most 8 (M-EGF walks
 # M_order), and one order more costs them minutes to hours.
 _VERIFY_MAX_N = 8
-
-_POLY_FAMILY = {
-    "An": "perms", "Anxy": "perms", "Anpq": "perms", "dn": "perms",
-    "Bn": "signed", "dBn": "signed",
-    "Mn": "matchings", "In": "matchings", "Cn": "mwords",
-    "NCA": "mwords", "NCR": "mwords", "Qn": "stirling",
-    "xi": None, "gamma": None,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="stream a family with statistics")
-    p_enum.add_argument("--family", required=True, choices=sorted(_HARD_LIMITS))
+    p_enum.set_defaults(run=_cmd_enumerate)
+    p_enum.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_enum.add_argument("--out", default=None)
@@ -60,13 +48,20 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the hard size limits")
 
     p_poly = sub.add_parser("poly", help="print a polynomial family member")
-    p_poly.add_argument("--name", required=True, choices=sorted(_POLY_FAMILY))
+    p_poly.set_defaults(run=_cmd_poly)
+    p_poly.add_argument("--name", required=True, choices=sorted(_POLYS))
     p_poly.add_argument("--n", type=int, required=True)
     p_poly.add_argument("--format", choices=("text", "json"), default="text")
     p_poly.add_argument("--out", default=None)
     p_poly.add_argument("--force", action="store_true")
 
-    p_verify = sub.add_parser("verify", help="run the identity suite")
+    width = max(map(len, checks.check_ids()))
+    p_verify = sub.add_parser(
+        "verify", help="run the identity suite",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="checks:\n" + "\n".join(f"  {c.id:<{width}}  {c.description}"
+                                       for c in checks._REGISTRY.values()))
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--checks", default="all",
                           help="comma-separated check ids, or 'all'")
     p_verify.add_argument("--max-n", type=int, default=None)
@@ -79,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="allow --max-n and --egf-order above the verify limit")
 
     p_gram = sub.add_parser("grammar", help="apply a grammar derivative")
+    p_gram.set_defaults(run=_cmd_grammar)
     p_gram.add_argument("--rules", required=True)
     p_gram.add_argument("--seed", required=True)
     p_gram.add_argument("--iterations", type=int, required=True)
@@ -87,8 +83,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _OutputError(Exception):
-    """--out cannot be opened for writing."""
+class _UsageError(Exception):
+    """A misuse of the CLI: `main` prints `error: <message>` and exits 2."""
+
+
+def _guard(flag: str, value: int | None, scope: str, limit: int, force: bool) -> None:
+    """Refuse a size above `limit` unless --force was given."""
+    if value is not None and value > limit and not force:
+        raise _UsageError(f"{flag} {value} exceeds the {scope} limit {limit} "
+                          "(pass --force to override)")
 
 
 @contextlib.contextmanager
@@ -101,7 +104,7 @@ def _output(path: str | None):
     try:
         fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     with fh:
         yield fh
 
@@ -112,88 +115,86 @@ def _emit(text: str, out) -> None:
         out.write("\n")
 
 
+# Row generators, one per kind of object.  Each row holds its family's fields
+# in order: field 2 is the object's text and every other field an int.
+# Kernels are looked up on their modules for every row, so a patched kernel
+# reaches the output.
+
+def _matching_rows(n):
+    for rank, m in enumerate(mt.enumerate_matchings(n)):
+        fixb, el, ol, es, os_, _ = mt.block_stats(m)
+        cr, ne, al, lne, lcr, nal, _, _, lrp, rrp = mt.pairwise_stats(m)
+        yield (n, rank, mt.arcs_text(m), fixb, el, ol, es, os_, cr, ne,
+               al, lne, lcr, nal, lrp, rrp, mt.trace(m))
+
+
+def _word_rows(n):
+    for rank, w in enumerate(wd.enumerate_words(n)):
+        lne, lcr, nal, rrp, lrp = wd.neighbor_classify(w)
+        yield (n, rank, wd.word_text(w), len(lne), len(lcr), len(nal),
+               len(rrp), len(lrp)) + wd.word_stats(w)
+
+
+def _perm_rows(n, stream):
+    for rank, pi in enumerate(stream):
+        yield (n, rank, " ".join(map(str, pi))) + pm.perm_stats(pi)
+
+
+def _signed_rows(n):
+    for rank, sigma in enumerate(pm.enumerate_signed(n)):
+        wexc, exc, drop, fix, single, cyc = pm.signed_stats(sigma)
+        asc, des, inv, dd = pm.oneline_stats(sigma)
+        cda = pm.perm_stats(tuple(map(abs, sigma))).cda
+        yield (n, rank, " ".join(map(str, sigma)), exc, drop, fix, cyc,
+               asc, des, inv, cda, dd, wexc, single)
+
+
+def _stirling_rows(n):
+    for rank, word in enumerate(st.enumerate_stirling(n)):
+        yield (n, rank, " ".join(map(str, word))) + st.stirling_word_stats(word)
+
+
+def _tree_rows(n, degree):
+    for rank, tree in enumerate(st.enumerate_trees(n, degree)):
+        yield (n, rank, st.tree_text(tree)) + st.tree_degree_histogram(tree)
+
+
+_PERM_FIELDS = ["n", "rank", "oneline", "exc", "drop", "fix", "cyc", "asc",
+                "des", "inv", "cda", "dd"]
+_TREE_FIELDS = ["n", "rank", "tree", "leaves", "deg1", "deg2", "deg3"]
+
+# family -> (size limit, overridable with --force; smallest --n; fields;
+# n -> rows).  The limits guard enumerations that explode.
+_FAMILIES = {
+    "matchings": (10, 0, ["n", "rank", "arcs", "fixb", "elblock", "olblock",
+                          "esblock", "osblock", "cr", "ne", "al", "lne", "lcr",
+                          "nal", "lrp", "rrp", "trace"], _matching_rows),
+    "mwords": (10, 0, ["n", "rank", "word", "lne", "lcr", "nal", "rrp", "lrp",
+                       "inv", "coinv", "rank_stat"], _word_rows),
+    "perms": (10, 0, _PERM_FIELDS,
+              lambda n: _perm_rows(n, pm.enumerate_permutations(n))),
+    "signed": (8, 0, _PERM_FIELDS + ["wexc", "single"], _signed_rows),
+    "derangements": (10, 0, _PERM_FIELDS,
+                     lambda n: _perm_rows(n, pm.enumerate_derangements(n))),
+    "stirling": (10, 0, ["n", "rank", "word", "asc", "plat", "des"], _stirling_rows),
+    "trees012": (12, 1, _TREE_FIELDS, lambda n: _tree_rows(n, 2)),
+    "trees0123": (12, 1, _TREE_FIELDS, lambda n: _tree_rows(n, 3)),
+}
+
+
 def _family_rows(family: str, n: int):
-    """(fieldnames, iterator of row tuples) for one enumeration family.
-
-    Each row holds its fields in `fields` order.  Field 2 is the object's
-    text and every other field an int.  Kernels are looked up on their
-    modules for every row, so a patched kernel reaches the output.
-    """
-    if family == "matchings":
-        fields = ["n", "rank", "arcs", "fixb", "elblock", "olblock", "esblock",
-                  "osblock", "cr", "ne", "al", "lne", "lcr", "nal", "lrp",
-                  "rrp", "trace"]
-
-        def rows():
-            for rank, m in enumerate(mt.enumerate_matchings(n)):
-                fixb, el, ol, es, os_, _ = mt.block_stats(m)
-                cr, ne, al, lne, lcr, nal, _, _, lrp, rrp = mt.pairwise_stats(m)
-                yield (n, rank, mt.arcs_text(m), fixb, el, ol, es, os_, cr, ne,
-                       al, lne, lcr, nal, lrp, rrp, mt.trace(m))
-        return fields, rows()
-    if family == "mwords":
-        fields = ["n", "rank", "word", "lne", "lcr", "nal", "rrp", "lrp",
-                  "inv", "coinv", "rank_stat"]
-
-        def rows():
-            for rank, w in enumerate(wd.enumerate_words(n)):
-                lne, lcr, nal, rrp, lrp = wd.neighbor_classify(w)
-                yield (n, rank, wd.word_text(w), len(lne), len(lcr), len(nal),
-                       len(rrp), len(lrp)) + wd.word_stats(w)
-        return fields, rows()
-    if family in ("perms", "derangements"):
-        fields = ["n", "rank", "oneline", "exc", "drop", "fix", "cyc", "asc",
-                  "des", "inv", "cda", "dd"]
-        stream = (pm.enumerate_permutations(n) if family == "perms"
-                  else pm.enumerate_derangements(n))
-
-        def rows():
-            for rank, pi in enumerate(stream):
-                yield (n, rank, " ".join(map(str, pi))) + pm.perm_stats(pi)
-        return fields, rows()
-    if family == "signed":
-        fields = ["n", "rank", "oneline", "exc", "drop", "fix", "cyc", "asc",
-                  "des", "inv", "cda", "dd", "wexc", "single"]
-
-        def rows():
-            for rank, sigma in enumerate(pm.enumerate_signed(n)):
-                wexc, exc, drop, fix, single, cyc = pm.signed_stats(sigma)
-                asc, des, inv, dd = pm.oneline_stats(sigma)
-                cda = pm.perm_stats(tuple(map(abs, sigma))).cda
-                yield (n, rank, " ".join(map(str, sigma)), exc, drop, fix, cyc,
-                       asc, des, inv, cda, dd, wexc, single)
-        return fields, rows()
-    if family == "stirling":
-        fields = ["n", "rank", "word", "asc", "plat", "des"]
-
-        def rows():
-            for rank, word in enumerate(st.enumerate_stirling(n)):
-                yield ((n, rank, " ".join(map(str, word)))
-                       + st.stirling_word_stats(word))
-        return fields, rows()
-    if family in ("trees012", "trees0123"):
-        degree = 2 if family == "trees012" else 3
-        fields = ["n", "rank", "tree", "leaves", "deg1", "deg2", "deg3"]
-
-        def rows():
-            for rank, tree in enumerate(st.enumerate_trees(n, degree)):
-                yield (n, rank, st.tree_text(tree)) + st.tree_degree_histogram(tree)
-        return fields, rows()
-    raise ValueError(f"unknown family {family!r}")
+    """(fieldnames, iterator of row tuples) for one enumeration family."""
+    _, _, fields, rows = _FAMILIES[family]
+    return fields, rows(n)
 
 
 def _cmd_enumerate(args) -> int:
-    limit = _HARD_LIMITS[args.family]
+    limit, smallest, _, _ = _FAMILIES[args.family]
     if args.n < 0:
-        print(f"error: --n must be nonnegative", file=sys.stderr)
-        return 2
-    if args.n == 0 and args.family.startswith("trees"):
-        print(f"error: --n must be positive for {args.family}", file=sys.stderr)
-        return 2
-    if args.n > limit and not args.force:
-        print(f"error: --n {args.n} exceeds the {args.family} limit {limit} "
-              "(pass --force to override)", file=sys.stderr)
-        return 2
+        raise _UsageError("--n must be nonnegative")
+    if args.n < smallest:
+        raise _UsageError(f"--n must be positive for {args.family}")
+    _guard("--n", args.n, args.family, limit, args.force)
     fields, rows = _family_rows(args.family, args.n)
     with _output(args.out) as out:
         _write_rows(args.format, fields, rows, out)
@@ -225,60 +226,42 @@ def _write_rows(fmt: str, fields: list, rows, out) -> None:
         out.writelines(lines)
 
 
-def _poly_by_name(name: str, n: int) -> MVPoly:
-    if name == "An":
-        return pm.eulerian_xy(n).subst({"y": 1})
-    if name == "Anxy":
-        return pm.eulerian_xy(n)
-    if name == "Anpq":
-        return pm.eulerian_xpq(n)
-    if name == "Mn":
-        return mt.m_poly(n)
-    if name == "Bn":
-        return pm.b_poly(n)
-    if name == "dn":
-        return pm.derangement_poly(n)
-    if name == "dBn":
-        return pm.type_b_derangement_poly(n)
-    if name == "Cn":
-        return wd.c_poly(n)
-    if name == "NCA":
-        return wd.nca_poly(n)
-    if name == "NCR":
-        return wd.ncr_poly(n)
-    if name == "In":
-        return mt.i_poly(n)
-    if name == "Qn":
-        return st.q_poly(n)
-    if name == "xi":
-        return st.xi_poly(n)
-    if name == "gamma":
-        return st.gamma_poly(n)
-    raise ValueError(f"unknown polynomial {name!r}")
+# name -> (family whose size limit guards --n, or None; n -> MVPoly;
+# n -> the coefficient table `--format json` prints, or None for the
+# polynomial itself).  Each entry looks its function up at call time.
+_POLYS = {
+    "An": ("perms", lambda n: pm.eulerian_xy(n).subst({"y": 1}), None),
+    "Anxy": ("perms", lambda n: pm.eulerian_xy(n), None),
+    "Anpq": ("perms", lambda n: pm.eulerian_xpq(n), None),
+    "dn": ("perms", lambda n: pm.derangement_poly(n), None),
+    "Bn": ("signed", lambda n: pm.b_poly(n), None),
+    "dBn": ("signed", lambda n: pm.type_b_derangement_poly(n), None),
+    "Mn": ("matchings", lambda n: mt.m_poly(n), None),
+    "In": ("matchings", lambda n: mt.i_poly(n), None),
+    "Cn": ("mwords", lambda n: wd.c_poly(n), None),
+    "NCA": ("mwords", lambda n: wd.nca_poly(n), None),
+    "NCR": ("mwords", lambda n: wd.ncr_poly(n), None),
+    "Qn": ("stirling", lambda n: st.q_poly(n), None),
+    "xi": (None, lambda n: st.xi_poly(n), lambda n: st.xi_table(n)),
+    "gamma": (None, lambda n: st.gamma_poly(n), lambda n: st.gamma_table(n)),
+}
 
 
 def _cmd_poly(args) -> int:
-    family = _POLY_FAMILY[args.name]
+    family, poly, table = _POLYS[args.name]
     if args.n < 1:
-        print("error: --n must be positive", file=sys.stderr)
-        return 2
+        raise _UsageError("--n must be positive")
     if family is not None:
-        limit = _HARD_LIMITS[family]
-        if args.n > limit and not args.force:
-            print(f"error: --n {args.n} exceeds the {family} limit {limit} "
-                  "(pass --force to override)", file=sys.stderr)
-            return 2
+        _guard("--n", args.n, family, _FAMILIES[family][0], args.force)
     with _output(args.out) as out:
-        if args.format == "json" and args.name in ("xi", "gamma"):
-            table = st.xi_table(args.n) if args.name == "xi" else st.gamma_table(args.n)
-            _emit(table.to_json(args.name), out)
-            return 0
-        poly = _poly_by_name(args.name, args.n)
-        if args.format == "json":
-            _emit(json.dumps({"name": args.name, "n": args.n, "poly": poly.render()},
+        if args.format == "json" and table is not None:
+            _emit(table(args.n).to_json(args.name), out)
+        elif args.format == "json":
+            _emit(json.dumps({"name": args.name, "n": args.n,
+                              "poly": poly(args.n).render()},
                              separators=(",", ":")), out)
         else:
-            _emit(poly.render(), out)
+            _emit(poly(args.n).render(), out)
     return 0
 
 
@@ -290,33 +273,25 @@ def _cmd_verify(args) -> int:
     except ValueError:
         jobs = 0
     if jobs < 1:
-        print(f"error: {source} must be a positive integer, got {raw!r}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{source} must be a positive integer, got {raw!r}")
     selection = "all" if args.checks.strip() == "all" else [
         part.strip() for part in args.checks.split(",") if part.strip()]
     if not selection:
-        print(f"error: --checks {args.checks!r} names no check", file=sys.stderr)
-        return 2
-    for flag, value in (("--max-n", args.max_n), ("--egf-order", args.egf_order)):
+        raise _UsageError(f"--checks {args.checks!r} names no check")
+    bounds = (("--max-n", args.max_n), ("--egf-order", args.egf_order))
+    for flag, value in bounds:
         if value is not None and value < 0:
-            print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
-            return 2
-    for flag, value in (("--max-n", args.max_n), ("--egf-order", args.egf_order)):
-        if value is not None and value > _VERIFY_MAX_N and not args.force:
-            print(f"error: {flag} {value} exceeds the verify limit {_VERIFY_MAX_N} "
-                  "(pass --force to override)", file=sys.stderr)
-            return 2
+            raise _UsageError(f"{flag} must be nonnegative, got {value}")
+    for flag, value in bounds:
+        _guard(flag, value, "verify", _VERIFY_MAX_N, args.force)
     with _output(args.out) as out:
         try:
             results = checks.run_checks(selection, max_n=args.max_n,
                                         egf_order=args.egf_order, jobs=jobs)
         except checks.UnknownCheckIdError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.report == "json":
-            _emit(checks.report_json(results), out)
-        else:
-            _emit(checks.report_table(results), out)
+            raise _UsageError(str(exc)) from None
+        report = checks.report_json if args.report == "json" else checks.report_table
+        _emit(report(results), out)
     return 1 if any(r.status == "fail" for r in results) else 0
 
 
@@ -324,43 +299,32 @@ def _cmd_grammar(args) -> int:
     try:
         with open(args.rules, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.rules}: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {args.rules}: {exc}") from None
     try:
         g = gr.parse_grammar(text)
     except (ParseError, DuplicateRuleError) as exc:
-        print(f"error: {args.rules}: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{args.rules}: {exc}") from None
     try:
         seed = parse_poly(args.seed)
     except ParseError as exc:
-        print(f"error: --seed: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--seed: {exc}") from None
     if args.iterations < 0:
-        print("error: --iterations must be nonnegative", file=sys.stderr)
-        return 2
+        raise _UsageError("--iterations must be nonnegative")
     with _output(args.out) as out:
         _emit(gr.d_iter(g, seed, args.iterations).render(), out)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handler = {
-        "enumerate": _cmd_enumerate,
-        "poly": _cmd_poly,
-        "verify": _cmd_verify,
-        "grammar": _cmd_grammar,
-    }[args.command]
     try:
-        code = handler(args)
+        code = args.run(args)
         sys.stdout.flush()
-    except _OutputError as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

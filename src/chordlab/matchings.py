@@ -12,7 +12,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .algebra import MVPoly, project
+from .algebra import MVPoly, project, start_digits
 
 Arc = tuple  # (opener, closer)
 Matching = tuple  # tuple[Arc, ...] in standard form
@@ -47,20 +47,12 @@ def enumerate_matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if start_rank < 0:
-        raise ValueError("start_rank must be nonnegative")
+    digits = start_digits(start_rank, [2 * (n - d) - 1 for d in range(n)])
+    if digits is None:
+        return
     if n == 0:
-        if start_rank == 0:
-            yield ()
+        yield ()
         return
-    total = double_factorial(2 * n - 1)
-    if start_rank >= total:
-        return
-    radices = [2 * (n - d) - 1 for d in range(n)]
-    digits = [0] * n
-    rank = start_rank
-    for d in range(n - 1, -1, -1):
-        rank, digits[d] = divmod(rank, radices[d])
     # Each arc sits in the slot of its closer, so the filled slots read left
     # to right are already the standard form: no per-matching sort.
     slots: list = [None] * (2 * n + 1)

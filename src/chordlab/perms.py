@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .algebra import MVPoly, project
+from .algebra import MVPoly, project, start_digits
 
 Permutation = tuple  # tuple[int, ...], values 1..n
 SignedPermutation = tuple  # tuple[int, ...], values in {+-1..+-n}
@@ -33,9 +33,11 @@ def enumerate_permutations(n: int, start_rank: int = 0) -> Iterator[Permutation]
     if start_rank == 0:
         yield from itertools.permutations(range(1, n + 1))
         return
-    if start_rank >= math.factorial(n):
+    lehmer = start_digits(start_rank, range(n, 0, -1))
+    if lehmer is None:
         return
-    current = list(unrank_permutation(n, start_rank))
+    pool = list(range(1, n + 1))
+    current = [pool.pop(d) for d in lehmer]
     while True:
         yield tuple(current)
         # classic next-permutation step
@@ -51,19 +53,6 @@ def enumerate_permutations(n: int, start_rank: int = 0) -> Iterator[Permutation]
         current[i + 1:] = reversed(current[i + 1:])
 
 
-def unrank_permutation(n: int, rank: int) -> Permutation:
-    """The permutation of [n] at a given lexicographic rank (0-based)."""
-    if not 0 <= rank < math.factorial(n):
-        raise ValueError("rank out of range")
-    pool = list(range(1, n + 1))
-    out = []
-    for i in range(n, 0, -1):
-        f = math.factorial(i - 1)
-        idx, rank = divmod(rank, f)
-        out.append(pool.pop(idx))
-    return tuple(out)
-
-
 def enumerate_derangements(n: int) -> Iterator[Permutation]:
     """Fixed-point-free permutations of [n], in lexicographic order."""
     for pi in enumerate_permutations(n):
@@ -75,11 +64,9 @@ def enumerate_signed(n: int, start_rank: int = 0) -> Iterator[SignedPermutation]
     """Signed permutations in lexicographic window order (-n < ... < -1 < 1 < ... < n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = 2 ** n * math.factorial(n)
-    if start_rank >= total:
+    digits = start_digits(start_rank, [2 * (n - d) for d in range(n)])
+    if digits is None:
         return
-    radices = [2 * (n - d) for d in range(n)]
-    digits = _digits(start_rank, radices)
     window: list[int] = []
     used = [False] * (n + 1)
 
@@ -98,16 +85,6 @@ def enumerate_signed(n: int, start_rank: int = 0) -> Iterator[SignedPermutation]
             used[abs(v)] = False
 
     yield from rec(0, True)
-
-
-def _digits(rank: int, radices: list[int]) -> list[int]:
-    """Mixed-radix digits of `rank`, most significant first."""
-    digits = [0] * len(radices)
-    for d in range(len(radices) - 1, -1, -1):
-        rank, digits[d] = divmod(rank, radices[d])
-    if rank:
-        raise ValueError("rank out of range")
-    return digits
 
 
 # ---------------------------------------------------------------------------

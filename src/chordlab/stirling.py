@@ -13,7 +13,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .algebra import MVPoly, project
+from .algebra import MVPoly, project, start_digits
 
 StirlingPermutation = tuple  # tuple[int, ...] of length 2n
 PlaneTree = tuple  # children lists: tuple[tuple[int, ...], ...], index 0 unused
@@ -28,22 +28,12 @@ def enumerate_stirling(n: int, start_rank: int = 0) -> Iterator[StirlingPermutat
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if start_rank < 0:
-        raise ValueError("start_rank must be nonnegative")
+    digits = start_digits(start_rank, [2 * k - 1 for k in range(1, n + 1)])
+    if digits is None:
+        return
     if n == 0:
-        if start_rank == 0:
-            yield ()
+        yield ()
         return
-    radices = [2 * k - 1 for k in range(1, n + 1)]
-    total = 1
-    for r in radices:
-        total *= r
-    if start_rank >= total:
-        return
-    digits = [0] * n
-    rank = start_rank
-    for k in range(n - 1, -1, -1):
-        rank, digits[k] = divmod(rank, radices[k])
 
     def rec(word: tuple, k: int, on_prefix: bool) -> Iterator[StirlingPermutation]:
         lo = digits[k - 1] if on_prefix else 0

@@ -91,6 +91,29 @@ class TestRunner:
                               max_n=4, jobs=2)
         assert _normalized(serial) == _normalized(parallel)
 
+    def test_pool_starts_at_most_one_worker_per_check(self, monkeypatch):
+        # The pool forks all of its workers when it starts, so --jobs beyond
+        # the number of checks would fork processes that never run one.
+        import concurrent.futures
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        results = run_checks(["A-RISING", "STIRLING1-ID"], max_n=2, jobs=500)
+        assert started == [2]
+        assert [r.status for r in results] == ["pass", "pass"]
+
     def test_failing_checks_do_not_abort_the_suite(self, fresh_caches, monkeypatch):
         real = mt.trace_indices
         monkeypatch.setattr(mt, "trace_indices", lambda m: real(m) - {1})

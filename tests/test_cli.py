@@ -148,6 +148,14 @@ class TestVerify:
         assert code == 2
         assert "unknown check id" in err
 
+    def test_help_lists_every_check(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        assert code == 0
+        listing = out.split("checks:\n", 1)[1].splitlines()
+        assert [line.split()[0] for line in listing] == checks.check_ids()
+        for line, check_id in zip(listing, checks.check_ids()):
+            assert line.split(None, 1)[1] == checks._REGISTRY[check_id].description
+
     def test_jobs_do_not_change_output(self, capsys):
         argv = ["verify", "--checks", "A-RISING,XI-GAMMA", "--max-n", "3",
                 "--report", "json"]
@@ -195,6 +203,14 @@ class TestGrammar:
                                "--seed", "a", "--iterations", "1")
         assert code == 2
         assert "/no/such/file.g" in err
+
+    def test_rule_file_that_is_not_utf8(self, tmp_path, capsys):
+        rules = tmp_path / "latin.g"
+        rules.write_bytes(b"a -> a*b\n\xff\n")
+        code, out, err = run_cli(capsys, "grammar", "--rules", str(rules),
+                                 "--seed", "a", "--iterations", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {rules}: ") and err.count("\n") == 1
 
     def test_bad_rule_file(self, tmp_path, capsys):
         rules = tmp_path / "bad.g"
@@ -250,6 +266,25 @@ class TestMisuse:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["enumerate", "--family", "matchings", "--n", "-1"], "--n must be nonnegative"),
+        (["enumerate", "--family", "trees012", "--n", "0"],
+         "--n must be positive for trees012"),
+        (["poly", "--name", "Mn", "--n", "0"], "--n must be positive"),
+        (["poly", "--name", "xi", "--n", "0"], "--n must be positive"),
+        (["poly", "--name", "Bn", "--n", "9"],
+         "--n 9 exceeds the signed limit 8 (pass --force to override)"),
+        (["grammar", "--rules", "{rules}", "--seed", "a", "--iterations", "-1"],
+         "--iterations must be nonnegative"),
+        (["grammar", "--rules", "{rules}", "--seed", "a+*", "--iterations", "1"],
+         "--seed: 1:3: unexpected token '*'"),
+    ])
+    def test_exact_messages(self, tmp_path, capsys, argv, message):
+        rules = tmp_path / "dumont.g"
+        rules.write_text("a -> a*b\nb -> a*b\n")
+        argv = [arg.replace("{rules}", str(rules)) for arg in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_zero_bounds_stay_valid(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--checks", "M-MAIN,A-EGF",
@@ -329,8 +364,13 @@ class TestStreamedOutput:
         assert target.read_bytes() == GOLDEN_ENUMERATE[f"derangements 4 {fmt}"].encode()
 
 
-FAMILY_SIZES = [(family, n) for family in sorted(cli._HARD_LIMITS)
-                for n in range(1 if family.startswith("trees") else 0, 6)]
+FAMILY_SIZES = [(family, n) for family, (_, smallest, _, _) in sorted(cli._FAMILIES.items())
+                for n in range(smallest, 6)]
+
+
+def test_family_table_names_every_family():
+    assert set(cli._FAMILIES) == {"matchings", "mwords", "perms", "signed",
+                                  "derangements", "stirling", "trees012", "trees0123"}
 
 
 class TestRowWriters:

@@ -54,5 +54,5 @@ def test_contiguous_shards_recombine(family_n, data):
 @pytest.mark.parametrize("family", sorted(STREAMS))
 @pytest.mark.parametrize("n", [0, 2])
 def test_negative_start_rank_is_rejected(family, n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="start_rank must be nonnegative"):
         next(STREAMS[family][0](n, -1))
