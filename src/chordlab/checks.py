@@ -470,8 +470,7 @@ def _mp_bij(n):
         if wd.to_matching(w) != m:
             return f"n={n}: round-trip failed on {mt.arcs_text(m)}"
         ps = mt.pairwise_stats(m)
-        nc = wd.neighbor_classify(w)
-        transferred = (len(nc.lne), len(nc.lcr), len(nc.nal), len(nc.rrp), len(nc.lrp))
+        transferred = tuple(wd.neighbor_classify(w))
         matching = (ps.lne, ps.lcr, ps.nal, ps.rrp, ps.lrp)
         if transferred != matching:
             return (f"n={n}: neighbor stats differ on {mt.arcs_text(m)}: "
@@ -671,7 +670,7 @@ def _six_eulerian(n):
         poly = MVPoly.from_exponents(project(wd.neighbor_census(n), selector), names)
         if poly != target:
             return _diff_witness(n, poly, target, label) + _first_word_in_diff(
-                n, poly - target, lambda w: selector(wd.neighbor_counts(w)), names)
+                n, poly - target, lambda w: selector(wd.neighbor_classify(w)), names)
     return None
 
 

@@ -32,7 +32,7 @@ _VERIFY_MAX_N = 8
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chordlab",
         description="Exact enumeration of matchings and permutations, and "
                     "mechanical verification of their polynomial identities.")
@@ -87,6 +87,15 @@ class _UsageError(Exception):
     """A misuse of the CLI: `main` prints `error: <message>` and exits 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors (an unknown choice, a non-integer, a
+    missing option) as `_UsageError`, without the usage block; subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _guard(flag: str, value: int | None, scope: str, limit: int, force: bool) -> None:
     """Refuse a size above `limit` unless --force was given."""
     if value is not None and value > limit and not force:
@@ -130,9 +139,8 @@ def _matching_rows(n):
 
 def _word_rows(n):
     for rank, w in enumerate(wd.enumerate_words(n)):
-        lne, lcr, nal, rrp, lrp = wd.neighbor_classify(w)
-        yield (n, rank, wd.word_text(w), len(lne), len(lcr), len(nal),
-               len(rrp), len(lrp)) + wd.word_stats(w)
+        yield ((n, rank, wd.word_text(w)) + wd.neighbor_classify(w)
+               + wd.word_stats(w))
 
 
 def _perm_rows(n, stream):
@@ -319,11 +327,10 @@ def _cmd_grammar(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         code = args.run(args)
         sys.stdout.flush()
+    except SystemExit as exc:  # --help, once printed
+        return exc.code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
-"""Matchings on [2n]: enumeration, block classes, pairwise statistics, the
-extend/reduce generation algorithm and trace indices.
+"""Matchings on [2n]: enumeration, block classes, pairwise statistics and
+trace indices.
 
 A matching is a tuple of (opener, closer) arcs in standard form: opener <
 closer inside each arc, arcs sorted by closer, every vertex of [2n] used
@@ -16,19 +16,6 @@ from .algebra import MVPoly, project, start_digits
 
 Arc = tuple  # (opener, closer)
 Matching = tuple  # tuple[Arc, ...] in standard form
-
-
-class ArcNotFoundError(Exception):
-    pass
-
-
-def double_factorial(m: int) -> int:
-    """(2n-1)!! for m = 2n-1; 1 for m <= 0."""
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
 
 
 def standard_form(arcs) -> Matching:
@@ -172,64 +159,14 @@ def pairwise_stats(m: Matching) -> PairStats:
 
 
 # ---------------------------------------------------------------------------
-# Generation algorithm: psi, psi1, psi2 and the inverse reduction
+# Trace indices
 # ---------------------------------------------------------------------------
-
-def extend_psi(m: Matching) -> Matching:
-    """Append the block (2n+1, 2n+2)."""
-    size = 2 * len(m)
-    return m + ((size + 1, size + 2),)
-
-
-def extend_psi1(m: Matching, arc: Arc) -> Matching:
-    """Replace (i, j) by the blocks (i, 2n+1)(j, 2n+2)."""
-    if arc not in m:
-        raise ArcNotFoundError(f"{arc} is not an arc of the matching")
-    size = 2 * len(m)
-    i, j = arc
-    rest = tuple(a for a in m if a != arc)
-    return standard_form(rest + ((i, size + 1), (j, size + 2)))
-
-
-def extend_psi2(m: Matching, arc: Arc) -> Matching:
-    """Replace (i, j) by the blocks (j, 2n+1)(i, 2n+2)."""
-    if arc not in m:
-        raise ArcNotFoundError(f"{arc} is not an arc of the matching")
-    size = 2 * len(m)
-    i, j = arc
-    rest = tuple(a for a in m if a != arc)
-    return standard_form(rest + ((j, size + 1), (i, size + 2)))
-
-
-def reduce_step(m: Matching) -> tuple[Matching, str]:
-    """Delete or contract the entries 2n-1 and 2n; returns (matching, tag).
-
-    Tag is "psi" when (2n-1, 2n) was an arc and was deleted, else "psi1" or
-    "psi2" according to which constructor the contraction inverts.
-    """
-    n = len(m)
-    if n < 1:
-        raise ValueError("cannot reduce the empty matching")
-    top = 2 * n
-    partner = {}
-    for a, b in m:
-        partner[a] = b
-        partner[b] = a
-    if partner[top - 1] == top:
-        rest = tuple(arc for arc in m if arc != (top - 1, top))
-        return rest, "psi"
-    a = partner[top - 1]
-    b = partner[top]
-    tag = "psi1" if a < b else "psi2"
-    rest = [arc for arc in m if top - 1 not in arc and top not in arc]
-    rest.append((min(a, b), max(a, b)))
-    return standard_form(rest), tag
-
 
 def trace_indices(m: Matching) -> frozenset:
     """Openers that open a fixed block at some stage of the reduction chain.
 
-    Arcs keep their endpoints until the reduction reaches them, so the set is
+    Each step of the chain deletes the arc (2n-1, 2n) if it is one, else
+    joins the partners of 2n-1 and 2n into one arc.  Arcs keep their endpoints until the reduction reaches them, so the set is
     exactly: fixed-block openers of `m` itself, plus openers of fixed blocks
     created by a contraction along the chain.
     """

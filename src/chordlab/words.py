@@ -100,36 +100,35 @@ def words(n: int) -> Iterator[Word]:
 # ---------------------------------------------------------------------------
 
 class NeighborClassification(NamedTuple):
-    # cli._family_rows unpacks these fields by position; keep their order.
-    lne: frozenset
-    lcr: frozenset
-    nal: frozenset
-    rrp: frozenset
-    lrp: frozenset
+    # cli._word_rows, checks._mp_bij and the SIX-EULERIAN selectors read
+    # these fields by position; keep their order.
+    lne: int
+    lcr: int
+    nal: int
+    rrp: int
+    lrp: int
 
 
 def neighbor_classify(w: Word) -> NeighborClassification:
-    """Partition the indices 1..2n-1 into the five neighbor classes."""
-    lne, lcr, nal, rrp, lrp = [], [], [], [], []
+    """How many of the indices 1..2n-1 fall in each of the five neighbor
+    classes; index i is classed by the symbols at positions i and i+1."""
+    lne = lcr = nal = rrp = lrp = 0
     it = iter(w)
     v1, b1 = next(it, (0, False))
-    idx = 0
     for v2, b2 in it:
-        idx += 1
         if b1:
             if b2:
-                rrp.append(idx)
+                rrp += 1
             else:
-                nal.append(idx)
+                nal += 1
         elif b2:
-            lrp.append(idx)
+            lrp += 1
         elif v1 > v2:
-            lne.append(idx)
+            lne += 1
         else:
-            lcr.append(idx)
+            lcr += 1
         v1, b1 = v2, b2
-    return NeighborClassification(frozenset(lne), frozenset(lcr), frozenset(nal),
-                                  frozenset(rrp), frozenset(lrp))
+    return NeighborClassification(lne, lcr, nal, rrp, lrp)
 
 
 class WordStats(NamedTuple):
@@ -180,17 +179,11 @@ def word_text(w: Word) -> str:
 # Neighbor polynomial families
 # ---------------------------------------------------------------------------
 
-def neighbor_counts(w: Word) -> tuple[int, int, int, int, int]:
-    """(lne, lcr, nal, rrp, lrp): the sizes of the five neighbor classes."""
-    c = neighbor_classify(w)
-    return (len(c.lne), len(c.lcr), len(c.nal), len(c.rrp), len(c.lrp))
-
-
 @lru_cache(maxsize=None)
 def neighbor_census(n: int) -> Counter:
-    """{(lne, lcr, nal, rrp, lrp): count} over matching permutations of
-    order n, from one pass of neighbor_classify.  Callers must not mutate it."""
-    return Counter(map(neighbor_counts, words(n)))
+    """{NeighborClassification: count} over matching permutations of order
+    n, from one pass of neighbor_classify.  Callers must not mutate it."""
+    return Counter(map(neighbor_classify, words(n)))
 
 
 @lru_cache(maxsize=None)

@@ -5,15 +5,18 @@ sorting matching enumerator, the O(n^2) pairwise and word loops, set-based
 trace and neighbor classifiers, a padded Stirling sweep and multi-pass
 permutation statistics.  They return
 plain tuples in the field order of the library's stat records (which are
-tuples too), so each can be compared with its kernel object by object.
+tuples too), so each can be compared with its kernel object by object; the
+neighbor classifier returns the five index sets whose sizes the kernel
+counts.
 Two algebra kernels have references here too: the grammar derivative on
 sparse (variable, exponent) monomials with `Fraction` coefficients, and
 the xi/gamma recurrences on tuple-keyed dictionaries.
 
 Next come test-only constructions: the O(n^2) one-line statistics of a
 signed permutation, the insertion generator of matching permutations, the
-inverse of `gamma_expand`, a matching validator and the parsers that read a
-matching or a word back from its text.  Last is the CLI's earlier
+inverse of `gamma_expand`, the psi/psi1/psi2 generation of M_{n+1} from M_n
+with its inverse reduction, a matching validator and the parsers that read
+a matching or a word back from its text.  Last is the CLI's earlier
 `enumerate` writer, which built one dict per object and serialised it with
 `csv.DictWriter` or `JSONEncoder`.
 """
@@ -29,13 +32,22 @@ from chordlab import words as wd
 from chordlab.algebra import MVPoly, _mono_mul
 
 
+def double_factorial(m):
+    """(2n-1)!! for m = 2n-1; 1 for m <= 0."""
+    out = 1
+    while m > 1:
+        out *= m
+        m -= 2
+    return out
+
+
 def enumerate_matchings(n, start_rank=0):
     """Recursive pairing of the smallest free vertex, then a sort by closer."""
     if n == 0:
         if start_rank == 0:
             yield ()
         return
-    total = mt.double_factorial(2 * n - 1)
+    total = double_factorial(2 * n - 1)
     if start_rank >= total:
         return
     radices = [2 * (n - d) - 1 for d in range(n)]
@@ -143,7 +155,8 @@ def trace_indices(m):
 
 
 def neighbor_classify(w):
-    """(lne, lcr, nal, rrp, lrp) index sets, built with set.add."""
+    """(lne, lcr, nal, rrp, lrp) index sets, built with set.add; the
+    kernel `words.neighbor_classify` returns their sizes."""
     lne, lcr, nal, rrp, lrp = set(), set(), set(), set(), set()
     for i in range(len(w) - 1):
         v1, b1 = w[i]
@@ -376,6 +389,66 @@ def gamma_table(n):
 
 
 # ---------------------------------------------------------------------------
+# The generation algorithm: psi, psi1, psi2 and the inverse reduction, whose
+# chain `matchings.trace_indices` follows
+# ---------------------------------------------------------------------------
+
+class ArcNotFoundError(Exception):
+    pass
+
+
+def extend_psi(m):
+    """Append the block (2n+1, 2n+2)."""
+    size = 2 * len(m)
+    return m + ((size + 1, size + 2),)
+
+
+def extend_psi1(m, arc):
+    """Replace (i, j) by the blocks (i, 2n+1)(j, 2n+2)."""
+    if arc not in m:
+        raise ArcNotFoundError(f"{arc} is not an arc of the matching")
+    size = 2 * len(m)
+    i, j = arc
+    rest = tuple(a for a in m if a != arc)
+    return mt.standard_form(rest + ((i, size + 1), (j, size + 2)))
+
+
+def extend_psi2(m, arc):
+    """Replace (i, j) by the blocks (j, 2n+1)(i, 2n+2)."""
+    if arc not in m:
+        raise ArcNotFoundError(f"{arc} is not an arc of the matching")
+    size = 2 * len(m)
+    i, j = arc
+    rest = tuple(a for a in m if a != arc)
+    return mt.standard_form(rest + ((j, size + 1), (i, size + 2)))
+
+
+def reduce_step(m):
+    """Delete or contract the entries 2n-1 and 2n; returns (matching, tag).
+
+    Tag is "psi" when (2n-1, 2n) was an arc and was deleted, else "psi1" or
+    "psi2" according to which constructor the contraction inverts.
+    """
+    n = len(m)
+    if n < 1:
+        raise ValueError("cannot reduce the empty matching")
+    top = 2 * n
+    partner = {}
+    for a, b in m:
+        partner[a] = b
+        partner[b] = a
+    if partner[top - 1] == top:
+        rest = tuple(arc for arc in m if arc != (top - 1, top))
+        return rest, "psi"
+    a = partner[top - 1]
+    b = partner[top]
+    tag = "psi1" if a < b else "psi2"
+    rest = [arc for arc in m if top - 1 not in arc and top not in arc]
+    rest.append((min(a, b), max(a, b)))
+    return mt.standard_form(rest), tag
+
+
+# ---------------------------------------------------------------------------
 # Test-only parsers and validators
 # ---------------------------------------------------------------------------
 
@@ -464,11 +537,11 @@ def family_rows(family, n):
 
         def rows():
             for rank, w in enumerate(wd.enumerate_words(n)):
-                c = wd.neighbor_classify(w)
+                lne, lcr, nal, rrp, lrp = neighbor_classify(w)
                 s = wd.word_stats(w)
                 yield {"n": n, "rank": rank, "word": wd.word_text(w),
-                       "lne": len(c.lne), "lcr": len(c.lcr), "nal": len(c.nal),
-                       "rrp": len(c.rrp), "lrp": len(c.lrp), "inv": s.inv,
+                       "lne": len(lne), "lcr": len(lcr), "nal": len(nal),
+                       "rrp": len(rrp), "lrp": len(lrp), "inv": s.inv,
                        "coinv": s.coinv, "rank_stat": s.rank}
         return fields, rows()
     if family in ("perms", "derangements"):

@@ -100,3 +100,13 @@ def test_word_censuses_share_one_word_list(monkeypatch):
     finally:
         monkeypatch.undo()
         chordlab.clear_caches()
+
+
+def test_clear_caches_empties_every_cache():
+    cached = [value for module in (mt, pm, st, wd) for value in vars(module).values()
+              if hasattr(value, "cache_clear")]
+    run_checks("all", max_n=3, egf_order=3)
+    assert wd._symbol_pairs.cache_info().currsize > 0
+    chordlab.clear_caches()
+    assert {fn.__module__ + "." + fn.__name__: fn.cache_info().currsize
+            for fn in cached if fn.cache_info().currsize} == {}

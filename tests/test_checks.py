@@ -172,8 +172,7 @@ class TestFaultInjection:
             c = real(w)
             # shovel the left-crossing indices into the alignment class
             return wd.NeighborClassification(
-                lne=c.lne, lcr=frozenset(), nal=c.nal | c.lcr,
-                rrp=c.rrp, lrp=c.lrp)
+                lne=c.lne, lcr=0, nal=c.nal + c.lcr, rrp=c.rrp, lrp=c.lrp)
 
         monkeypatch.setattr(wd, "neighbor_classify", biased)
         chordlab.clear_caches()

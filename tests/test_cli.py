@@ -260,6 +260,13 @@ class TestMisuse:
         ["verify", "--max-n", "12", "--egf-order", "3", "--report", "json"],
         ["verify", "--egf-order", "12", "--checks", "M-EGF"],
         ["verify", "--max-n", "3", "--egf-order", "9", "--report", "json"],
+        # argparse's own errors: no usage block, one line
+        ["verify", "--jobs", "x"],
+        ["verify", "--no-such-flag"],
+        ["enumerate", "--family", "widgets", "--n", "3"],
+        ["enumerate", "--family", "perms"],
+        ["poly", "--name", "Mn", "--n", "two"],
+        [],
     ])
     def test_bad_arguments(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -279,6 +286,8 @@ class TestMisuse:
          "--iterations must be nonnegative"),
         (["grammar", "--rules", "{rules}", "--seed", "a+*", "--iterations", "1"],
          "--seed: 1:3: unexpected token '*'"),
+        (["verify", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+        (["enumerate", "--family", "perms"], "the following arguments are required: --n"),
     ])
     def test_exact_messages(self, tmp_path, capsys, argv, message):
         rules = tmp_path / "dumont.g"

@@ -3,6 +3,7 @@ implementation in tests/oracles.py.  Per-object kernels are compared object
 by object over whole families for n <= 6 and over random matchings up to
 n = 12; the grammar derivative over every named grammar and over random
 rational grammars; the xi/gamma tables entry by entry up to order 80."""
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,7 @@ def _start_ranks(total):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_matching_stream_matches_the_sorting_enumerator(n):
-    total = mt.double_factorial(2 * n - 1)
+    total = oracles.double_factorial(2 * n - 1)
     for start in _start_ranks(total):
         assert list(mt.enumerate_matchings(n, start)) == list(
             oracles.enumerate_matchings(n, start))
@@ -35,7 +36,7 @@ def test_matching_stream_matches_the_sorting_enumerator(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_stirling_stream_matches_the_reference(n):
-    total = mt.double_factorial(2 * n - 1)
+    total = oracles.double_factorial(2 * n - 1)
     for start in _start_ranks(total):
         assert list(st.enumerate_stirling(n, start)) == list(
             oracles.enumerate_stirling(n, start))
@@ -49,11 +50,20 @@ def test_matching_kernels(n):
         assert mt.trace_indices(m) == oracles.trace_indices(m), m
 
 
+def _class_sizes(w):
+    return tuple(map(len, oracles.neighbor_classify(w)))
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_word_kernels(n):
     for w in wd.enumerate_words(n):
-        assert wd.neighbor_classify(w) == oracles.neighbor_classify(w), w
+        assert wd.neighbor_classify(w) == _class_sizes(w), w
         assert wd.word_stats(w) == oracles.word_stats(w), w
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_neighbor_census_tallies_the_class_sizes(n):
+    assert wd.neighbor_census(n) == Counter(map(_class_sizes, wd.enumerate_words(n)))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -106,7 +116,7 @@ def test_kernels_on_random_matchings(m):
     assert mt.trace_indices(m) == oracles.trace_indices(m)
     w = wd.from_matching(m)
     assert wd.to_matching(w) == m
-    assert wd.neighbor_classify(w) == oracles.neighbor_classify(w)
+    assert wd.neighbor_classify(w) == _class_sizes(w)
     assert wd.word_stats(w) == oracles.word_stats(w)
 
 

@@ -10,7 +10,7 @@ from chordlab.algebra import MVPoly, parse_poly
 class TestEnumeration:
     def test_small_counts(self):
         for n in range(6):
-            expected = mt.double_factorial(2 * n - 1)
+            expected = oracles.double_factorial(2 * n - 1)
             assert sum(1 for _ in mt.enumerate_matchings(n)) == expected
 
     def test_n1(self):
@@ -79,23 +79,23 @@ class TestPairwiseStats:
 
 class TestGeneration:
     def test_psi(self):
-        assert mt.extend_psi(((1, 2),)) == ((1, 2), (3, 4))
+        assert oracles.extend_psi(((1, 2),)) == ((1, 2), (3, 4))
 
     def test_psi1(self):
-        assert mt.extend_psi1(((1, 2),), (1, 2)) == ((1, 3), (2, 4))
+        assert oracles.extend_psi1(((1, 2),), (1, 2)) == ((1, 3), (2, 4))
 
     def test_psi2(self):
-        assert mt.extend_psi2(((1, 2),), (1, 2)) == ((2, 3), (1, 4))
+        assert oracles.extend_psi2(((1, 2),), (1, 2)) == ((2, 3), (1, 4))
 
     def test_arc_not_found(self):
-        with pytest.raises(mt.ArcNotFoundError):
-            mt.extend_psi1(((1, 2),), (1, 3))
+        with pytest.raises(oracles.ArcNotFoundError):
+            oracles.extend_psi1(((1, 2),), (1, 3))
 
     def test_reduce_examples(self):
-        assert mt.reduce_step(((1, 2), (3, 4))) == (((1, 2),), "psi")
-        assert mt.reduce_step(((1, 3), (2, 4))) == (((1, 2),), "psi1")
+        assert oracles.reduce_step(((1, 2), (3, 4))) == (((1, 2),), "psi")
+        assert oracles.reduce_step(((1, 3), (2, 4))) == (((1, 2),), "psi1")
         big = mt.standard_form([(2, 4), (5, 7), (6, 8), (3, 9), (1, 10)])
-        reduced, tag = mt.reduce_step(big)
+        reduced, tag = oracles.reduce_step(big)
         assert reduced == mt.standard_form([(1, 3), (2, 4), (5, 7), (6, 8)])
         assert tag == "psi2"
 
@@ -105,15 +105,15 @@ class TestGeneration:
         for n in range(1, 5):
             seen = {}
             for m in mt.enumerate_matchings(n):
-                images = [(mt.extend_psi(m), "psi", m)]
+                images = [(oracles.extend_psi(m), "psi", m)]
                 for arc in m:
-                    images.append((mt.extend_psi1(m, arc), "psi1", m))
-                    images.append((mt.extend_psi2(m, arc), "psi2", m))
+                    images.append((oracles.extend_psi1(m, arc), "psi1", m))
+                    images.append((oracles.extend_psi2(m, arc), "psi2", m))
                 for image, tag, source in images:
                     assert image not in seen
                     seen[image] = (source, tag)
-                    assert mt.reduce_step(image) == (source, tag)
-            assert len(seen) == mt.double_factorial(2 * n + 1)
+                    assert oracles.reduce_step(image) == (source, tag)
+            assert len(seen) == oracles.double_factorial(2 * n + 1)
 
 
 class TestTrace:
@@ -135,7 +135,7 @@ class TestTrace:
         for m in mt.enumerate_matchings(5):
             stages = [m]
             while stages[-1]:
-                stages.append(mt.reduce_step(stages[-1])[0])
+                stages.append(oracles.reduce_step(stages[-1])[0])
             scanned = {a for stage in stages for a, b in stage
                        if a % 2 == 1 and b == a + 1}
             assert mt.trace_indices(m) == scanned

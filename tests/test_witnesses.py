@@ -37,7 +37,7 @@ def _biased_nal(real):
     def biased(w):
         c = real(w)
         return wd.NeighborClassification(
-            lne=c.lne, lcr=frozenset(), nal=c.nal | c.lcr, rrp=c.rrp, lrp=c.lrp)
+            lne=c.lne, lcr=0, nal=c.nal + c.lcr, rrp=c.rrp, lrp=c.lrp)
     return biased
 
 

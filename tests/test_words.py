@@ -25,7 +25,7 @@ class TestBijection:
             via_matchings = set(wd.enumerate_words(n))
             via_insertion = set(oracles.insertion_words(n))
             assert via_matchings == via_insertion
-            assert len(list(oracles.insertion_words(n))) == mt.double_factorial(2 * n - 1)
+            assert len(list(oracles.insertion_words(n))) == oracles.double_factorial(2 * n - 1)
 
     def test_validate_rejects_bad_words(self):
         with pytest.raises(ValueError):
@@ -38,29 +38,32 @@ class TestBijection:
 class TestNeighborClassification:
     def test_worked_example(self):
         w = oracles.word_from_text("2 1 1' 3 4 2' 3' 4' 5 5'")
-        c = wd.neighbor_classify(w)
-        assert sorted(c.lne) == [1]
-        assert sorted(c.lcr) == [4]
-        assert sorted(c.nal) == [3, 8]
-        assert sorted(c.rrp) == [6, 7]
-        assert sorted(c.lrp) == [2, 5, 9]
+        lne, lcr, nal, rrp, lrp = oracles.neighbor_classify(w)
+        assert sorted(lne) == [1]
+        assert sorted(lcr) == [4]
+        assert sorted(nal) == [3, 8]
+        assert sorted(rrp) == [6, 7]
+        assert sorted(lrp) == [2, 5, 9]
+        assert wd.neighbor_classify(w) == wd.NeighborClassification(
+            lne=1, lcr=1, nal=2, rrp=2, lrp=3)
 
     def test_simple_word(self):
-        c = wd.neighbor_classify(oracles.word_from_text("1 1' 2 2'"))
-        assert sorted(c.lrp) == [1, 3]
-        assert sorted(c.nal) == [2]
+        lne, lcr, nal, rrp, lrp = oracles.neighbor_classify(
+            oracles.word_from_text("1 1' 2 2'"))
+        assert sorted(lrp) == [1, 3]
+        assert sorted(nal) == [2]
 
     def test_partition_property(self):
         for n in (2, 3):
             for w in wd.enumerate_words(n):
-                c = wd.neighbor_classify(w)
-                sets = [c.lne, c.lcr, c.nal, c.rrp, c.lrp]
+                sets = oracles.neighbor_classify(w)
+                lne, lcr, nal, rrp, lrp = map(len, sets)
                 union = set().union(*sets)
                 assert union == set(range(1, 2 * n))
                 assert sum(len(s) for s in sets) == 2 * n - 1
-                assert len(c.rrp) + len(c.lrp) == n
-                assert len(c.lne) + len(c.lcr) + len(c.nal) == n - 1
-                assert len(c.lrp) >= 1
+                assert rrp + lrp == n
+                assert lne + lcr + nal == n - 1
+                assert lrp >= 1
 
 
 class TestWordStats:
@@ -84,7 +87,7 @@ class TestWordStats:
             ws = wd.word_stats(w)
             assert (ws.inv, ws.coinv, ws.rank) == (ps.ne, ps.cr, ps.al)
             c = wd.neighbor_classify(w)
-            assert (len(c.lne), len(c.lcr), len(c.nal), len(c.rrp), len(c.lrp)) \
+            assert (c.lne, c.lcr, c.nal, c.rrp, c.lrp) \
                 == (ps.lne, ps.lcr, ps.nal, ps.rrp, ps.lrp)
 
     def test_word_polynomial_equals_i_poly(self):
