@@ -616,23 +616,30 @@ def start_digits(start_rank: int, radices: Sequence[int]) -> list[int] | None:
 # Text-format parser (the grammar rule files reuse this syntax)
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[-+*^/()]|\S")
+# Each token carries the group that matched it.  `\d` is Unicode's decimal
+# digits, all of which `int` reads; a superscript such as `²` is a symbol.
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"(?P<name>{NAME.pattern})|(?P<number>\d+)|(?P<symbol>\S)")
 
 
 class _Parser:
     def __init__(self, text: str, line: int = 1):
         self.text = text
         self.line = line
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
+        self.tokens = [(m.group(), m.start() + 1, m.lastgroup)
+                       for m in _TOKEN.finditer(text)]
         self.i = 0
 
-    def _fail(self, message: str, col: int | None = None) -> None:
-        if col is None:
-            col = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text) + 1
+    def _fail(self, message: str) -> None:
+        col = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text) + 1
         raise ParseError(message, self.line, col)
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def kind(self) -> str | None:
+        """The next token's group: "name", "number" or "symbol"."""
+        return self.tokens[self.i][2] if self.i < len(self.tokens) else None
 
     def next(self) -> str:
         tok = self.peek()
@@ -640,6 +647,14 @@ class _Parser:
             self._fail("unexpected end of input")
         self.i += 1
         return tok
+
+    def number(self, what: str, least: int = 0) -> int:
+        """Consumes a number token of at least `least`; any other token is
+        an error at its own column."""
+        tok = self.peek()
+        if tok is not None and (self.kind() != "number" or int(tok) < least):
+            self._fail(f"expected {what}, got {tok!r}")
+        return int(self.next())
 
     def expect(self, tok: str) -> None:
         got = self.peek()
@@ -681,10 +696,7 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.next()
-            tok = self.next()
-            if not tok.isdigit():
-                self._fail(f"expected integer exponent, got {tok!r}")
-            base = base ** int(tok)
+            base = base ** self.number("integer exponent")
         return base
 
     def atom(self) -> MVPoly:
@@ -696,17 +708,14 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             return inner
-        if tok.isdigit():
-            self.next()
-            num = int(tok)
+        if self.kind() == "number":
+            num = int(self.next())
             if self.peek() == "/":
                 self.next()
-                den = self.next()
-                if not den.isdigit() or int(den) == 0:
-                    self._fail(f"expected positive integer denominator, got {den!r}")
-                return MVPoly.const(Fraction(num, int(den)))
+                den = self.number("positive integer denominator", least=1)
+                return MVPoly.const(Fraction(num, den))
             return MVPoly.const(num)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+        if self.kind() == "name":
             self.next()
             return MVPoly.var(tok)
         self._fail(f"unexpected token {tok!r}")

@@ -5,7 +5,8 @@ Subcommands: `enumerate` (families with statistics as text/CSV/JSON),
 suite) and `grammar` (iterate a formal derivative from a rule file).
 Identical invocations produce byte-identical output; `--jobs` only changes
 wall time.  Exit codes: 0 success, 1 any failing check, 2 usage errors
-(an unwritable --out among them), 141 when the reader of stdout closes it.
+(an unwritable --out or a failed write among them), 141 when the reader of
+stdout closes it.
 """
 from __future__ import annotations
 
@@ -107,21 +108,38 @@ def _guard(flag: str, value: int | None, scope: str, limit: int, force: bool) ->
 def _output(path: str | None):
     """The stream a command writes to: stdout, or `path`, opened on entry so
     that an unwritable path fails before any work is done."""
-    if path is None:
-        yield sys.stdout
-        return
     try:
-        fh = open(path, "w", encoding="utf-8")
+        out = sys.stdout if path is None else open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
-    with fh:
-        yield fh
+    try:
+        yield out
+    finally:
+        with _writing(out):
+            (out.flush if path is None else out.close)()
+
+
+@contextlib.contextmanager
+def _writing(out):
+    """Turns a failed write to `out` into a usage error, or, when the reader
+    of a pipe left, into exit 141 as a SIGPIPE death would.  A failed stdout
+    is pointed at the null device, so the interpreter's final flush is quiet."""
+    try:
+        yield
+    except OSError as exc:
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise SystemExit(141) from None  # 128 + SIGPIPE
+        name = "standard output" if out is sys.stdout else out.name
+        raise _UsageError(f"cannot write {name}: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, out) -> None:
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
+    with _writing(out):
+        out.write(text)
+        if not text.endswith("\n"):
+            out.write("\n")
 
 
 # Row generators, one per kind of object.  Each row holds its family's fields
@@ -212,26 +230,27 @@ def _cmd_enumerate(args) -> int:
 def _write_rows(fmt: str, fields: list, rows, out) -> None:
     """Write each row tuple as it is produced; no format holds the whole
     stream."""
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(rows)
-    elif fmt == "json":
-        # What JSONEncoder(separators=(",", ":")) writes for the row as a
-        # dict: its keys in field order, ints as %d, the text escaped by the
-        # encoder's own ASCII escaper.  Each item carries its leading comma.
-        escape = json.encoder.encode_basestring_ascii
-        template = ",{" + ",".join(f"{escape(name)}:%{'s' if i == 2 else 'd'}"
-                                   for i, name in enumerate(fields)) + "}"
-        items = (template % (row[0], row[1], escape(row[2]), *row[3:])
-                 for row in rows)
-        out.write("[" + next(items, ",")[1:])
-        out.writelines(items)
-        out.write("]\n")
-    else:
-        lines = (f"{row[2]}\n" for row in rows)
-        out.write(next(lines, "\n"))  # an empty stream is one empty line
-        out.writelines(lines)
+    with _writing(out):
+        if fmt == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(fields)
+            writer.writerows(rows)
+        elif fmt == "json":
+            # What JSONEncoder(separators=(",", ":")) writes for the row as a
+            # dict: its keys in field order, ints as %d, the text escaped by the
+            # encoder's own ASCII escaper.  Each item carries its leading comma.
+            escape = json.encoder.encode_basestring_ascii
+            template = ",{" + ",".join(f"{escape(name)}:%{'s' if i == 2 else 'd'}"
+                                       for i, name in enumerate(fields)) + "}"
+            items = (template % (row[0], row[1], escape(row[2]), *row[3:])
+                     for row in rows)
+            out.write("[" + next(items, ",")[1:])
+            out.writelines(items)
+            out.write("]\n")
+        else:
+            lines = (f"{row[2]}\n" for row in rows)
+            out.write(next(lines, "\n"))  # an empty stream is one empty line
+            out.writelines(lines)
 
 
 # name -> (family whose size limit guards --n, or None; n -> MVPoly;
@@ -327,20 +346,12 @@ def _cmd_grammar(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code = args.run(args)
-        sys.stdout.flush()
-    except SystemExit as exc:  # --help, once printed
+        return args.run(args)
+    except SystemExit as exc:  # --help once printed, or a closed pipe
         return exc.code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader left (say `chordlab enumerate ... | head`): end as a
-        # SIGPIPE death would, and keep the interpreter's final flush of
-        # stdout from reporting the same broken pipe again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE
-    return code
 
 
 if __name__ == "__main__":

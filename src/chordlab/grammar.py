@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .algebra import MVPoly, Mono, ParseError, _mono_degree, parse_poly
+from .algebra import NAME, MVPoly, Mono, ParseError, _mono_degree, parse_poly
 
 
 class GrammarError(Exception):
@@ -106,7 +106,7 @@ def parse_grammar(text: str) -> Grammar:
             raise ParseError("expected 'var -> polynomial'", lineno, 1)
         lhs, rhs = line.split("->", 1)
         var = lhs.strip()
-        if not var or not var.isidentifier():
+        if not NAME.fullmatch(var):
             raise ParseError(f"bad rule variable {lhs.strip()!r}", lineno, 1)
         if var in rules:
             raise DuplicateRuleError(var, lineno)

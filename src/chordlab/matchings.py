@@ -3,8 +3,7 @@ trace indices.
 
 A matching is a tuple of (opener, closer) arcs in standard form: opener <
 closer inside each arc, arcs sorted by closer, every vertex of [2n] used
-exactly once.  Plain tuples keep the enumeration of the larger M_n cheap;
-:func:`standard_form` produces the canonical representation.
+exactly once.  Plain tuples keep the enumeration of the larger M_n cheap.
 """
 from __future__ import annotations
 
@@ -16,13 +15,6 @@ from .algebra import MVPoly, project, start_digits
 
 Arc = tuple  # (opener, closer)
 Matching = tuple  # tuple[Arc, ...] in standard form
-
-
-def standard_form(arcs) -> Matching:
-    """Canonical form: each arc (min, max), arcs sorted by closer."""
-    fixed = [(a, b) if a < b else (b, a) for a, b in arcs]
-    fixed.sort(key=lambda arc: arc[1])
-    return tuple(fixed)
 
 
 def enumerate_matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:

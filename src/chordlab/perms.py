@@ -30,27 +30,9 @@ def enumerate_permutations(n: int, start_rank: int = 0) -> Iterator[Permutation]
     """All permutations of [n] in lexicographic order, starting at a rank."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if start_rank == 0:
-        yield from itertools.permutations(range(1, n + 1))
+    if start_digits(start_rank, range(n, 0, -1)) is None:
         return
-    lehmer = start_digits(start_rank, range(n, 0, -1))
-    if lehmer is None:
-        return
-    pool = list(range(1, n + 1))
-    current = [pool.pop(d) for d in lehmer]
-    while True:
-        yield tuple(current)
-        # classic next-permutation step
-        i = n - 2
-        while i >= 0 and current[i] >= current[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while current[j] <= current[i]:
-            j -= 1
-        current[i], current[j] = current[j], current[i]
-        current[i + 1:] = reversed(current[i + 1:])
+    yield from itertools.islice(itertools.permutations(range(1, n + 1)), start_rank, None)
 
 
 def enumerate_derangements(n: int) -> Iterator[Permutation]:

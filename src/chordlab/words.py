@@ -36,7 +36,8 @@ def from_matching(m: mt.Matching) -> Word:
 
 
 def to_matching(w: Word) -> mt.Matching:
-    """Inverse of :func:`from_matching`."""
+    """Inverse of :func:`from_matching`.  Arcs are appended in closer
+    order, each after its opener, so they are already in standard form."""
     openers: dict[int, int] = {}
     arcs = []
     for pos, (value, barred) in enumerate(w, start=1):
@@ -44,7 +45,7 @@ def to_matching(w: Word) -> mt.Matching:
             arcs.append((openers[value], pos))
         else:
             openers[value] = pos
-    return mt.standard_form(arcs)
+    return tuple(arcs)
 
 
 def validate_word(w: Word) -> None:

@@ -12,7 +12,8 @@ Two algebra kernels have references here too: the grammar derivative on
 sparse (variable, exponent) monomials with `Fraction` coefficients, and
 the xi/gamma recurrences on tuple-keyed dictionaries.
 
-Next come test-only constructions: the O(n^2) one-line statistics of a
+Next come test-only constructions: the standard form of a matching given
+as arcs in any order and orientation, the O(n^2) one-line statistics of a
 signed permutation, the insertion generator of matching permutations, the
 inverse of `gamma_expand`, the psi/psi1/psi2 generation of M_{n+1} from M_n
 with its inverse reduction, a matching validator and the parsers that read
@@ -30,6 +31,13 @@ from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
 from chordlab.algebra import MVPoly, _mono_mul
+
+
+def standard_form(arcs):
+    """Canonical form: each arc (min, max), arcs sorted by closer."""
+    fixed = [(a, b) if a < b else (b, a) for a, b in arcs]
+    fixed.sort(key=lambda arc: arc[1])
+    return tuple(fixed)
 
 
 def double_factorial(m):
@@ -59,7 +67,7 @@ def enumerate_matchings(n, start_rank=0):
 
     def rec(free, depth, on_prefix):
         if not free:
-            yield mt.standard_form(arcs)
+            yield standard_form(arcs)
             return
         a = free[0]
         lo = 1 + digits[depth] if on_prefix else 1
@@ -410,7 +418,7 @@ def extend_psi1(m, arc):
     size = 2 * len(m)
     i, j = arc
     rest = tuple(a for a in m if a != arc)
-    return mt.standard_form(rest + ((i, size + 1), (j, size + 2)))
+    return standard_form(rest + ((i, size + 1), (j, size + 2)))
 
 
 def extend_psi2(m, arc):
@@ -420,7 +428,7 @@ def extend_psi2(m, arc):
     size = 2 * len(m)
     i, j = arc
     rest = tuple(a for a in m if a != arc)
-    return mt.standard_form(rest + ((j, size + 1), (i, size + 2)))
+    return standard_form(rest + ((j, size + 1), (i, size + 2)))
 
 
 def reduce_step(m):
@@ -445,7 +453,7 @@ def reduce_step(m):
     tag = "psi1" if a < b else "psi2"
     rest = [arc for arc in m if top - 1 not in arc and top not in arc]
     rest.append((min(a, b), max(a, b)))
-    return mt.standard_form(rest), tag
+    return standard_form(rest), tag
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +485,7 @@ def arcs_from_text(text):
     parts = re.findall(r"\((\d+),(\d+)\)", text)
     if "".join(f"({a},{b})" for a, b in parts) != text.replace(" ", ""):
         raise ValueError(f"malformed arc list: {text!r}")
-    m = mt.standard_form((int(a), int(b)) for a, b in parts)
+    m = standard_form((int(a), int(b)) for a, b in parts)
     validate_matching(m)
     return m
 

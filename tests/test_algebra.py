@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,22 @@ class TestRendering:
             parse_poly("(x + y")
         with pytest.raises(ParseError):
             parse_poly("x + --y")
+
+    @pytest.mark.parametrize("text,message", [
+        # `str.isdigit` accepts superscripts, which `int` cannot read
+        ("a^\u00b2", "1:3: expected integer exponent, got '\u00b2'"),
+        ("\u00b2", "1:1: unexpected token '\u00b2'"),
+        ("1/\u00b2", "1:3: expected positive integer denominator, got '\u00b2'"),
+        ("x^y", "1:3: expected integer exponent, got 'y'"),
+        ("1/0", "1:3: expected positive integer denominator, got '0'"),
+        ("\u03b1*x", "1:1: unexpected token '\u03b1'"),
+    ])
+    def test_tokens_outside_the_format(self, text, message):
+        with pytest.raises(ParseError, match=f"{re.escape(message)}$"):
+            parse_poly(text)
+
+    def test_unicode_decimal_digits_are_numbers(self):
+        assert parse_poly("\u0663*x^\u0662") == parse_poly("3*x^2")
 
 
 class TestGammaExpand:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -295,6 +296,23 @@ class TestMisuse:
         argv = [arg.replace("{rules}", str(rules)) for arg in argv]
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("rules_text,seed", [
+        # `str.isdigit` accepts a superscript two, which `int` cannot read
+        ("a -> a*b\n", "a^\u00b2"),
+        ("a -> a*b\n", "\u00b2"),
+        ("a -> a*b\n", "1/\u00b2"),
+        ("a -> a^\u00b2\n", "a"),
+        # an identifier that no name token of a polynomial matches
+        ("\u03b1 -> a\n", "a"),
+    ])
+    def test_text_outside_the_format(self, tmp_path, capsys, rules_text, seed):
+        rules = tmp_path / "rules.g"
+        rules.write_text(rules_text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "grammar", "--rules", str(rules),
+                                 "--seed", seed, "--iterations", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_zero_bounds_stay_valid(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--checks", "M-MAIN,A-EGF",
                                "--max-n", "0", "--egf-order", "0")
@@ -467,6 +485,42 @@ class TestOutputErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {target}: ")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--family", "perms", "--n", "3"],
+        # fails inside the row stream, long before the final flush
+        ["enumerate", "--family", "perms", "--n", "7", "--format", "csv"],
+        ["poly", "--name", "Mn", "--n", "3"],
+        ["verify", "--checks", "A-RISING", "--max-n", "2"],
+        ["grammar", "--rules", "{rules}", "--seed", "a", "--iterations", "2"],
+    ])
+    def test_full_device_exits_2(self, tmp_path, argv, to_stdout):
+        rules = tmp_path / "dumont.g"
+        rules.write_text("a -> a*b\nb -> a*b\n")
+        argv = [arg.replace("{rules}", str(rules)) for arg in argv]
+        if to_stdout:
+            with open("/dev/full", "w") as full:
+                result = subprocess.run([sys.executable, "-m", "chordlab.cli", *argv],
+                                        stdout=full, stderr=subprocess.PIPE, text=True)
+        else:
+            result = _chordlab(*argv, "--out", "/dev/full")
+            assert result.stdout == ""
+        name = "standard output" if to_stdout else "/dev/full"
+        assert result.returncode == 2
+        assert result.stderr == f"error: cannot write {name}: No space left on device\n"
+
+    def test_pool_that_cannot_start_is_not_a_write_error(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        def refuse(max_workers):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        with pytest.raises(OSError, match="No space left on device"):
+            main(["verify", "--checks", "A-RISING,STIRLING1-ID", "--max-n", "2",
+                  "--jobs", "2"])
+
     def test_closed_pipe_exits_quietly(self):
         proc = subprocess.Popen(
             [sys.executable, "-m", "chordlab.cli", "enumerate", "--family",
@@ -475,6 +529,7 @@ class TestOutputErrors:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert first == b"(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)(13,14)\n"
         assert err == b""

@@ -104,7 +104,7 @@ def matchings(draw):
     """A uniformly shuffled pairing of [2n], n <= 12, in standard form."""
     n = draw(hs.integers(0, 12))
     order = draw(hs.permutations(range(1, 2 * n + 1)))
-    return mt.standard_form(zip(order[::2], order[1::2]))
+    return oracles.standard_form(zip(order[::2], order[1::2]))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,18 @@ class TestEnumeration:
         signed = list(pm.enumerate_signed(2))
         for start in (0, 3, 7, 8):
             assert list(pm.enumerate_signed(2, start_rank=start)) == signed[start:]
+
+    def test_every_start_rank_matches_itertools(self):
+        for n in range(7):
+            full = list(itertools.permutations(range(1, n + 1)))
+            for start in range(math.factorial(n) + 2):
+                assert list(pm.enumerate_permutations(n, start)) == full[start:], (n, start)
+
+    def test_start_ranks_at_n7(self):
+        full = list(itertools.permutations(range(1, 8)))
+        for start in (1, 119, 720, 2519, 4319, 5038, 5039, 5040):
+            head = list(itertools.islice(pm.enumerate_permutations(7, start), 800))
+            assert head == full[start:start + 800]
 
 
 class TestStats:
