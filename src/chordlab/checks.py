@@ -28,6 +28,7 @@ from .algebra import (MVPoly, NotHomogeneousError, NotSymmetricError,
                       TruncatedSeries, esym_assemble, esym_expand, esym_polys,
                       gamma_expand, parse_poly, project, rising_factorial,
                       stirling1_unsigned)
+from .census import census
 
 
 class UnknownCheckIdError(Exception):
@@ -147,7 +148,7 @@ def _first_word_in_diff(n: int, diff: MVPoly, key_of, names) -> str:
 
 def _perm_quadruple_poly(n: int) -> MVPoly:
     return MVPoly.from_exponents(
-        project(pm.perm_census(n), lambda s: (s.exc, s.drop, s.fix, s.cyc)),
+        project(census("perm", n), lambda s: (s.exc, s.drop, s.fix, s.cyc)),
         ("x", "y", "p", "q"))
 
 
@@ -233,10 +234,10 @@ def _a_equidist(n):
     # The joint (exc, drop) polynomial differs from the (asc, des) one (fixed
     # points shift the degree), so the checkable content is the univariate
     # equidistribution, homogenized to degree n-1 on the excedance side.
-    census = pm.perm_census(n)
-    yield ("", MVPoly.from_exponents(project(census, lambda s: (s.exc, n - 1 - s.exc)),
+    perms = census("perm", n)
+    yield ("", MVPoly.from_exponents(project(perms, lambda s: (s.exc, n - 1 - s.exc)),
                                      ("x", "y")),
-           MVPoly.from_exponents(project(census, lambda s: (s.asc, s.des)), ("x", "y")))
+           MVPoly.from_exponents(project(perms, lambda s: (s.asc, s.des)), ("x", "y")))
 
 
 @_identity("A-RISING", "cycle polynomial equals the rising factorial", 8)
@@ -376,7 +377,7 @@ def _der_count(n):
     rhs = 2 ** n * pm.derangement_count(n)
     if matching_side != rhs:
         return f"n={n}: fixb-free weight {matching_side} != {rhs}"
-    derangements = sum(c for s, c in pm.perm_census(n).items() if s.fix == 0)
+    derangements = sum(c for s, c in census("perm", n).items() if s.fix == 0)
     if derangements != pm.derangement_count(n):
         return f"n={n}: {derangements} derangements, formula {pm.derangement_count(n)}"
     return None
@@ -488,7 +489,7 @@ _I_KEY = operator.attrgetter("inv", "coinv", "rank")
 @_per_n("I-STATS", "I_n(x,y,q) equals the inv/coinv/rank word polynomial", 6)
 def _i_stats(n):
     lhs = mt.i_poly(n)
-    rhs = MVPoly.from_exponents(project(wd.word_census(n), _I_KEY), ("x", "y", "q"))
+    rhs = MVPoly.from_exponents(project(census("word", n), _I_KEY), ("x", "y", "q"))
     if lhs == rhs:
         return None
     return _diff_witness(n, lhs, rhs) + _first_word_in_diff(
@@ -502,7 +503,7 @@ def _kz_sym(n):
 
 @_identity("KLAZAR-SYM", "joint crossing/nesting distribution is symmetric (Klazar)", 6)
 def _klazar(n):
-    p = MVPoly.from_exponents(project(mt.pair_census(n), lambda ps: (ps.cr, ps.ne)),
+    p = MVPoly.from_exponents(project(census("pair", n), lambda ps: (ps.cr, ps.ne)),
                               ("x", "y"))
     yield "", p, _swapped(p)
 
@@ -632,13 +633,13 @@ def _cq_transform(n):
 @_identity("Q-LNE", "left-nesting distribution follows the second-order Eulerian triangle", 7)
 def _q_lne(n):
     yield "", MVPoly.from_exponents(
-        project(mt.pair_census(n), lambda ps: (n - ps.lne,)), ("x",)), st.q_univariate(n)
+        project(census("pair", n), lambda ps: (n - ps.lne,)), ("x",)), st.q_univariate(n)
 
 
 @_identity("Q-LRP", "LR-pair distribution follows the second-order Eulerian triangle", 7)
 def _q_lrp(n):
     yield "", MVPoly.from_exponents(
-        project(mt.pair_census(n), lambda ps: (n + 1 - ps.lrp,)), ("x",)), st.q_univariate(n)
+        project(census("pair", n), lambda ps: (n + 1 - ps.lrp,)), ("x",)), st.q_univariate(n)
 
 
 @_identity("NCA-RECU", "first-order recurrence for the NCA polynomials", 6)
@@ -667,7 +668,7 @@ def _six_eulerian(n):
     names = ("x", "y")
     target = pm.eulerian_xy(n)
     for label, selector in _SIX_CASES:
-        poly = MVPoly.from_exponents(project(wd.neighbor_census(n), selector), names)
+        poly = MVPoly.from_exponents(project(census("neighbor", n), selector), names)
         if poly != target:
             return _diff_witness(n, poly, target, label) + _first_word_in_diff(
                 n, poly - target, lambda w: selector(wd.neighbor_classify(w)), names)
@@ -681,7 +682,7 @@ def _six_eulerian(n):
 
 @_per_n("COUNT-CATALAN", "noncrossing matchings are counted by Catalan numbers", 7)
 def _catalan(n):
-    count = sum(c for ps, c in mt.pair_census(n).items() if ps.cr == 0)
+    count = sum(c for ps, c in census("pair", n).items() if ps.cr == 0)
     catalan = math.comb(2 * n, n) // (n + 1)
     return None if count == catalan else f"n={n}: {count} != C_n = {catalan}"
 
@@ -690,12 +691,12 @@ def _catalan(n):
 def _narayana(n):
     # In a noncrossing matching an opener followed by a closer is an
     # adjacent block (i, i+1), so lrp counts its adjacent blocks.
-    census = mt.pair_census(n)
+    pairs = census("pair", n)
     expected = {k: math.comb(n, k - 1) * math.comb(n, k) // n for k in range(1, n + 1)}
-    noncrossing = project(census, lambda ps: None if ps.cr else ps.lrp)
+    noncrossing = project(pairs, lambda ps: None if ps.cr else ps.lrp)
     if noncrossing != expected:
         return f"n={n}: adjacent-block profile {noncrossing} != {expected}"
-    nonnesting = project(census, lambda ps: None if ps.ne else ps.lrp)
+    nonnesting = project(pairs, lambda ps: None if ps.ne else ps.lrp)
     if nonnesting != expected:
         return f"n={n}: LR-pair profile {nonnesting} != {expected}"
     return None
@@ -703,17 +704,17 @@ def _narayana(n):
 
 @_per_n("COUNT-LNE-FACT", "matchings without left-nestings are counted by n!", 7)
 def _lne_fact(n):
-    count = sum(c for ps, c in mt.pair_census(n).items() if ps.lne == 0)
+    count = sum(c for ps, c in census("pair", n).items() if ps.lne == 0)
     return None if count == math.factorial(n) else f"n={n}: {count} != n! = {math.factorial(n)}"
 
 
 @_per_n("FOATA-GAMMA", "gamma coefficients of A_n(x,y) count both stated objects", 7)
 def _foata(n):
     gamma = {j: int(p.constant_term()) for j, p in gamma_expand(pm.eulerian_xy(n), "x", "y")}
-    alpha = project(pm.perm_census(n), lambda s: None if s.dd else s.des)
+    alpha = project(census("perm", n), lambda s: None if s.dd else s.des)
     if gamma != alpha:
         return f"n={n}: gamma {gamma} != no-double-descent counts {alpha}"
-    trees = project(st.tree_census(n, 2), lambda h: h[2])
+    trees = project(census("tree", n, 2), lambda h: h[2])
     if gamma != trees:
         return f"n={n}: gamma {gamma} != 0-1-2 tree census {trees}"
     return None

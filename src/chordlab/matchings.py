@@ -7,11 +7,11 @@ exactly once.  Plain tuples keep the enumeration of the larger M_n cheap.
 """
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .algebra import MVPoly, project, start_digits
+from .census import census
 
 Arc = tuple  # (opener, closer)
 Matching = tuple  # tuple[Arc, ...] in standard form
@@ -206,31 +206,15 @@ def matchings(n: int) -> Iterator[Matching]:
 
 
 def _block_key(m: Matching) -> tuple:
+    """(elblock, olblock, fixb, trace, even_to_odd), never pairwise_stats."""
     bs = block_stats(m)
     return (bs.elblock, bs.olblock, bs.fixb, trace(m), bs.even_to_odd)
 
 
 @lru_cache(maxsize=None)
-def block_census(n: int) -> Counter:
-    """{(elblock, olblock, fixb, trace, even_to_odd): count} over M_n.
-
-    One pass over the block-class and trace kernels, never pairwise_stats;
-    M_n, the trace distribution and the even-to-odd count project from it.
-    Callers must not mutate the result.
-    """
-    return Counter(map(_block_key, matchings(n)))
-
-
-@lru_cache(maxsize=None)
-def pair_census(n: int) -> Counter:
-    """{PairStats: count} over M_n, from one pass of pairwise_stats."""
-    return Counter(map(pairwise_stats, matchings(n)))
-
-
-@lru_cache(maxsize=None)
 def m_poly(n: int) -> MVPoly:
     """The (s,t)-even-odd larger matching polynomial M_n(x, y, s, t)."""
-    return MVPoly.from_exponents(project(block_census(n), lambda k: k[:4]),
+    return MVPoly.from_exponents(project(census("block", n), lambda k: k[:4]),
                                  ("x", "y", "s", "t"))
 
 
@@ -238,17 +222,17 @@ def m_poly(n: int) -> MVPoly:
 def i_poly(n: int) -> MVPoly:
     """I_n(x, y, q): sum of x^ne y^cr q^al over matchings."""
     return MVPoly.from_exponents(
-        project(pair_census(n), lambda ps: (ps.ne, ps.cr, ps.al)), ("x", "y", "q"))
+        project(census("pair", n), lambda ps: (ps.ne, ps.cr, ps.al)), ("x", "y", "q"))
 
 
 def count_even_to_odd_free(n: int) -> int:
     """Matchings with no block whose opener is even and closer odd."""
-    return sum(c for key, c in block_census(n).items() if key[4] == 0)
+    return sum(c for key, c in census("block", n).items() if key[4] == 0)
 
 
 def trace_distribution(n: int) -> MVPoly:
     """Sum of q^trace over all matchings of [2n]."""
-    return MVPoly.from_exponents(project(block_census(n), lambda k: (k[3],)), ("q",))
+    return MVPoly.from_exponents(project(census("block", n), lambda k: (k[3],)), ("q",))
 
 
 _ARC_TEXT: dict = {}  # arc -> "(a,b)"; at most C(2n, 2) arcs on [2n]

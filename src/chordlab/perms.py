@@ -2,21 +2,21 @@
 
 Permutations are one-line tuples pi with pi[i-1] = pi(i); signed permutations
 are window tuples over {+-1..+-n} whose absolute values form a permutation.
-All enumeration streams are lexicographic and restartable from a rank, so
-enumeration can be partitioned into contiguous shards whose aggregates are
-combined by ordinary polynomial addition.
+All streams are lexicographic.  Permutations and signed permutations resume
+from a rank, so their enumeration can be cut into contiguous shards whose
+aggregates combine by polynomial addition; derangements take no rank.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from bisect import bisect_right, insort
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .algebra import MVPoly, project, start_digits
+from .census import census
 
 Permutation = tuple  # tuple[int, ...], values 1..n
 SignedPermutation = tuple  # tuple[int, ...], values in {+-1..+-n}
@@ -185,52 +185,30 @@ def signed_stats(sigma: SignedPermutation) -> SignedStats:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def perm_census(n: int) -> Counter:
-    """{PermStats: count} over S_n, from one pass of perm_stats.
-
-    Every S_n polynomial below, and every S_n tally of the checks, projects
-    from it.  Callers must not mutate the result.
-    """
-    return Counter(map(perm_stats, enumerate_permutations(n)))
-
-
-@lru_cache(maxsize=None)
 def eulerian_xy(n: int) -> MVPoly:
-    """Bivariate Eulerian polynomial, sum of x^asc y^des over all of S_n.
-
-    The excedance tally is homogenized to x^exc y^(n-1-exc) from the same
-    census and asserted equal, as a guard on the statistic implementations.
-    (The joint (exc, drop) distribution is a different polynomial: drop + exc
-    varies with the number of fixed points, so only the equidistribution of
-    exc with asc and des survives bivariately.)
-    """
-    census = perm_census(n)
-    poly = MVPoly.from_exponents(project(census, lambda s: (s.asc, s.des)), ("x", "y"))
-    cross = MVPoly.from_exponents(project(census, lambda s: (s.exc, n - 1 - s.exc)),
-                                  ("x", "y"))
-    if poly != cross:
-        raise AssertionError("asc/des and homogenized exc tallies disagree")
-    return poly
+    """Bivariate Eulerian polynomial, sum of x^asc y^des over all of S_n."""
+    return MVPoly.from_exponents(project(census("perm", n), lambda s: (s.asc, s.des)),
+                                 ("x", "y"))
 
 
 @lru_cache(maxsize=None)
 def eulerian_xpq(n: int) -> MVPoly:
     """The (p,q)-Eulerian polynomial, sum of x^exc p^fix q^cyc over S_n."""
     return MVPoly.from_exponents(
-        project(perm_census(n), lambda s: (s.exc, s.fix, s.cyc)), ("x", "p", "q"))
+        project(census("perm", n), lambda s: (s.exc, s.fix, s.cyc)), ("x", "p", "q"))
 
 
 @lru_cache(maxsize=None)
 def derangement_poly(n: int) -> MVPoly:
     """d_n(x, q): sum of x^exc q^cyc over derangements of [n]."""
     return MVPoly.from_exponents(
-        project(perm_census(n), lambda s: None if s.fix else (s.exc, s.cyc)), ("x", "q"))
+        project(census("perm", n), lambda s: None if s.fix else (s.exc, s.cyc)), ("x", "q"))
 
 
 def dnk_table(n: int) -> dict[int, MVPoly]:
     """For each k, the cycle polynomial of cda-free derangements with exc = k."""
     by_exc = MVPoly.from_exponents(
-        project(perm_census(n), lambda s: None if s.fix or s.cda else (s.exc, s.cyc)),
+        project(census("perm", n), lambda s: None if s.fix or s.cda else (s.exc, s.cyc)),
         ("x", "q"))
     return {k: p for (k,), p in sorted(by_exc.coefficients_in(("x",)).items())}
 
@@ -238,9 +216,8 @@ def dnk_table(n: int) -> dict[int, MVPoly]:
 @lru_cache(maxsize=None)
 def b_poly(n: int) -> MVPoly:
     """Type-B (p,q)-Eulerian polynomial, sum of x^wexc p^fix q^cyc over B_n."""
-    census = Counter(map(signed_stats, enumerate_signed(n)))
     return MVPoly.from_exponents(
-        project(census, lambda s: (s.wexc, s.fix_B, s.cyc_B)), ("x", "p", "q"))
+        project(census("signed", n), lambda s: (s.wexc, s.fix_B, s.cyc_B)), ("x", "p", "q"))
 
 
 def type_b_derangement_poly(n: int) -> MVPoly:

@@ -9,11 +9,11 @@ tree censuses provide the independent enumeration side.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .algebra import MVPoly, project, start_digits
+from .census import census
 
 StirlingPermutation = tuple  # tuple[int, ...] of length 2n
 PlaneTree = tuple  # children lists: tuple[tuple[int, ...], ...], index 0 unused
@@ -76,8 +76,7 @@ def stirling_word_stats(word: StirlingPermutation) -> tuple[int, int, int]:
 @lru_cache(maxsize=None)
 def q_poly(n: int) -> MVPoly:
     """Trivariate second-order Eulerian polynomial Q_n(x, y, z)."""
-    return MVPoly.from_exponents(Counter(map(stirling_word_stats, enumerate_stirling(n))),
-                                 ("x", "y", "z"))
+    return MVPoly.from_exponents(census("stirling", n), ("x", "y", "z"))
 
 
 def q_univariate(n: int) -> MVPoly:
@@ -252,18 +251,11 @@ def gamma_poly(n: int) -> MVPoly:
     return gamma_table(n).poly()
 
 
-@lru_cache(maxsize=None)
-def tree_census(n: int, max_degree: int) -> Counter:
-    """{(leaves, deg-1, deg-2, deg-3): count} over increasing plane trees on
-    [n] with degrees <= max_degree, from one pass.  Callers must not mutate it."""
-    return Counter(map(tree_degree_histogram, enumerate_trees(n, max_degree)))
-
-
 def degree_census(n: int, max_degree: int) -> CoeffTable:
     """Tree counts on [n] keyed by (deg-1, deg-2, deg-3) vertex counts."""
-    return CoeffTable(n, project(tree_census(n, max_degree), lambda h: h[1:]))
+    return CoeffTable(n, project(census("tree", n, max_degree), lambda h: h[1:]))
 
 
 def gamma_keyed_census(n: int) -> CoeffTable:
     """Tree counts on [n] keyed the gamma way: (deg-2, deg-1, leaves)."""
-    return CoeffTable(n, project(tree_census(n, 3), lambda h: (h[2], h[1], h[0])))
+    return CoeffTable(n, project(census("tree", n, 3), lambda h: (h[2], h[1], h[0])))

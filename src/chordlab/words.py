@@ -9,11 +9,11 @@ object by object.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .algebra import MVPoly, project
+from .census import census
 from . import matchings as mt
 
 Symbol = tuple  # (value, barred)
@@ -181,29 +181,15 @@ def word_text(w: Word) -> str:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def neighbor_census(n: int) -> Counter:
-    """{NeighborClassification: count} over matching permutations of order
-    n, from one pass of neighbor_classify.  Callers must not mutate it."""
-    return Counter(map(neighbor_classify, words(n)))
-
-
-@lru_cache(maxsize=None)
-def word_census(n: int) -> Counter:
-    """{WordStats: count} over matching permutations, from one pass of
-    word_stats on the words themselves (never on their matchings)."""
-    return Counter(map(word_stats, words(n)))
-
-
-@lru_cache(maxsize=None)
 def c_poly(n: int) -> MVPoly:
     """The five-variable neighbor polynomial C_n(x1, x2, x3, y1, y2)."""
-    return MVPoly.from_exponents(neighbor_census(n), ("x1", "x2", "x3", "y1", "y2"))
+    return MVPoly.from_exponents(census("neighbor", n), ("x1", "x2", "x3", "y1", "y2"))
 
 
 @lru_cache(maxsize=None)
 def nca_poly(n: int) -> MVPoly:
     """Sum of x^lne y^lcr z^nal over matching permutations."""
-    return MVPoly.from_exponents(project(neighbor_census(n), lambda k: k[:3]),
+    return MVPoly.from_exponents(project(census("neighbor", n), lambda k: k[:3]),
                                  ("x", "y", "z"))
 
 
@@ -211,5 +197,5 @@ def nca_poly(n: int) -> MVPoly:
 def ncr_poly(n: int) -> MVPoly:
     """Sum of x^lne y^lcr z^(lrp-1) over matching permutations."""
     return MVPoly.from_exponents(
-        project(neighbor_census(n), lambda k: (k[0], k[1], k[4] - 1)),
+        project(census("neighbor", n), lambda k: (k[0], k[1], k[4] - 1)),
         ("x", "y", "z"))

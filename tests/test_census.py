@@ -13,6 +13,7 @@ from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
+from chordlab.census import TABLE, _CACHE, census
 from chordlab.checks import run_checks
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,8 +95,8 @@ def test_word_censuses_share_one_word_list(monkeypatch):
     monkeypatch.setattr(wd, "from_matching", counted)
     chordlab.clear_caches()
     try:
-        wd.neighbor_census(5)
-        wd.word_census(5)
+        census("neighbor", 5)
+        census("word", 5)
         assert sum(calls.values()) == calls[5] == 945
     finally:
         monkeypatch.undo()
@@ -110,3 +111,13 @@ def test_clear_caches_empties_every_cache():
     chordlab.clear_caches()
     assert {fn.__module__ + "." + fn.__name__: fn.cache_info().currsize
             for fn in cached if fn.cache_info().currsize} == {}
+    assert _CACHE == {}
+
+
+def test_every_table_entry_is_read():
+    chordlab.clear_caches()
+    try:
+        run_checks("all", max_n=3, egf_order=3)
+        assert {key[0] for key in _CACHE} == set(TABLE)
+    finally:
+        chordlab.clear_caches()

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -190,7 +191,8 @@ class TestFaultInjection:
         self._assert_some_failure(["TRACE-RISING", "M-MAIN"], max_n=3,
                                   expect="TRACE-RISING")
 
-    def test_perturbed_block_class(self, fresh_caches, monkeypatch):
+    @staticmethod
+    def _misclassify_blocks(monkeypatch):
         real = mt.block_stats
 
         def misclassified(m):
@@ -202,7 +204,21 @@ class TestFaultInjection:
 
         monkeypatch.setattr(mt, "block_stats", misclassified)
         chordlab.clear_caches()
+
+    def test_perturbed_block_class(self, fresh_caches, monkeypatch):
+        self._misclassify_blocks(monkeypatch)
         self._assert_some_failure(["M-MAIN"], max_n=3, expect="M-MAIN")
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers see the perturbation only when forked")
+    def test_perturbed_block_class_in_the_pool(self, fresh_caches, monkeypatch):
+        self._misclassify_blocks(monkeypatch)
+        pooled = run_checks(["M-MAIN", "M-SYM"], max_n=4, jobs=2)
+        chordlab.clear_caches()
+        serial = run_checks(["M-MAIN", "M-SYM"], max_n=4)
+        assert "fail" in {r.status for r in serial}
+        assert [(r.id, r.status, r.witness) for r in pooled] == [
+            (r.id, r.status, r.witness) for r in serial]
 
     def test_weak_excedance(self, fresh_caches, monkeypatch):
         real = pm.perm_stats

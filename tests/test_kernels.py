@@ -18,6 +18,7 @@ from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
 from chordlab.algebra import MVPoly, parse_poly
+from chordlab.census import census
 
 SIZES = range(7)
 
@@ -63,7 +64,7 @@ def test_word_kernels(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_neighbor_census_tallies_the_class_sizes(n):
-    assert wd.neighbor_census(n) == Counter(map(_class_sizes, wd.enumerate_words(n)))
+    assert census("neighbor", n) == Counter(map(_class_sizes, wd.enumerate_words(n)))
 
 
 @pytest.mark.parametrize("n", SIZES)
