@@ -28,7 +28,7 @@ from .algebra import (MVPoly, NotHomogeneousError, NotSymmetricError,
                       TruncatedSeries, esym_assemble, esym_expand, esym_polys,
                       gamma_expand, parse_poly, project, rising_factorial,
                       stirling1_unsigned)
-from .census import census
+from .census import census, sharded
 
 
 class UnknownCheckIdError(Exception):
@@ -780,6 +780,8 @@ def _run_single(check_id: str, max_n: int | None, egf_order: int) -> CheckResult
     started = time.monotonic()
     try:
         rows = check.run(effective, egf_order)
+    except OSError:
+        raise  # the process failed, not the identity: say, a census could not fork
     except Exception as exc:  # a crashing side counts as a failure, not an abort
         ms = int(round((time.monotonic() - started) * 1000))
         return CheckResult(id=check_id, status="fail", max_n=effective,
@@ -799,7 +801,9 @@ def run_checks(selection="all", max_n: int | None = None,
     """Run the named checks (or all of them) and return ordered results.
 
     `selection` is "all", None, one check id, or an iterable of ids; an id
-    named twice runs once.  Results do not depend on `jobs`; failing checks
+    named twice runs once.  The checks run in this process, in order;
+    `jobs` only lets each large census fork into up to that many shards
+    (`census.sharded`), so results do not depend on it.  Failing checks
     never abort the run.
     """
     if selection == "all" or selection is None:
@@ -810,12 +814,8 @@ def run_checks(selection="all", max_n: int | None = None,
             if check_id not in _REGISTRY:
                 raise UnknownCheckIdError(f"unknown check id: {check_id}")
     order = DEFAULT_EGF_ORDER if egf_order is None else egf_order
-    if jobs <= 1 or len(ids) <= 1:
+    with sharded(jobs):
         return [_run_single(check_id, max_n, order) for check_id in ids]
-    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for it
-    with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
-        return list(pool.map(_run_single, ids, itertools.repeat(max_n),
-                             itertools.repeat(order)))
 
 
 def report_json(results: Iterable[CheckResult]) -> str:

@@ -198,11 +198,13 @@ def _matching_list(n: int) -> tuple:
     return tuple(enumerate_matchings(n))
 
 
-def matchings(n: int) -> Iterator[Matching]:
+def matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
     """Like enumerate_matchings but cached for n <= 6."""
-    if n <= 6:
-        return iter(_matching_list(n))
-    return enumerate_matchings(n)
+    if n > 6:
+        return enumerate_matchings(n, start_rank=start_rank)
+    if start_rank < 0:
+        raise ValueError("start_rank must be nonnegative")
+    return iter(_matching_list(n)[start_rank:])
 
 
 def _block_key(m: Matching) -> tuple:

@@ -88,12 +88,14 @@ def _word_list(n: int) -> tuple:
     return tuple(map(from_matching, mt.matchings(n)))
 
 
-def words(n: int) -> Iterator[Word]:
+def words(n: int, start_rank: int = 0) -> Iterator[Word]:
     """Like :func:`enumerate_words` but cached for n <= 6, like
     :func:`matchings.matchings`."""
-    if n <= 6:
-        return iter(_word_list(n))
-    return map(from_matching, mt.matchings(n))
+    if n > 6:
+        return map(from_matching, mt.matchings(n, start_rank))
+    if start_rank < 0:
+        raise ValueError("start_rank must be nonnegative")
+    return iter(_word_list(n)[start_rank:])
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 every projection renders exactly what the per-family tallies rendered
 before it (golden corpus in tests/golden, captured from those tallies)."""
 import collections
+import itertools
+import os
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import chordlab
+from chordlab import census as census_module
 from chordlab import cli
 from chordlab import matchings as mt
 from chordlab import perms as pm
@@ -121,3 +126,39 @@ def test_every_table_entry_is_read():
         assert {key[0] for key in _CACHE} == set(TABLE)
     finally:
         chordlab.clear_caches()
+
+
+# Each sized entry at the largest n its shard property walks.
+SIZED = {"block": 5, "pair": 5, "neighbor": 5, "word": 5, "perm": 5, "signed": 4,
+         "stirling": 5}
+
+
+def test_every_census_but_tree_has_a_size():
+    assert {name for name, entry in TABLE.items() if entry[3]} == set(SIZED)
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_size_counts_the_stream(name):
+    module, stream, _, size = TABLE[name]
+    stream = getattr(getattr(chordlab, module), stream)
+    assert [size(n) for n in range(SIZED[name] + 1)] == [
+        sum(1 for _ in stream(n)) for n in range(SIZED[name] + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.sampled_from(sorted(SIZED)), hs.data())
+def test_shards_merged_in_order_are_the_census(name, data):
+    # Cut points anywhere, empty ranges included; every range but the first
+    # is walked in a forked child.
+    n = data.draw(hs.integers(0, SIZED[name]))
+    module, stream, kernel, size = TABLE[name]
+    module = getattr(chordlab, module)
+    stream, kernel = getattr(module, stream), getattr(module, kernel)
+    cuts = data.draw(hs.lists(hs.integers(0, size(n)), max_size=3))
+    bounds = [0, *sorted(cuts), size(n)]
+    merged = census_module._sharded(
+        lambda lo, hi: collections.Counter(
+            map(kernel, itertools.islice(stream(n, lo), hi - lo))), bounds)
+    assert list(merged.items()) == list(census(name, n).items())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

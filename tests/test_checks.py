@@ -1,14 +1,16 @@
 import json
-import multiprocessing
+import os
 
 import pytest
 
 import chordlab
+from chordlab import census as census_module
 from chordlab import checks
 from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
+from chordlab.census import census
 from chordlab.checks import (CheckResult, UnknownCheckIdError, check_ids,
                              report_json, report_table, run_checks)
 
@@ -20,6 +22,20 @@ def fresh_caches():
     chordlab.clear_caches()
     yield
     chordlab.clear_caches()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """os.fork, counted: one entry per child the test forks."""
+    forked = []
+    real_fork = os.fork
+
+    def counted():
+        forked.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
 
 
 def _normalized(results):
@@ -92,28 +108,30 @@ class TestRunner:
                               max_n=4, jobs=2)
         assert _normalized(serial) == _normalized(parallel)
 
-    def test_pool_starts_at_most_one_worker_per_check(self, monkeypatch):
-        # The pool forks all of its workers when it starts, so --jobs beyond
-        # the number of checks would fork processes that never run one.
-        import concurrent.futures
-        started = []
+    def test_small_censuses_fork_nothing(self, monkeypatch):
+        # --jobs bounds the shards of one census, not the processes of a run:
+        # no census at max_n=2 reaches SHARD_MIN, so jobs=500 forks nothing.
+        def refuse():
+            raise AssertionError("a census below SHARD_MIN forked")
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        monkeypatch.setattr(os, "fork", refuse)
+        chordlab.clear_caches()
+        results = run_checks(["A-RISING", "STIRLING1-ID", "A-EQUIDIST"], max_n=2, jobs=500)
+        assert [r.status for r in results] == ["pass", "pass", "pass"]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        results = run_checks(["A-RISING", "STIRLING1-ID"], max_n=2, jobs=500)
-        assert started == [2]
-        assert [r.status for r in results] == ["pass", "pass"]
+    @pytest.mark.parametrize("name,args", [("perm", (4,)), ("neighbor", (3,)),
+                                           ("signed", (3,)), ("stirling", (3,))])
+    def test_a_census_of_k_shards_forks_k_minus_one_children(
+            self, fresh_caches, forks, monkeypatch, name, args):
+        serial = list(census(name, *args).items())
+        chordlab.clear_caches()
+        monkeypatch.setattr(census_module, "SHARD_MIN", 1)
+        with census_module.sharded(3):
+            sharded = list(census(name, *args).items())
+        assert len(forks) == 2
+        assert sharded == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_failing_checks_do_not_abort_the_suite(self, fresh_caches, monkeypatch):
         real = mt.trace_indices
@@ -209,16 +227,37 @@ class TestFaultInjection:
         self._misclassify_blocks(monkeypatch)
         self._assert_some_failure(["M-MAIN"], max_n=3, expect="M-MAIN")
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="pool workers see the perturbation only when forked")
-    def test_perturbed_block_class_in_the_pool(self, fresh_caches, monkeypatch):
+    def test_perturbed_block_class_in_shards(self, fresh_caches, forks, monkeypatch):
         self._misclassify_blocks(monkeypatch)
-        pooled = run_checks(["M-MAIN", "M-SYM"], max_n=4, jobs=2)
+        monkeypatch.setattr(census_module, "SHARD_MIN", 100)  # M_4 has 105 matchings
+        sharded = run_checks(["M-MAIN", "M-SYM"], max_n=4, jobs=2)
+        assert forks, "M_4 was not sharded"
         chordlab.clear_caches()
         serial = run_checks(["M-MAIN", "M-SYM"], max_n=4)
         assert "fail" in {r.status for r in serial}
-        assert [(r.id, r.status, r.witness) for r in pooled] == [
+        assert [(r.id, r.status, r.witness) for r in sharded] == [
             (r.id, r.status, r.witness) for r in serial]
+
+    # S_4 in lexicographic order, cut in two at rank 12
+    @pytest.mark.parametrize("bad", [(1, 3, 2, 4), (4, 1, 3, 2)])
+    def test_kernel_raising_in_a_shard(self, fresh_caches, forks, monkeypatch, bad):
+        real = pm.perm_stats
+
+        def raising(pi):
+            if pi == bad:
+                raise ValueError(f"no statistics for {pi}")
+            return real(pi)
+
+        monkeypatch.setattr(pm, "perm_stats", raising)
+        monkeypatch.setattr(census_module, "SHARD_MIN", 12)
+        sharded = run_checks(["A-EQUIDIST"], max_n=4, jobs=2)
+        assert forks == [1]
+        chordlab.clear_caches()
+        serial = run_checks(["A-EQUIDIST"], max_n=4)
+        assert serial[0].witness == f"exception: ValueError('no statistics for {bad}')"
+        assert _normalized(sharded) == _normalized(serial)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_weak_excedance(self, fresh_caches, monkeypatch):
         real = pm.perm_stats

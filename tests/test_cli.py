@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import chordlab
 import oracles
-from chordlab import checks, cli
+from chordlab import census, checks, cli
 from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import words as wd
@@ -237,13 +238,21 @@ class TestUsage:
         assert out.stdout.strip() == "s^2*t^2 + 2*t*x*y"
 
     def test_import_leaves_heavy_stdlib_modules_unloaded(self):
-        # Every start pays for what `import chordlab.cli` loads; the process
-        # pool is imported only by a verify run with --jobs above 1.
+        # Every start pays for what `import chordlab.cli` loads.
         probe = ("import sys, chordlab.cli; print(sorted(set(sys.modules) & {"
-                 "'dataclasses', 'inspect', 'concurrent.futures', 'logging'}))")
+                 "'dataclasses', 'inspect', 'concurrent.futures', 'logging', 'pickle'}))")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+        # A sharded census forks bare processes and pickles their counts
+        # (B-MAIN at n = 6 reads B_6, 46,080 objects): no pool module loads.
+        probe = ("import os, sys; from chordlab.cli import main; rc = main(["
+                 "'verify', '--checks', 'B-MAIN', '--max-n', '6', '--jobs', '2', "
+                 "'--out', os.devnull]); print(rc, sorted(set(sys.modules) & {"
+                 "'concurrent.futures', 'multiprocessing', 'pickle'}))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0 ['pickle']"
 
 
 class TestMisuse:
@@ -510,16 +519,17 @@ class TestOutputErrors:
         assert result.returncode == 2
         assert result.stderr == f"error: cannot write {name}: No space left on device\n"
 
-    def test_pool_that_cannot_start_is_not_a_write_error(self, capsys, monkeypatch):
-        import concurrent.futures
-
-        def refuse(max_workers):
+    def test_fork_that_fails_is_not_a_write_error(self, monkeypatch):
+        def refuse():
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(census, "SHARD_MIN", 12)  # shards S_4
+        chordlab.clear_caches()
+        fds = os.listdir("/proc/self/fd")
         with pytest.raises(OSError, match="No space left on device"):
-            main(["verify", "--checks", "A-RISING,STIRLING1-ID", "--max-n", "2",
-                  "--jobs", "2"])
+            main(["verify", "--checks", "A-EQUIDIST", "--max-n", "4", "--jobs", "2"])
+        assert os.listdir("/proc/self/fd") == fds  # the shard's pipe is closed
 
     def test_closed_pipe_exits_quietly(self):
         proc = subprocess.Popen(

@@ -10,9 +10,14 @@ from hypothesis import strategies as hs
 from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
+from chordlab import words as wd
 
+# Up to n = 6 the cached streams slice a list; above it they resume the
+# matching stream (test_cached_streams_resume_above_the_cache).
 STREAMS = {
     "matchings": (mt.enumerate_matchings, 5),
+    "matchings.matchings": (mt.matchings, 6),
+    "words.words": (wd.words, 6),
     "perms": (pm.enumerate_permutations, 5),
     "signed": (pm.enumerate_signed, 4),
     "stirling": (st.enumerate_stirling, 5),
@@ -56,3 +61,12 @@ def test_contiguous_shards_recombine(family_n, data):
 def test_negative_start_rank_is_rejected(family, n):
     with pytest.raises(ValueError, match="start_rank must be nonnegative"):
         next(STREAMS[family][0](n, -1))
+
+
+@pytest.mark.parametrize("stream,uncached", [
+    (mt.matchings, mt.enumerate_matchings), (wd.words, wd.enumerate_words)])
+def test_cached_streams_resume_above_the_cache(stream, uncached):
+    rank = 100_000
+    assert list(itertools.islice(stream(7, rank), 3)) == list(
+        itertools.islice(uncached(7), rank, rank + 3))
+    assert list(stream(7, 135_135)) == []
