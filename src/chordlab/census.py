@@ -5,10 +5,17 @@ statistic kernels per object and tallies the key it returns.  Every
 polynomial family and every enumerated tally of the checks is a projection
 of one of these, so each family is walked once per census and argument.
 
-Inside `sharded(k)`, a census of at least SHARD_MIN objects is cut into up
-to k contiguous rank ranges: the parent walks the first and a forked child
-walks each other one.  The shard counts merged in rank order equal the
-serial census, key order included.
+Inside `sharded(k, reads)`, a census of at least SHARD_MIN objects is cut
+into up to k contiguous rank ranges (shards), and at most k forked children,
+and no more than the usable CPUs, walk shards from one queue.  On entry the
+queue takes every shard of each large uncached census in `reads`, in order,
+so those walks start before any census is read; a large census read before
+it was queued joins the front of the queue then, less its first shard, which
+the parent walks.  Reading a queued census, the parent walks its shards no
+child has started, waits for the others and adds them up in rank order, so
+the result equals the serial census, key order included.  The parent starts
+children for queued shards, and collects finished ones, whenever it enters
+`census` or `top_up`.
 """
 from __future__ import annotations
 
@@ -18,6 +25,7 @@ import math
 import os
 from collections import Counter
 from itertools import islice
+from types import SimpleNamespace
 
 
 def _odd_double_factorial(n: int) -> int:
@@ -46,18 +54,43 @@ TABLE = {
 SHARD_MIN = 30_000
 
 _CACHE: dict[tuple, Counter] = {}  # (name, *args) -> census
-_shards = 1
+# A shard is ranks lo..hi-1 of census `key`: `pid` is the child's that starts
+# it, `fd` and `chunks` its pipe and what came through, `result` the counts
+# or exception once walked.
+_SHARDS: dict[tuple, list] = {}  # key -> its shards, while the census is queued
+_QUEUE: list = []  # shards no process has started, in start order
+_RUNNING: dict = {}  # pid -> the shard its child walks
+_shards, _slots = 1, 0  # shards per census, children alive at once
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @contextlib.contextmanager
-def sharded(k: int):
-    """Let every census walked inside cut itself into up to k shards."""
-    global _shards
-    previous, _shards = _shards, k
+def sharded(k: int, reads=()):
+    """Cut every census read inside into up to k shards, walked by up to k
+    forked children but no more than the CPUs, and start walking the large
+    ones among `reads` now.  Every child is killed if still walking, and
+    reaped, before this exits."""
+    global _shards, _slots
+    _shards, _slots = k, min(k, _cpus()) if hasattr(os, "fork") else 0
     try:
+        for key in reads:
+            _queue(key)
+        top_up()
         yield
     finally:
-        _shards = previous
+        for pid, shard in _RUNNING.items():
+            import signal  # only a run with children alive pays for it
+            os.kill(pid, signal.SIGKILL)
+            os.close(shard.fd)
+            os.waitpid(pid, 0)
+        for state in (_RUNNING, _QUEUE, _SHARDS):
+            state.clear()
+        _shards, _slots = 1, 0
 
 
 def census(name: str, *args) -> Counter:
@@ -66,76 +99,125 @@ def census(name: str, *args) -> Counter:
     Callers must not mutate the result.
     """
     key = (name, *args)
+    _queue(key, front=True)
+    top_up()
     if key not in _CACHE:
-        module, stream, kernel, size = TABLE[name]
-        module = importlib.import_module(f"{__package__}.{module}")
-        stream, kernel = getattr(module, stream), getattr(module, kernel)
-        objects = size(*args) if size and hasattr(os, "fork") else 0
-        k = min(_shards, objects // SHARD_MIN + 1)
-        if k > 1:
-            _CACHE[key] = _sharded(
-                lambda lo, hi: Counter(map(kernel, islice(stream(*args, lo), hi - lo))),
-                [objects * i // k for i in range(k + 1)])
-        else:
-            _CACHE[key] = Counter(map(kernel, stream(*args)))
+        shards = _SHARDS.pop(key, None)
+        _CACHE[key] = _walk(key) if shards is None else _merge(shards)
     return _CACHE[key]
 
 
-def _sharded(walk, bounds: list) -> Counter:
-    """walk(bounds[0], bounds[-1]) merged from the ranges between
-    consecutive bounds, all but the first walked in forked children.  Every
-    child is reaped before this returns or raises; an exception is raised
-    from the lowest range that met one, as a serial walk meets it first."""
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
+def _queue(key: tuple, bounds: list | None = None, front: bool = False) -> None:
+    """Queue census `key`, unless it is cached or queued, as the shards
+    between consecutive bounds, by default the cut `sharded` allows; none
+    if that is one shard.  At the front goes all but the first shard, which
+    the parent walks when it reads the census."""
+    if key in _CACHE or key in _SHARDS:
+        return
+    if bounds is None:
+        size = TABLE[key[0]][3]
+        objects = size(*key[1:]) if size and _slots else 0
+        k = min(_shards, objects // SHARD_MIN + 1)
+        bounds = [objects * i // k for i in range(k + 1)]
+    if len(bounds) > 2:
+        shards = _SHARDS[key] = [
+            SimpleNamespace(key=key, lo=lo, hi=hi, pid=None, fd=None, chunks=[], result=None)
+            for lo, hi in zip(bounds, bounds[1:])]
+        if front:
+            _QUEUE[:0] = shards[1:]
+        else:
+            _QUEUE.extend(shards)
+
+
+def _walk(key: tuple, lo: int = 0, hi: int | None = None) -> Counter:
+    """Census `key` over ranks lo..hi-1 of its stream, or over all of it."""
+    name, *args = key
+    module, stream, kernel, _ = TABLE[name]
+    module = importlib.import_module(f"{__package__}.{module}")
+    stream, kernel = getattr(module, stream), getattr(module, kernel)
+    return Counter(map(kernel, stream(*args) if hi is None
+                       else islice(stream(*args, lo), hi - lo)))
+
+
+def _merge(shards: list) -> Counter:
+    """The census of `shards`, added up in rank order.  The parent walks
+    each shard no child has started, then waits for the children; the
+    exception of the lowest shard that met one is raised, as a serial walk
+    meets it first."""
+    import select
+    _QUEUE[:] = [shard for shard in _QUEUE if shard.key != shards[0].key]
+    for shard in shards:
+        if shard.pid is None:
             try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(walk, lo, hi, read, write)
-            os.close(write)
-            children.append((pid, read))
-        total = walk(bounds[0], bounds[1])
-    finally:
-        parts = [_reap(pid, read) for pid, read in children]
-    for part in parts:
-        if isinstance(part, BaseException):
-            raise part
-        total.update(part)
+                shard.result = _walk(shard.key, shard.lo, shard.hi)
+            except Exception as exc:
+                shard.result = exc
+                break
+    total = Counter()
+    for shard in shards:
+        while shard.pid in _RUNNING:
+            select.select([running.fd for running in _RUNNING.values()], [], [])
+            top_up()
+        if isinstance(shard.result, BaseException):
+            raise shard.result
+        total.update(shard.result)
     return total
 
 
-def _child(walk, lo: int, hi: int, read: int, write: int) -> None:
-    """Walk ranks lo..hi-1 and pickle the census, or the exception that
-    stopped it, into the pipe.  Always leaves by os._exit, so nothing the
-    parent buffered or registered runs twice."""
-    status = 1
+def top_up() -> None:
+    """Collect every child that has finished, then start children for queued
+    shards while fewer than the allowed number are alive."""
+    for shard in list(_RUNNING.values()):
+        _collect(shard)
+    while _QUEUE and len(_RUNNING) < _slots:
+        _fork(_QUEUE.pop(0))
+
+
+def _fork(shard) -> None:
+    """Start a child on the shard.  It pickles the census, or the exception
+    that stopped it, into a pipe and always leaves by os._exit, so nothing
+    the parent buffered or registered runs twice."""
+    read, write = os.pipe()
     try:
-        import pickle  # only a sharded walk pays for it
-        os.close(read)  # so a write fails, not blocks, if the parent is gone
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
         try:
-            part = walk(lo, hi)
-        except BaseException as exc:
-            part = exc
-        with open(write, "wb") as pipe:
-            pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
+            import pickle  # only a sharded walk pays for it
+            for fd in [read, *(running.fd for running in _RUNNING.values())]:
+                os.close(fd)  # so a write fails, not blocks, if the parent is gone
+            try:
+                part = _walk(shard.key, shard.lo, shard.hi)
+            except BaseException as exc:
+                part = exc
+            with open(write, "wb") as pipe:
+                pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    os.set_blocking(read, False)
+    shard.pid, shard.fd = pid, read
+    _RUNNING[pid] = shard
 
 
-def _reap(pid: int, read: int):
-    """The child's census or exception, once it has exited."""
+def _collect(shard) -> None:
+    """Read what the shard's child has written so far, without blocking: a
+    census can outgrow the pipe buffer, and the child cannot exit until it
+    is read.  Once the child has closed the pipe, reap it and unpickle."""
+    try:
+        while chunk := os.read(shard.fd, 1 << 16):
+            shard.chunks.append(chunk)
+    except BlockingIOError:
+        return
     import pickle
-    with open(read, "rb") as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if status:
-        return ChildProcessError(
-            f"census shard process exited with {os.waitstatus_to_exitcode(status)}")
-    return pickle.loads(data)
+    os.close(shard.fd)
+    del _RUNNING[shard.pid]
+    _, status = os.waitpid(shard.pid, 0)
+    shard.result = pickle.loads(b"".join(shard.chunks)) if status == 0 else ChildProcessError(
+        f"census shard process exited with {os.waitstatus_to_exitcode(status)}")
+    shard.chunks = None

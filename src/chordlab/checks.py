@@ -28,7 +28,7 @@ from .algebra import (MVPoly, NotHomogeneousError, NotSymmetricError,
                       TruncatedSeries, esym_assemble, esym_expand, esym_polys,
                       gamma_expand, parse_poly, project, rising_factorial,
                       stirling1_unsigned)
-from .census import census, sharded
+from .census import census, sharded, top_up
 
 
 class UnknownCheckIdError(Exception):
@@ -52,28 +52,42 @@ class Check(NamedTuple):
     description: str
     default_max_n: int
     run: Callable  # (max_n, egf_order) -> [(n, witness | None)]
+    reads: Callable  # (max_n, egf_order) -> census keys a passing run reads, in order
 
 
 _REGISTRY: dict[str, Check] = {}
 
 
-def _check(id: str, description: str, default_max_n: int):
+def _check(id: str, description: str, default_max_n: int, reads=lambda max_n, egf_order: []):
     """Register `run(max_n, egf_order)` as returning its `(n, witness |
     None)` rows directly; for checks whose rows are not n = 1..max_n."""
     def install(run):
-        _REGISTRY[id] = Check(id, description, default_max_n, run)
+        _REGISTRY[id] = Check(id, description, default_max_n, run, reads)
         return run
     return install
 
 
-def _per_n(id: str, description: str, default_max_n: int):
+def _per_n(id: str, description: str, default_max_n: int, reads=lambda n: []):
     """Register `witness(n)` as the check that holds at n = 1..max_n exactly
-    when it returns None; otherwise it returns the witness text."""
+    when it returns None; otherwise it returns the witness text.  `reads(n)`
+    lists the census keys it reads at n."""
+    def every_read(max_n, egf_order):
+        return list(dict.fromkeys(key for n in range(1, max_n + 1) for key in reads(n)))
+
     def install(witness):
-        _check(id, description, default_max_n)(
+        _check(id, description, default_max_n, every_read)(
             lambda max_n, egf_order: [(n, witness(n)) for n in range(1, max_n + 1)])
         return witness
     return install
+
+
+def _at_n(*names: str) -> Callable:
+    """Reads of the censuses `names` at n, in that order."""
+    return lambda n: [(name, n) for name in names]
+
+
+def _upto(name: str, n: int) -> list:
+    return [(name, k) for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +110,12 @@ def _first_diff(n: int, sides: Iterable) -> str | None:
                  for label, lhs, rhs in sides if lhs != rhs), None)
 
 
-def _identity(id: str, description: str, default_max_n: int):
+def _identity(id: str, description: str, default_max_n: int, reads=lambda n: []):
     """Register `sides` as the check that lhs == rhs for every (label, lhs,
     rhs) triple `sides(n)` yields, for n = 1..max_n; n fails at the first
     unequal pair, witnessed by its difference."""
     def install(sides):
-        _per_n(id, description, default_max_n)(lambda n: _first_diff(n, sides(n)))
+        _per_n(id, description, default_max_n, reads)(lambda n: _first_diff(n, sides(n)))
         return sides
     return install
 
@@ -205,7 +219,10 @@ _GOLDEN_XI = {1: "x", 2: "x^2 + 2*y"}
 _GOLDEN_GAMMA = {1: "z", 2: "y*z", 3: "y^2*z + 2*x*z^2"}
 
 
-@_check("GOLDEN", "printed polynomial listings reproduce exactly", 0)
+@_check("GOLDEN", "printed polynomial listings reproduce exactly", 0,
+        lambda max_n, egf_order: [(name, n) for name, top in (
+            ("block", 3), ("neighbor", 4), ("signed", 3), ("stirling", 1))
+            for n in range(1, top + 1)])
 def _run_golden(max_n, egf_order):
     def listed(name, family, listing):
         return [(f"{name}_{n}", family(n), parse_poly(text)) for n, text in listing.items()]
@@ -229,7 +246,8 @@ def _run_golden(max_n, egf_order):
 # ---------------------------------------------------------------------------
 
 
-@_identity("A-EQUIDIST", "excedances are equidistributed with ascents and descents", 8)
+@_identity("A-EQUIDIST", "excedances are equidistributed with ascents and descents", 8,
+           _at_n("perm"))
 def _a_equidist(n):
     # The joint (exc, drop) polynomial differs from the (asc, des) one (fixed
     # points shift the degree), so the checkable content is the univariate
@@ -240,12 +258,13 @@ def _a_equidist(n):
            MVPoly.from_exponents(project(perms, lambda s: (s.asc, s.des)), ("x", "y")))
 
 
-@_identity("A-RISING", "cycle polynomial equals the rising factorial", 8)
+@_identity("A-RISING", "cycle polynomial equals the rising factorial", 8, _at_n("perm"))
 def _a_rising(n):
     yield "", pm.eulerian_xpq(n).subst({"x": 1, "p": 1}), rising_factorial(1, n)
 
 
-@_check("A-EGF", "(p,q)-Eulerian EGF at sampled rational points", 8)
+@_check("A-EGF", "(p,q)-Eulerian EGF at sampled rational points", 8,
+        lambda max_n, egf_order: _upto("perm", egf_order))
 def _run_a_egf(max_n, egf_order):
     order = egf_order
     x, p = Fraction(1, 2), Fraction(1, 3)
@@ -261,7 +280,7 @@ def _run_a_egf(max_n, egf_order):
         for q in (Fraction(2), Fraction(3), Fraction(1, 2))])
 
 
-@_identity("A-NEG", "q = -1 specializations collapse as stated", 8)
+@_identity("A-NEG", "q = -1 specializations collapse as stated", 8, _at_n("perm"))
 def _a_neg(n):
     x = MVPoly.var("x")
     a = pm.eulerian_xpq(n)
@@ -275,7 +294,8 @@ def _a_neg(n):
 # ---------------------------------------------------------------------------
 
 
-@_identity("M-MAIN", "matching quadruple statistic matches the permutation quadruple", 7)
+@_identity("M-MAIN", "matching quadruple statistic matches the permutation quadruple", 7,
+           _at_n("block", "perm"))
 def _m_main(n):
     m = mt.m_poly(n)
     yield "quadruple", m, _perm_quadruple_poly(n).subst({
@@ -288,12 +308,13 @@ def _m_main(n):
                                    "s": MVPoly.var("p"), "t": 2 * MVPoly.var("q")}), a
 
 
-@_identity("M-SYM", "M_n is symmetric in x and y", 7)
+@_identity("M-SYM", "M_n is symmetric in x and y", 7, _at_n("block"))
 def _m_sym(n):
     yield "", mt.m_poly(n), _swapped(mt.m_poly(n))
 
 
-@_check("M-EGF", "matching polynomial EGF at sampled rational points", 8)
+@_check("M-EGF", "matching polynomial EGF at sampled rational points", 8,
+        lambda max_n, egf_order: _upto("block", egf_order))
 def _run_m_egf(max_n, egf_order):
     order = egf_order
     x, y, s = Fraction(1, 2), Fraction(1), Fraction(1, 3)
@@ -315,7 +336,8 @@ def _stirling1_row(n: int) -> MVPoly:
         {(k,): 2 ** (n - k) * stirling1_unsigned(n, k) for k in range(1, n + 1)}, ("q",))
 
 
-@_identity("TRACE-RISING", "trace distribution is the step-2 rising factorial", 7)
+@_identity("TRACE-RISING", "trace distribution is the step-2 rising factorial", 7,
+           _at_n("block"))
 def _trace_rising(n):
     yield "enumeration vs product", mt.trace_distribution(n), rising_factorial(2, n)
     yield "product vs Stirling sum", rising_factorial(2, n), _stirling1_row(n)
@@ -332,14 +354,15 @@ def _m_marginal(n: int) -> MVPoly:
     return mt.m_poly(n).subst({"y": 1, "s": MVPoly.var("p"), "t": MVPoly.var("q")})
 
 
-@_identity("CONV", "2^n A_n(x,p,q) is the binomial convolution of matching marginals", 6)
+@_identity("CONV", "2^n A_n(x,p,q) is the binomial convolution of matching marginals", 6,
+           lambda n: [("perm", n), *_upto("block", n)])
 def _conv(n):
     yield "", pm.eulerian_xpq(n) * 2 ** n, sum(
         (math.comb(n, k) * _m_marginal(k) * _m_marginal(n - k) for k in range(n + 1)),
         MVPoly.zero())
 
 
-@_identity("COR2", "trace-weight -2 specializations collapse as stated", 6)
+@_identity("COR2", "trace-weight -2 specializations collapse as stated", 6, _at_n("block"))
 def _cor2(n):
     x = MVPoly.var("x")
     m = mt.m_poly(n)
@@ -349,7 +372,8 @@ def _cor2(n):
            -(2 ** n) * sum((x ** k for k in range(1, n)), MVPoly.zero()))
 
 
-@_per_n("M-GAMMA", "s-stratified gamma expansion of M_n exists with the stated positivity", 6)
+@_per_n("M-GAMMA", "s-stratified gamma expansion of M_n exists with the stated positivity", 6,
+        _at_n("block"))
 def _m_gamma(n):
     m = mt.m_poly(n)
     reassembled = MVPoly.zero()
@@ -371,7 +395,8 @@ def _m_gamma(n):
     return _first_diff(n, [("reassembly", reassembled, m)])
 
 
-@_per_n("DER-COUNT", "derangement counts on both sides of the correspondence", 7)
+@_per_n("DER-COUNT", "derangement counts on both sides of the correspondence", 7,
+        _at_n("block", "perm"))
 def _der_count(n):
     matching_side = mt.m_poly(n).evaluate({"x": 1, "y": 1, "s": 0, "t": 2})
     rhs = 2 ** n * pm.derangement_count(n)
@@ -383,7 +408,8 @@ def _der_count(n):
     return None
 
 
-@_per_n("DNK", "derangement cycle polynomial identities (cda-free expansion)", 6)
+@_per_n("DNK", "derangement cycle polynomial identities (cda-free expansion)", 6,
+        _at_n("perm", "block"))
 def _dnk(n):
     x = MVPoly.var("x")
     d = pm.derangement_poly(n)
@@ -413,7 +439,8 @@ _B_NOTE = ("note: this check arbitrates the |sigma|-cycle convention for "
            "rather than a code bug")
 
 
-@_per_n("B-MAIN", "type-B Eulerian polynomial equals both stated forms", 5)
+@_per_n("B-MAIN", "type-B Eulerian polynomial equals both stated forms", 5,
+        _at_n("signed", "perm", "block"))
 def _b_main(n):
     b = pm.b_poly(n)
     half = Fraction(1, 2) * (MVPoly.var("p") + MVPoly.var("x"))
@@ -424,7 +451,8 @@ def _b_main(n):
     return None if wit is None else f"{wit}; {_B_NOTE}"
 
 
-@_identity("B-DUAL", "dual convolution for B_n(x,1,q) and the reciprocal transform", 5)
+@_identity("B-DUAL", "dual convolution for B_n(x,1,q) and the reciprocal transform", 5,
+           lambda n: [("signed", n), *_upto("block", n)])
 def _b_dual(n):
     def m_both(k):  # x^(elblock+fixb) q^trace
         return mt.m_poly(k).subst({"y": 1, "s": MVPoly.var("x"), "t": MVPoly.var("q")})
@@ -439,14 +467,16 @@ def _b_dual(n):
         m_tilde(n), ("x", "q"), lambda vec: {"x": n - vec[0], "q": vec[1]})
 
 
-@_identity("COLORED", "r-colored Eulerian polynomials specialize to types A and B", 6)
+@_identity("COLORED", "r-colored Eulerian polynomials specialize to types A and B", 6,
+           lambda n: [("perm", n)] + ([("signed", n)] if n <= 5 else []))
 def _colored(n):
     yield "r=1", pm.colored_eulerian(n, 1), pm.eulerian_xy(n).subst({"y": 1})
     if n <= 5:
         yield "r=2", pm.colored_eulerian(n, 2), pm.b_poly(n).subst({"p": 1, "q": 1})
 
 
-@_check("CALLAN-EGF", "even-to-odd-free matchings have EGF sqrt(e^z/(2-e^z))", 8)
+@_check("CALLAN-EGF", "even-to-odd-free matchings have EGF sqrt(e^z/(2-e^z))", 8,
+        lambda max_n, egf_order: _upto("block", egf_order))
 def _run_callan(max_n, egf_order):
     order = egf_order
     lhs = TruncatedSeries.from_egf_values(
@@ -486,7 +516,8 @@ def _mp_bij(n):
 _I_KEY = operator.attrgetter("inv", "coinv", "rank")
 
 
-@_per_n("I-STATS", "I_n(x,y,q) equals the inv/coinv/rank word polynomial", 6)
+@_per_n("I-STATS", "I_n(x,y,q) equals the inv/coinv/rank word polynomial", 6,
+        _at_n("pair", "word"))
 def _i_stats(n):
     lhs = mt.i_poly(n)
     rhs = MVPoly.from_exponents(project(census("word", n), _I_KEY), ("x", "y", "q"))
@@ -496,26 +527,30 @@ def _i_stats(n):
         n, lhs - rhs, lambda w: _I_KEY(wd.word_stats(w)), ("x", "y", "q"))
 
 
-@_identity("KZ-SYM", "crossing/nesting symmetry with alignments (Kasraoui-Zeng)", 6)
+@_identity("KZ-SYM", "crossing/nesting symmetry with alignments (Kasraoui-Zeng)", 6,
+           _at_n("pair"))
 def _kz_sym(n):
     yield "", mt.i_poly(n), _swapped(mt.i_poly(n))
 
 
-@_identity("KLAZAR-SYM", "joint crossing/nesting distribution is symmetric (Klazar)", 6)
+@_identity("KLAZAR-SYM", "joint crossing/nesting distribution is symmetric (Klazar)", 6,
+           _at_n("pair"))
 def _klazar(n):
     p = MVPoly.from_exponents(project(census("pair", n), lambda ps: (ps.cr, ps.ne)),
                               ("x", "y"))
     yield "", p, _swapped(p)
 
 
-@_identity("C-GRAMMAR", "five-variable grammar generates the neighbor polynomials", 6)
+@_identity("C-GRAMMAR", "five-variable grammar generates the neighbor polynomials", 6,
+           lambda n: [("neighbor", n + 1)])
 def _c_grammar(n):
     I, E = MVPoly.var("I"), MVPoly.var("E")
     yield ("", gr.d_iter(_grammar(gr.neighbor_grammar), I * MVPoly.var("y2") * E, n),
            I * E * wd.c_poly(n + 1))
 
 
-@_per_n("C-EPOS", "xi expansion of C_(n+1) and e-positivity of the NCA polynomials", 6)
+@_per_n("C-EPOS", "xi expansion of C_(n+1) and e-positivity of the NCA polynomials", 6,
+        lambda n: [("neighbor", n)] + ([("neighbor", n + 1)] if n + 1 <= 6 else []))
 def _c_epos(n):
     nca = wd.nca_poly(n)
     ncr = wd.ncr_poly(n)
@@ -550,13 +585,15 @@ def _same_table(n: int, left: str, lhs: dict, right: str, rhs: dict) -> str | No
     return None if lhs == rhs else f"n={n}: {left} {lhs} != {right} {rhs}"
 
 
-@_per_n("XI-TREE", "xi table equals the 0-1-2-3 increasing plane tree census", 7)
+@_per_n("XI-TREE", "xi table equals the 0-1-2-3 increasing plane tree census", 7,
+        lambda n: [("tree", n + 1, 3)])
 def _xi_tree(n):
     return _same_table(n, "table", st.xi_table(n).entries,
                        "census", st.degree_census(n + 1, 3).entries)
 
 
-@_per_n("GAMMA-TREE", "gamma table equals the leaf/degree census", 7)
+@_per_n("GAMMA-TREE", "gamma table equals the leaf/degree census", 7,
+        lambda n: [("tree", n, 3)])
 def _gamma_tree(n):
     return _same_table(n, "table", st.gamma_table(n).entries,
                        "census", st.gamma_keyed_census(n).entries)
@@ -575,14 +612,15 @@ def _xi_gamma(n):
 # ---------------------------------------------------------------------------
 
 
-@_identity("Q-DUMONT", "Dumont's recurrence for Q_n(x,y,z)", 6)
+@_identity("Q-DUMONT", "Dumont's recurrence for Q_n(x,y,z)", 6,
+           lambda n: [("stirling", n), ("stirling", n + 1)])
 def _q_dumont(n):
     q = st.q_poly(n)
     xyz = MVPoly.var("x") * MVPoly.var("y") * MVPoly.var("z")
     yield "", st.q_poly(n + 1), xyz * (q.partial("x") + q.partial("y") + q.partial("z"))
 
 
-@_identity("Q-SYM", "Q_n(x,y,z) is symmetric in all three variables", 6)
+@_identity("Q-SYM", "Q_n(x,y,z) is symmetric in all three variables", 6, _at_n("stirling"))
 def _q_sym(n):
     q = st.q_poly(n)
     for perm in itertools.permutations(("x", "y", "z")):
@@ -590,13 +628,14 @@ def _q_sym(n):
                q.subst({v: MVPoly.var(w) for v, w in zip(("x", "y", "z"), perm)}))
 
 
-@_identity("Q-GRAMMAR", "the xyz grammar iterates to Q_n(x,y,z)", 7)
+@_identity("Q-GRAMMAR", "the xyz grammar iterates to Q_n(x,y,z)", 7, _at_n("stirling"))
 def _q_grammar(n):
     yield ("", gr.d_iter(_grammar(gr.stirling_word_grammar), MVPoly.var("x"), n),
            st.q_poly(n))
 
 
-@_identity("Q-CHEN22", "Q_n in the elementary symmetric basis, table and grammar sides", 6)
+@_identity("Q-CHEN22", "Q_n in the elementary symmetric basis, table and grammar sides", 6,
+           _at_n("stirling"))
 def _q_chen22(n):
     q = st.q_poly(n)
     yield "gamma table", q, esym_assemble(
@@ -607,7 +646,8 @@ def _q_chen22(n):
                                     n - 1).subst({"u": e1, "v": e2, "w": e3})
 
 
-@_per_n("C-Q-TRANSFORM", "neighbor polynomials are monomial transforms of Q_n", 6)
+@_per_n("C-Q-TRANSFORM", "neighbor polynomials are monomial transforms of Q_n", 6,
+        _at_n("stirling", "neighbor"))
 def _cq_transform(n):
     q = st.q_poly(n)
     images = [
@@ -630,19 +670,22 @@ def _cq_transform(n):
     ])
 
 
-@_identity("Q-LNE", "left-nesting distribution follows the second-order Eulerian triangle", 7)
+@_identity("Q-LNE", "left-nesting distribution follows the second-order Eulerian triangle", 7,
+           _at_n("pair", "stirling"))
 def _q_lne(n):
     yield "", MVPoly.from_exponents(
         project(census("pair", n), lambda ps: (n - ps.lne,)), ("x",)), st.q_univariate(n)
 
 
-@_identity("Q-LRP", "LR-pair distribution follows the second-order Eulerian triangle", 7)
+@_identity("Q-LRP", "LR-pair distribution follows the second-order Eulerian triangle", 7,
+           _at_n("pair", "stirling"))
 def _q_lrp(n):
     yield "", MVPoly.from_exponents(
         project(census("pair", n), lambda ps: (n + 1 - ps.lrp,)), ("x",)), st.q_univariate(n)
 
 
-@_identity("NCA-RECU", "first-order recurrence for the NCA polynomials", 6)
+@_identity("NCA-RECU", "first-order recurrence for the NCA polynomials", 6,
+           lambda n: [("neighbor", n), ("neighbor", n + 1)])
 def _nca_recu(n):
     p = wd.nca_poly(n)
     if n in _GOLDEN_NCA:
@@ -663,7 +706,8 @@ _SIX_CASES = [
 ]
 
 
-@_per_n("SIX-EULERIAN", "all six restricted neighbor sums give A_n(x,y)", 6)
+@_per_n("SIX-EULERIAN", "all six restricted neighbor sums give A_n(x,y)", 6,
+        _at_n("perm", "neighbor"))
 def _six_eulerian(n):
     names = ("x", "y")
     target = pm.eulerian_xy(n)
@@ -680,14 +724,15 @@ def _six_eulerian(n):
 # ---------------------------------------------------------------------------
 
 
-@_per_n("COUNT-CATALAN", "noncrossing matchings are counted by Catalan numbers", 7)
+@_per_n("COUNT-CATALAN", "noncrossing matchings are counted by Catalan numbers", 7,
+        _at_n("pair"))
 def _catalan(n):
     count = sum(c for ps, c in census("pair", n).items() if ps.cr == 0)
     catalan = math.comb(2 * n, n) // (n + 1)
     return None if count == catalan else f"n={n}: {count} != C_n = {catalan}"
 
 
-@_per_n("COUNT-NARAYANA", "both Narayana refinements hold", 7)
+@_per_n("COUNT-NARAYANA", "both Narayana refinements hold", 7, _at_n("pair"))
 def _narayana(n):
     # In a noncrossing matching an opener followed by a closer is an
     # adjacent block (i, i+1), so lrp counts its adjacent blocks.
@@ -702,13 +747,15 @@ def _narayana(n):
     return None
 
 
-@_per_n("COUNT-LNE-FACT", "matchings without left-nestings are counted by n!", 7)
+@_per_n("COUNT-LNE-FACT", "matchings without left-nestings are counted by n!", 7,
+        _at_n("pair"))
 def _lne_fact(n):
     count = sum(c for ps, c in census("pair", n).items() if ps.lne == 0)
     return None if count == math.factorial(n) else f"n={n}: {count} != n! = {math.factorial(n)}"
 
 
-@_per_n("FOATA-GAMMA", "gamma coefficients of A_n(x,y) count both stated objects", 7)
+@_per_n("FOATA-GAMMA", "gamma coefficients of A_n(x,y) count both stated objects", 7,
+        lambda n: [("perm", n), ("tree", n, 2)])
 def _foata(n):
     gamma = {j: int(p.constant_term()) for j, p in gamma_expand(pm.eulerian_xy(n), "x", "y")}
     alpha = project(census("perm", n), lambda s: None if s.dd else s.des)
@@ -725,14 +772,16 @@ def _foata(n):
 # ---------------------------------------------------------------------------
 
 
-@_identity("G-EXC", "quadruple-statistic grammar matches enumeration over S_n", 7)
+@_identity("G-EXC", "quadruple-statistic grammar matches enumeration over S_n", 7,
+           _at_n("perm"))
 def _g_exc(n):
     I = MVPoly.var("I")
     yield ("", gr.d_iter(_grammar(gr.quadruple_statistic_grammar), I, n),
            I * _perm_quadruple_poly(n))
 
 
-@_identity("G-MATCH", "matching-statistic grammar matches enumeration over M_n", 7)
+@_identity("G-MATCH", "matching-statistic grammar matches enumeration over M_n", 7,
+           _at_n("block"))
 def _g_match(n):
     J = MVPoly.var("J")
     yield ("", gr.d_iter(_grammar(gr.matching_statistic_grammar), J, n),
@@ -749,7 +798,7 @@ def _g_change(n):
            gr.d_iter(_grammar(gr.matching_statistic_grammar), MVPoly.var("J"), n))
 
 
-@_identity("G-DUMONT", "Dumont's grammar iterates to a b^n A_n(a/b)", 8)
+@_identity("G-DUMONT", "Dumont's grammar iterates to a b^n A_n(a/b)", 8, _at_n("perm"))
 def _g_dumont(n):
     g = _grammar(gr.dumont_grammar)
     a, b = MVPoly.var("a"), MVPoly.var("b")
@@ -775,6 +824,7 @@ def check_ids() -> list[str]:
 
 
 def _run_single(check_id: str, max_n: int | None, egf_order: int) -> CheckResult:
+    top_up()  # between checks, a finished census shard's child frees its slot
     check = _REGISTRY[check_id]
     effective = check.default_max_n if max_n is None else max_n
     started = time.monotonic()
@@ -802,9 +852,10 @@ def run_checks(selection="all", max_n: int | None = None,
 
     `selection` is "all", None, one check id, or an iterable of ids; an id
     named twice runs once.  The checks run in this process, in order;
-    `jobs` only lets each large census fork into up to that many shards
-    (`census.sharded`), so results do not depend on it.  Failing checks
-    never abort the run.
+    `jobs` only lets each large census they declare they read be cut into
+    up to that many shards, walked by forked children from the start of
+    the run (`census.sharded`), so results do not depend on it.  Failing
+    checks never abort the run.
     """
     if selection == "all" or selection is None:
         ids = list(_REGISTRY)
@@ -814,7 +865,9 @@ def run_checks(selection="all", max_n: int | None = None,
             if check_id not in _REGISTRY:
                 raise UnknownCheckIdError(f"unknown check id: {check_id}")
     order = DEFAULT_EGF_ORDER if egf_order is None else egf_order
-    with sharded(jobs):
+    reads = [key for check in map(_REGISTRY.get, ids) for key in check.reads(
+        check.default_max_n if max_n is None else max_n, order)]
+    with sharded(jobs, reads):
         return [_run_single(check_id, max_n, order) for check_id in ids]
 
 

@@ -2,9 +2,9 @@
 every projection renders exactly what the per-family tallies rendered
 before it (golden corpus in tests/golden, captured from those tallies)."""
 import collections
-import itertools
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as hs
 
 import chordlab
 from chordlab import census as census_module
-from chordlab import cli
+from chordlab import checks, cli
 from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
@@ -22,6 +22,7 @@ from chordlab.census import TABLE, _CACHE, census
 from chordlab.checks import run_checks
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -148,17 +149,88 @@ def test_size_counts_the_stream(name):
 @settings(max_examples=40, deadline=None)
 @given(hs.sampled_from(sorted(SIZED)), hs.data())
 def test_shards_merged_in_order_are_the_census(name, data):
-    # Cut points anywhere, empty ranges included; every range but the first
-    # is walked in a forked child.
+    # Cut points anywhere, empty ranges included; forked children walk as
+    # many ranges after the first as there are CPUs, and the parent the rest.
     n = data.draw(hs.integers(0, SIZED[name]))
-    module, stream, kernel, size = TABLE[name]
-    module = getattr(chordlab, module)
-    stream, kernel = getattr(module, stream), getattr(module, kernel)
+    size = TABLE[name][3]
     cuts = data.draw(hs.lists(hs.integers(0, size(n)), max_size=3))
     bounds = [0, *sorted(cuts), size(n)]
-    merged = census_module._sharded(
-        lambda lo, hi: collections.Counter(
-            map(kernel, itertools.islice(stream(n, lo), hi - lo))), bounds)
-    assert list(merged.items()) == list(census(name, n).items())
+    serial = list(census(name, n).items())
+    del _CACHE[name, n]
+    with census_module.sharded(len(bounds)):
+        census_module._queue((name, n), bounds, front=True)
+        merged = census(name, n)
+    assert list(merged.items()) == serial
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bounds", [(3, 3), (6, 6)])
+def test_every_check_reads_what_it_declares(bounds, monkeypatch):
+    # Each check from cold caches, with census traced wherever it is bound.
+    read = []
+
+    def traced(name, *args):
+        read.append((name, *args))
+        return census(name, *args)
+
+    binders = [module for name, module in list(sys.modules.items())
+               if name.startswith("chordlab") and getattr(module, "census", None) is census]
+    assert {module.__name__ for module in binders} >= {
+        "chordlab.checks", "chordlab.matchings", "chordlab.perms", "chordlab.stirling",
+        "chordlab.words"}
+    for module in binders:
+        monkeypatch.setattr(module, "census", traced)
+    wrong = {}
+    try:
+        for check in checks._REGISTRY.values():
+            chordlab.clear_caches()
+            read.clear()
+            assert checks._run_single(check.id, *bounds).status == "pass"
+            if list(dict.fromkeys(read)) != check.reads(*bounds):
+                wrong[check.id] = (list(dict.fromkeys(read)), check.reads(*bounds))
+    finally:
+        chordlab.clear_caches()
+    assert wrong == {}
+
+
+def _runs(ns) -> str:
+    """1, 2, 3, 5 as "1-3, 5"."""
+    runs = []
+    for n in sorted(ns):
+        if runs and runs[-1][1] == n - 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return ", ".join(str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in runs)
+
+
+def reads_table() -> list:
+    """The README's check x census table: the n each check reads of each
+    census at the default bounds (for trees, with the degree bound d)."""
+    lines = ["| check | " + " | ".join(f"`{name}`" for name in TABLE) + " |",
+             "|-------|" + "|".join("-" * (len(name) + 2) for name in TABLE) + "|"]
+    for check in checks._REGISTRY.values():
+        keys = check.reads(check.default_max_n, checks.DEFAULT_EGF_ORDER)
+        cells = []
+        for name in TABLE:
+            by_rest = collections.defaultdict(list)
+            for key in keys:
+                if key[0] == name:
+                    by_rest[key[2:]].append(key[1])
+            cells.append("; ".join(_runs(ns) + "".join(f" (d={d})" for d in rest)
+                                   for rest, ns in by_rest.items()))
+        lines.append(f"| {check.id} | " + " | ".join(cells) + " |")
+    return lines
+
+
+def test_readme_table_of_reads_is_the_declared_one():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    table = reads_table()
+    start = lines.index(table[0])
+    assert lines[start:start + len(table) + 1] == [*table, ""]
+
+
+if __name__ == "__main__":
+    # Print the README's check x census table from the declared reads.
+    print("\n".join(reads_table()))

@@ -1,5 +1,8 @@
+import collections
 import json
 import os
+import pickle
+import time
 
 import pytest
 
@@ -126,6 +129,7 @@ class TestRunner:
         serial = list(census(name, *args).items())
         chordlab.clear_caches()
         monkeypatch.setattr(census_module, "SHARD_MIN", 1)
+        monkeypatch.setattr(census_module, "_cpus", lambda: 3)
         with census_module.sharded(3):
             sharded = list(census(name, *args).items())
         assert len(forks) == 2
@@ -149,6 +153,110 @@ class TestRunner:
         results = run_checks(["A-RISING", "M-MAIN", "A-EGF"], max_n=0, egf_order=2)
         assert [r.status for r in results] == ["skip", "skip", "pass"]
         assert report_table(results).splitlines()[-1] == "1/1 checks passed, 2 skipped"
+
+
+# One permutation in each half of S_4 in lexicographic order.
+BAD_PERMS = [(1, 3, 2, 4), (4, 1, 3, 2)]
+
+
+class TestProcesses:
+    """--jobs forks children that walk census shards from the start of the
+    run; none outlives run_checks, and none changes a result."""
+
+    @pytest.fixture(autouse=True)
+    def _small_shards(self, fresh_caches, monkeypatch):
+        monkeypatch.setattr(census_module, "SHARD_MIN", 12)  # S_4 gets 2 shards at jobs=2
+        monkeypatch.setattr(census_module, "_cpus", lambda: 2)
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_census_declared_but_never_read_is_reaped(self, forks, monkeypatch):
+        check = checks._REGISTRY["A-RISING"]
+        monkeypatch.setitem(checks._REGISTRY, "A-RISING",
+                            check._replace(reads=lambda max_n, egf_order: [("block", 4)]))
+        results = run_checks(["A-RISING"], max_n=3, jobs=2)
+        assert [r.status for r in results] == ["pass"]
+        assert len(forks) == 2 and ("block", 4) not in census_module._CACHE
+        self._assert_no_child_left()
+
+    def test_an_exception_out_of_a_check_kills_the_children(self, forks, monkeypatch):
+        def stuck(pi):
+            time.sleep(60)
+
+        def refused(max_n, egf_order):
+            raise OSError("refused")
+
+        monkeypatch.setattr(pm, "perm_stats", stuck)  # reaches the children
+        monkeypatch.setitem(checks._REGISTRY, "GOLDEN", checks._REGISTRY["GOLDEN"]._replace(
+            run=refused, reads=lambda max_n, egf_order: [("perm", 4)]))
+        started = time.monotonic()
+        with pytest.raises(OSError, match="refused"):
+            run_checks(["GOLDEN"], jobs=2)
+        assert len(forks) == 2 and time.monotonic() - started < 30
+        self._assert_no_child_left()
+
+    def test_a_census_larger_than_the_pipe_buffer_frees_its_slot(self, forks, monkeypatch):
+        # Each half of S_8 tallied by identity pickles to several pipe
+        # buffers.  With one child allowed, the parent must read the first
+        # child's pipe without blocking for it to exit, so that the second
+        # half gets a child before anything reads the census.
+        monkeypatch.setattr(pm, "perm_stats", lambda pi: pi)
+        monkeypatch.setattr(census_module, "SHARD_MIN", 20160)
+        monkeypatch.setattr(census_module, "_cpus", lambda: 1)
+        assert len(pickle.dumps(census_module._walk(("perm", 8), 0, 20160))) > 4 * 65536
+        deadline = time.monotonic() + 60
+        with census_module.sharded(2, [("perm", 8)]):
+            assert len(forks) == 1
+            while len(forks) < 2 and time.monotonic() < deadline:
+                census_module.top_up()
+                time.sleep(0.01)
+            assert len(forks) == 2
+            assert census("perm", 8) == collections.Counter(pm.enumerate_permutations(8))
+        self._assert_no_child_left()
+
+    def test_live_children_never_outnumber_the_cpus(self, monkeypatch):
+        alive = []
+        real_fork = os.fork
+
+        def counted():
+            alive.append(len(census_module._RUNNING))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(census_module, "SHARD_MIN", 1)
+        with census_module.sharded(8, [("perm", 4), ("signed", 3)]):
+            assert census("perm", 4) == collections.Counter(
+                map(pm.perm_stats, pm.enumerate_permutations(4)))
+        assert len(alive) > 2 and max(alive) < 2
+        self._assert_no_child_left()
+
+    @pytest.mark.parametrize("bad", BAD_PERMS)
+    def test_a_kernel_raising_in_a_prefetched_shard(self, forks, monkeypatch, bad):
+        def raising(pi):
+            if pi == bad:
+                raise ValueError(f"no statistics for {pi}")
+            return real(pi)
+
+        real = pm.perm_stats
+        monkeypatch.setattr(pm, "perm_stats", raising)
+        sharded = run_checks(["A-EQUIDIST"], max_n=4, jobs=2)
+        assert len(forks) == 2  # both halves of S_4, from the start of the run
+        chordlab.clear_caches()
+        serial = run_checks(["A-EQUIDIST"], max_n=4)
+        assert serial[0].witness == f"exception: ValueError('no statistics for {bad}')"
+        assert _normalized(sharded) == _normalized(serial)
+        self._assert_no_child_left()
+
+    def test_one_job_forks_nothing(self, monkeypatch):
+        def refuse():
+            raise AssertionError("jobs=1 forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        results = run_checks("all", max_n=6, egf_order=6, jobs=1)
+        assert {r.status for r in results} == {"pass"}
 
 
 class TestFaultInjection:
@@ -230,6 +338,7 @@ class TestFaultInjection:
     def test_perturbed_block_class_in_shards(self, fresh_caches, forks, monkeypatch):
         self._misclassify_blocks(monkeypatch)
         monkeypatch.setattr(census_module, "SHARD_MIN", 100)  # M_4 has 105 matchings
+        monkeypatch.setattr(census_module, "_cpus", lambda: 2)
         sharded = run_checks(["M-MAIN", "M-SYM"], max_n=4, jobs=2)
         assert forks, "M_4 was not sharded"
         chordlab.clear_caches()
@@ -238,8 +347,10 @@ class TestFaultInjection:
         assert [(r.id, r.status, r.witness) for r in sharded] == [
             (r.id, r.status, r.witness) for r in serial]
 
-    # S_4 in lexicographic order, cut in two at rank 12
-    @pytest.mark.parametrize("bad", [(1, 3, 2, 4), (4, 1, 3, 2)])
+    # S_4 in lexicographic order, cut in two at rank 12.  With no reads
+    # declared, S_4 is cut when A-EQUIDIST reads it: the parent walks the
+    # first half and one child the second.
+    @pytest.mark.parametrize("bad", BAD_PERMS)
     def test_kernel_raising_in_a_shard(self, fresh_caches, forks, monkeypatch, bad):
         real = pm.perm_stats
 
@@ -250,6 +361,9 @@ class TestFaultInjection:
 
         monkeypatch.setattr(pm, "perm_stats", raising)
         monkeypatch.setattr(census_module, "SHARD_MIN", 12)
+        monkeypatch.setattr(census_module, "_cpus", lambda: 2)
+        monkeypatch.setitem(checks._REGISTRY, "A-EQUIDIST", checks._REGISTRY[
+            "A-EQUIDIST"]._replace(reads=lambda max_n, egf_order: []))
         sharded = run_checks(["A-EQUIDIST"], max_n=4, jobs=2)
         assert forks == [1]
         chordlab.clear_caches()

@@ -2,8 +2,9 @@
 
 The fault-injection tests assert only that some check fails with a witness.
 Here all 45 checks run at max_n 4 and egf_order 5, clean and under each of
-fifteen perturbations (the eleven those tests apply, plus four that reach
-fields only a few checks read), and every report entry (ms zeroed) is
+eighteen perturbations (the eleven those tests apply, four that reach
+fields only a few checks read, and three on the algebra side, which reach
+the checks that enumerate nothing), and every report entry (ms zeroed) is
 compared with tests/golden/verify_faults_n4.json.
 
 Regenerate the golden file (only when a witness is meant to change) with
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import chordlab
+from chordlab import checks
+from chordlab import grammar as gr
 from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
@@ -79,6 +82,20 @@ def _deg1_deg2_swapped(real):
     return swapped
 
 
+def _gamma_plus_one(real):
+    def table(n):
+        t = real(n)
+        first = next(iter(t.entries))
+        return st.CoeffTable(t.n, {**t.entries, first: t.entries[first] + 1})
+    return table
+
+
+def _cycle_rule_changed(real):
+    def build():
+        return gr.Grammar({**real().rules, "q": chordlab.MVPoly.var("p")})
+    return build
+
+
 # name -> (module, attribute, perturbation of the real function)
 PERTURBATIONS = {
     "flipped-lne-lcr": (wd, "neighbor_classify", _flipped_lne_lcr),
@@ -106,6 +123,11 @@ PERTURBATIONS = {
     "cyc-plus-1": (pm, "perm_stats",
                    lambda real: lambda pi: real(pi)._replace(cyc=real(pi).cyc + 1)),
     "deg1-deg2-swapped": (st, "tree_degree_histogram", _deg1_deg2_swapped),
+    "gamma-plus-1": (st, "gamma_table", _gamma_plus_one),
+    # checks binds the name, so the perturbation goes where the checks read it
+    "stirling1-k1-plus-1": (checks, "stirling1_unsigned",
+                            lambda real: lambda n, k: real(n, k) + (k == 1)),
+    "q-rule-changed": (gr, "quadruple_statistic_grammar", _cycle_rule_changed),
 }
 CASES = ["clean", *PERTURBATIONS]
 
@@ -115,11 +137,13 @@ def _report(case, monkeypatch):
         module, name, perturb = PERTURBATIONS[case]
         monkeypatch.setattr(module, name, perturb(getattr(module, name)))
     chordlab.clear_caches()
+    checks._grammar.cache_clear()  # built grammars are not among clear_caches'
     try:
         results = run_checks(max_n=MAX_N, egf_order=EGF_ORDER)
     finally:
         monkeypatch.undo()
         chordlab.clear_caches()
+        checks._grammar.cache_clear()
     return [dict(r.to_dict(), ms=0) for r in results]
 
 
