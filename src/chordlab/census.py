@@ -5,17 +5,15 @@ statistic kernels per object and tallies the key it returns.  Every
 polynomial family and every enumerated tally of the checks is a projection
 of one of these, so each family is walked once per census and argument.
 
-Inside `sharded(k, reads)`, a census of at least SHARD_MIN objects is cut
-into up to k contiguous rank ranges (shards), and at most k forked children,
-and no more than the usable CPUs, walk shards from one queue.  On entry the
-queue takes every shard of each large uncached census in `reads`, in order,
-so those walks start before any census is read; a large census read before
-it was queued joins the front of the queue then, less its first shard, which
-the parent walks.  Reading a queued census, the parent walks its shards no
-child has started, waits for the others and adds them up in rank order, so
-the result equals the serial census, key order included.  The parent starts
-children for queued shards, and collects finished ones, whenever it enters
-`census` or `top_up`.
+On entry, `sharded(k, reads)` cuts each uncached census in `reads` of at
+least SHARD_MIN objects into up to k contiguous rank ranges (shards) and
+queues them all, in order, and at most k forked children, and no more than
+the usable CPUs, start walking shards from that queue.  The parent walks
+every other census in one pass when it is first read.  Reading a queued
+census, the parent walks its shards no child has started, waits for the
+others and adds them up in rank order, so the result equals the serial
+census, key order included.  The parent collects finished children, and
+starts children for queued shards, whenever it enters `census` or `top_up`.
 """
 from __future__ import annotations
 
@@ -54,13 +52,12 @@ TABLE = {
 SHARD_MIN = 30_000
 
 _CACHE: dict[tuple, Counter] = {}  # (name, *args) -> census
-# A shard is ranks lo..hi-1 of census `key`: `pid` is the child's that starts
-# it, `fd` and `chunks` its pipe and what came through, `result` the counts
-# or exception once walked.
+# A shard is ranks lo..hi-1 of census `key`: `pid` is the child's that walks
+# it, `result` the counts or exception once walked.
 _SHARDS: dict[tuple, list] = {}  # key -> its shards, while the census is queued
 _QUEUE: list = []  # shards no process has started, in start order
-_RUNNING: dict = {}  # pid -> the shard its child walks
-_shards, _slots = 1, 0  # shards per census, children alive at once
+_RUNNING: dict = {}  # read end of a child's pipe -> the shard it walks
+_slots = 0  # children alive at once
 
 
 def _cpus() -> int:
@@ -71,26 +68,33 @@ def _cpus() -> int:
 
 @contextlib.contextmanager
 def sharded(k: int, reads=()):
-    """Cut every census read inside into up to k shards, walked by up to k
-    forked children but no more than the CPUs, and start walking the large
-    ones among `reads` now.  Every child is killed if still walking, and
+    """Queue the shards of every large uncached census in `reads`, each cut
+    into up to k, and start walking them in up to k forked children but no
+    more than the CPUs.  Every child is killed if still walking, and
     reaped, before this exits."""
-    global _shards, _slots
-    _shards, _slots = k, min(k, _cpus()) if hasattr(os, "fork") else 0
+    global _slots
+    _slots = min(k, _cpus()) if hasattr(os, "fork") else 0
     try:
-        for key in reads:
-            _queue(key)
+        for key in dict.fromkeys(reads):
+            size = TABLE[key[0]][3]
+            objects = size(*key[1:]) if size and _slots and key not in _CACHE else 0
+            cut = min(k, objects // SHARD_MIN + 1)
+            if cut > 1:
+                bounds = [objects * i // cut for i in range(cut + 1)]
+                _SHARDS[key] = [SimpleNamespace(key=key, lo=lo, hi=hi, pid=None, result=None)
+                                for lo, hi in zip(bounds, bounds[1:])]
+                _QUEUE.extend(_SHARDS[key])
         top_up()
         yield
     finally:
-        for pid, shard in _RUNNING.items():
+        for fd, shard in _RUNNING.items():
             import signal  # only a run with children alive pays for it
-            os.kill(pid, signal.SIGKILL)
-            os.close(shard.fd)
-            os.waitpid(pid, 0)
+            os.kill(shard.pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(shard.pid, 0)
         for state in (_RUNNING, _QUEUE, _SHARDS):
             state.clear()
-        _shards, _slots = 1, 0
+        _slots = 0
 
 
 def census(name: str, *args) -> Counter:
@@ -99,34 +103,11 @@ def census(name: str, *args) -> Counter:
     Callers must not mutate the result.
     """
     key = (name, *args)
-    _queue(key, front=True)
     top_up()
     if key not in _CACHE:
         shards = _SHARDS.pop(key, None)
         _CACHE[key] = _walk(key) if shards is None else _merge(shards)
     return _CACHE[key]
-
-
-def _queue(key: tuple, bounds: list | None = None, front: bool = False) -> None:
-    """Queue census `key`, unless it is cached or queued, as the shards
-    between consecutive bounds, by default the cut `sharded` allows; none
-    if that is one shard.  At the front goes all but the first shard, which
-    the parent walks when it reads the census."""
-    if key in _CACHE or key in _SHARDS:
-        return
-    if bounds is None:
-        size = TABLE[key[0]][3]
-        objects = size(*key[1:]) if size and _slots else 0
-        k = min(_shards, objects // SHARD_MIN + 1)
-        bounds = [objects * i // k for i in range(k + 1)]
-    if len(bounds) > 2:
-        shards = _SHARDS[key] = [
-            SimpleNamespace(key=key, lo=lo, hi=hi, pid=None, fd=None, chunks=[], result=None)
-            for lo, hi in zip(bounds, bounds[1:])]
-        if front:
-            _QUEUE[:0] = shards[1:]
-        else:
-            _QUEUE.extend(shards)
 
 
 def _walk(key: tuple, lo: int = 0, hi: int | None = None) -> Counter:
@@ -141,7 +122,8 @@ def _walk(key: tuple, lo: int = 0, hi: int | None = None) -> Counter:
 
 def _merge(shards: list) -> Counter:
     """The census of `shards`, added up in rank order.  The parent walks
-    each shard no child has started, then waits for the children; the
+    each shard no child has started, then waits on the children's pipes,
+    topping up meanwhile, until each shard's own child is collected; the
     exception of the lowest shard that met one is raised, as a serial walk
     meets it first."""
     import select
@@ -155,8 +137,8 @@ def _merge(shards: list) -> Counter:
                 break
     total = Counter()
     for shard in shards:
-        while shard.pid in _RUNNING:
-            select.select([running.fd for running in _RUNNING.values()], [], [])
+        while shard.result is None:  # not its fd in _RUNNING: a new pipe reuses it
+            select.select(list(_RUNNING), [], [])
             top_up()
         if isinstance(shard.result, BaseException):
             raise shard.result
@@ -165,18 +147,21 @@ def _merge(shards: list) -> Counter:
 
 
 def top_up() -> None:
-    """Collect every child that has finished, then start children for queued
-    shards while fewer than the allowed number are alive."""
-    for shard in list(_RUNNING.values()):
-        _collect(shard)
+    """Collect every child whose pipe is readable, then start children for
+    queued shards while fewer than the allowed number are alive."""
+    if _RUNNING:
+        import select
+        for fd in select.select(list(_RUNNING), [], [], 0)[0]:
+            _collect(fd)
     while _QUEUE and len(_RUNNING) < _slots:
         _fork(_QUEUE.pop(0))
 
 
 def _fork(shard) -> None:
-    """Start a child on the shard.  It pickles the census, or the exception
-    that stopped it, into a pipe and always leaves by os._exit, so nothing
-    the parent buffered or registered runs twice."""
+    """Start a child on the shard.  It writes nothing to its pipe until its
+    walk is over, then pickles the census, or the exception that stopped
+    it, into the pipe and always leaves by os._exit, so nothing the parent
+    buffered or registered runs twice."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -188,7 +173,7 @@ def _fork(shard) -> None:
         status = 1
         try:
             import pickle  # only a sharded walk pays for it
-            for fd in [read, *(running.fd for running in _RUNNING.values())]:
+            for fd in [read, *_RUNNING]:
                 os.close(fd)  # so a write fails, not blocks, if the parent is gone
             try:
                 part = _walk(shard.key, shard.lo, shard.hi)
@@ -200,24 +185,18 @@ def _fork(shard) -> None:
         finally:
             os._exit(status)
     os.close(write)
-    os.set_blocking(read, False)
-    shard.pid, shard.fd = pid, read
-    _RUNNING[pid] = shard
+    shard.pid = pid
+    _RUNNING[read] = shard
 
 
-def _collect(shard) -> None:
-    """Read what the shard's child has written so far, without blocking: a
-    census can outgrow the pipe buffer, and the child cannot exit until it
-    is read.  Once the child has closed the pipe, reap it and unpickle."""
-    try:
-        while chunk := os.read(shard.fd, 1 << 16):
-            shard.chunks.append(chunk)
-    except BlockingIOError:
-        return
+def _collect(fd: int) -> None:
+    """Read a readable pipe to its end, reap its child and unpickle.  The
+    child writes only once its walk is over, so the read blocks only while
+    the pickle is written, which may take more than one pipe buffer."""
     import pickle
-    os.close(shard.fd)
-    del _RUNNING[shard.pid]
+    shard = _RUNNING.pop(fd)
+    with open(fd, "rb") as pipe:
+        data = pipe.read()
     _, status = os.waitpid(shard.pid, 0)
-    shard.result = pickle.loads(b"".join(shard.chunks)) if status == 0 else ChildProcessError(
+    shard.result = pickle.loads(data) if status == 0 else ChildProcessError(
         f"census shard process exited with {os.waitstatus_to_exitcode(status)}")
-    shard.chunks = None

@@ -468,11 +468,10 @@ def _b_dual(n):
 
 
 @_identity("COLORED", "r-colored Eulerian polynomials specialize to types A and B", 6,
-           lambda n: [("perm", n)] + ([("signed", n)] if n <= 5 else []))
+           _at_n("perm", "signed"))
 def _colored(n):
     yield "r=1", pm.colored_eulerian(n, 1), pm.eulerian_xy(n).subst({"y": 1})
-    if n <= 5:
-        yield "r=2", pm.colored_eulerian(n, 2), pm.b_poly(n).subst({"p": 1, "q": 1})
+    yield "r=2", pm.colored_eulerian(n, 2), pm.b_poly(n).subst({"p": 1, "q": 1})
 
 
 @_check("CALLAN-EGF", "even-to-odd-free matchings have EGF sqrt(e^z/(2-e^z))", 8,
@@ -550,7 +549,7 @@ def _c_grammar(n):
 
 
 @_per_n("C-EPOS", "xi expansion of C_(n+1) and e-positivity of the NCA polynomials", 6,
-        lambda n: [("neighbor", n)] + ([("neighbor", n + 1)] if n + 1 <= 6 else []))
+        lambda n: [("neighbor", n), ("neighbor", n + 1)])
 def _c_epos(n):
     nca = wd.nca_poly(n)
     ncr = wd.ncr_poly(n)
@@ -564,8 +563,6 @@ def _c_epos(n):
         expected = {k: Fraction(v) for k, v in st.xi_table(n - 1).entries.items()}
         if got != expected:
             return f"n={n}: e-coefficients {got} != xi table {expected}"
-    if n + 1 > 6:
-        return None
     x1, x2, x3 = MVPoly.var("x1"), MVPoly.var("x2"), MVPoly.var("x3")
     y1, y2 = MVPoly.var("y1"), MVPoly.var("y2")
     w1 = x1 * y1 + x2 * y1 + x3 * y2

@@ -2,6 +2,7 @@ import collections
 import json
 import os
 import pickle
+import select
 import time
 
 import pytest
@@ -124,15 +125,15 @@ class TestRunner:
 
     @pytest.mark.parametrize("name,args", [("perm", (4,)), ("neighbor", (3,)),
                                            ("signed", (3,)), ("stirling", (3,))])
-    def test_a_census_of_k_shards_forks_k_minus_one_children(
+    def test_a_census_of_k_shards_forks_k_children(
             self, fresh_caches, forks, monkeypatch, name, args):
         serial = list(census(name, *args).items())
         chordlab.clear_caches()
         monkeypatch.setattr(census_module, "SHARD_MIN", 1)
         monkeypatch.setattr(census_module, "_cpus", lambda: 3)
-        with census_module.sharded(3):
+        with census_module.sharded(3, [(name, *args)]):
             sharded = list(census(name, *args).items())
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert sharded == serial
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -200,9 +201,10 @@ class TestProcesses:
 
     def test_a_census_larger_than_the_pipe_buffer_frees_its_slot(self, forks, monkeypatch):
         # Each half of S_8 tallied by identity pickles to several pipe
-        # buffers.  With one child allowed, the parent must read the first
-        # child's pipe without blocking for it to exit, so that the second
-        # half gets a child before anything reads the census.
+        # buffers.  With one child allowed, the parent reads the first
+        # child's whole pickle once its pipe turns readable, which lets that
+        # child exit, so the second half gets a child before anything reads
+        # the census.
         monkeypatch.setattr(pm, "perm_stats", lambda pi: pi)
         monkeypatch.setattr(census_module, "SHARD_MIN", 20160)
         monkeypatch.setattr(census_module, "_cpus", lambda: 1)
@@ -215,6 +217,47 @@ class TestProcesses:
                 time.sleep(0.01)
             assert len(forks) == 2
             assert census("perm", 8) == collections.Counter(pm.enumerate_permutations(8))
+        self._assert_no_child_left()
+
+    def test_a_wait_ends_when_its_own_child_is_collected(self, forks, monkeypatch):
+        # One CPU: the three shards of S_4 get a child each in turn, and each
+        # new child's pipe takes the fd its collected predecessor freed.
+        # Reading S_4 waits for the third, slowed in the child; once it is
+        # collected, a child on a shard of B_2, whose kernel sleeps in a
+        # child, takes that fd again, and the read must not wait for it.
+        real, parent = pm.perm_stats, os.getpid()
+        serial = census_module._walk(("perm", 4))
+
+        def slow_last_third(pi):
+            if pi[0] == 4 and os.getpid() != parent:
+                time.sleep(0.1)
+            return real(pi)
+
+        def stuck(signed):
+            time.sleep(60)
+
+        pipes = []
+        real_pipe = os.pipe
+
+        def recorded():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        monkeypatch.setattr(pm, "perm_stats", slow_last_third)
+        monkeypatch.setattr(pm, "signed_stats", stuck)
+        monkeypatch.setattr(os, "pipe", recorded)
+        monkeypatch.setattr(census_module, "SHARD_MIN", 1)
+        monkeypatch.setattr(census_module, "_cpus", lambda: 1)
+        started = time.monotonic()
+        with census_module.sharded(3, [("perm", 4), ("signed", 2)]):
+            while len(forks) < 3 and time.monotonic() - started < 30:
+                census_module.top_up()
+                time.sleep(0.01)
+            assert census_module._RUNNING  # the third child is still walking
+            assert census("perm", 4) == serial
+            assert len(forks) == 4 and time.monotonic() - started < 30
+            assert list(census_module._RUNNING) == [pipes[0][0]]
+        assert len({read for read, _ in pipes}) == 1
         self._assert_no_child_left()
 
     def test_live_children_never_outnumber_the_cpus(self, monkeypatch):
@@ -347,27 +390,36 @@ class TestFaultInjection:
         assert [(r.id, r.status, r.witness) for r in sharded] == [
             (r.id, r.status, r.witness) for r in serial]
 
-    # S_4 in lexicographic order, cut in two at rank 12.  With no reads
-    # declared, S_4 is cut when A-EQUIDIST reads it: the parent walks the
-    # first half and one child the second.
+    # S_4 in lexicographic order, cut in two at rank 12, with one CPU: the
+    # only child starts on the first half with the run, and its kernel waits
+    # until the parent walks a permutation of S_4, which it does only on the
+    # second half, no child having started it.  So the bad permutation is met
+    # by a child in the first half and by the parent in the second.
     @pytest.mark.parametrize("bad", BAD_PERMS)
     def test_kernel_raising_in_a_shard(self, fresh_caches, forks, monkeypatch, bad):
-        real = pm.perm_stats
+        real, parent = pm.perm_stats, os.getpid()
+        gate, opener = os.pipe()
 
         def raising(pi):
+            if len(pi) == 4 and os.getpid() == parent:
+                os.write(opener, b".")
+            elif len(pi) == 4:
+                select.select([gate], [], [], 30)
             if pi == bad:
                 raise ValueError(f"no statistics for {pi}")
             return real(pi)
 
         monkeypatch.setattr(pm, "perm_stats", raising)
         monkeypatch.setattr(census_module, "SHARD_MIN", 12)
-        monkeypatch.setattr(census_module, "_cpus", lambda: 2)
-        monkeypatch.setitem(checks._REGISTRY, "A-EQUIDIST", checks._REGISTRY[
-            "A-EQUIDIST"]._replace(reads=lambda max_n, egf_order: []))
-        sharded = run_checks(["A-EQUIDIST"], max_n=4, jobs=2)
-        assert forks == [1]
-        chordlab.clear_caches()
-        serial = run_checks(["A-EQUIDIST"], max_n=4)
+        monkeypatch.setattr(census_module, "_cpus", lambda: 1)
+        try:
+            sharded = run_checks(["A-EQUIDIST"], max_n=4, jobs=2)
+            assert forks == [1]
+            chordlab.clear_caches()
+            serial = run_checks(["A-EQUIDIST"], max_n=4)
+        finally:
+            os.close(gate)
+            os.close(opener)
         assert serial[0].witness == f"exception: ValueError('no statistics for {bad}')"
         assert _normalized(sharded) == _normalized(serial)
         with pytest.raises(ChildProcessError):
