@@ -12,6 +12,7 @@ coefficients printed as ``p`` or ``p/q`` and unit coefficients elided.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -85,13 +86,7 @@ class MVPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        clean: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[mono] = c
-        self.terms = clean
+        self.terms = _collect((mono, Fraction(c)) for mono, c in (terms or {}).items()).terms
 
     # -- constructors -------------------------------------------------
 
@@ -104,21 +99,16 @@ class MVPoly:
         return cls({(): Fraction(c)})
 
     @classmethod
-    def var(cls, name: str, exp: int = 1) -> "MVPoly":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp == 0:
-            return cls.const(1)
-        return cls({((name, exp),): Fraction(1)})
+    def var(cls, name: str) -> "MVPoly":
+        return cls({((name, 1),): Fraction(1)})
 
     @classmethod
     def from_exponents(cls, counts: Mapping[tuple, Scalar], names: Sequence[str]) -> "MVPoly":
-        """Build a polynomial from {exponent-tuple: coefficient} over `names`."""
-        terms: dict[Mono, Fraction] = {}
-        for exps, c in counts.items():
-            mono = tuple(sorted((v, e) for v, e in zip(names, exps) if e))
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(c)
-        return cls(terms)
+        """Build a polynomial from {exponent-tuple: coefficient} over the
+        distinct variables `names`."""
+        order = sorted(range(len(names)), key=names.__getitem__)
+        return _collect((tuple((names[i], exps[i]) for i in order if exps[i]), Fraction(c))
+                        for exps, c in counts.items())
 
     # -- basic queries ------------------------------------------------
 
@@ -149,23 +139,12 @@ class MVPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        p = MVPoly.__new__(MVPoly)
-        p.terms = out
-        return p
+        return _collect(itertools.chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MVPoly":
-        p = MVPoly.__new__(MVPoly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _collect((m, -c) for m, c in self.terms.items())
 
     def __sub__(self, other) -> "MVPoly":
         other = _coerce(other)
@@ -178,26 +157,11 @@ class MVPoly:
 
     def __mul__(self, other) -> "MVPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return MVPoly.zero()
-            p = MVPoly.__new__(MVPoly)
-            p.terms = {m: c * k for m, k in self.terms.items()}
-            return p
+            return _collect((m, c * other) for m, c in self.terms.items())
         if not isinstance(other, MVPoly):
             return NotImplemented
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
-        p = MVPoly.__new__(MVPoly)
-        p.terms = out
-        return p
+        return _collect((_mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items()
+                        for m2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -216,38 +180,31 @@ class MVPoly:
     # -- calculus and substitution ------------------------------------
 
     def partial(self, v: str) -> "MVPoly":
-        """Formal partial derivative with respect to `v`."""
-        out: dict[Mono, Fraction] = {}
-        for mono, c in self.terms.items():
-            for idx, (name, e) in enumerate(mono):
-                if name == v:
-                    if e == 1:
-                        reduced = mono[:idx] + mono[idx + 1:]
-                    else:
-                        reduced = mono[:idx] + ((name, e - 1),) + mono[idx + 1:]
-                    s = out.get(reduced, Fraction(0)) + c * e
-                    if s:
-                        out[reduced] = s
-                    elif reduced in out:
-                        del out[reduced]
-                    break
-        p = MVPoly.__new__(MVPoly)
-        p.terms = out
-        return p
+        """Formal partial derivative with respect to `v`; a term's `v`
+        exponent drops by one, and `v` leaves the monomial at zero."""
+        return _collect((mono[:i] + ((v, e - 1),) * (e > 1) + mono[i + 1:], c * e)
+                        for mono, c in self.terms.items()
+                        for i, (name, e) in enumerate(mono) if name == v)
 
     def subst(self, bindings: Mapping[str, "MVPoly | Scalar"]) -> "MVPoly":
-        """Simultaneously replace bound variables; unbound ones are kept."""
+        """Simultaneously replace bound variables; unbound ones are kept.
+        Each power of a bound variable is computed once."""
         binds = {v: _coerce(p) for v, p in bindings.items()}
-        total = MVPoly.zero()
-        for mono, c in self.terms.items():
-            term = MVPoly.const(c)
-            for name, e in mono:
-                if name in binds:
-                    term = term * binds[name] ** e
-                else:
-                    term = term * MVPoly.var(name, e)
-            total = total + term
-        return total
+        powers: dict[tuple[str, int], MVPoly] = {}
+
+        def terms():
+            for mono, c in self.terms.items():
+                kept = tuple((v, e) for v, e in mono if v not in binds)
+                product = MVPoly.const(c)
+                for v, e in mono:
+                    if v in binds:
+                        if (v, e) not in powers:
+                            powers[v, e] = binds[v] ** e
+                        product = product * powers[v, e]
+                for m, k in product.terms.items():
+                    yield _mono_mul(kept, m), k
+
+        return _collect(terms())
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a fully bound point."""
@@ -265,15 +222,12 @@ class MVPoly:
 
     def coefficients_in(self, names: Sequence[str]) -> dict[tuple, "MVPoly"]:
         """Group terms by their exponents in `names`, coefficients in the rest."""
-        grouped: dict[tuple, dict[Mono, Fraction]] = {}
+        grouped: dict[tuple, list] = {}
         for mono, c in self.terms.items():
-            exps = {v: e for v, e in mono}
+            exps = dict(mono)
             key = tuple(exps.pop(n, 0) for n in names)
-            rest = tuple(sorted(exps.items()))
-            slot = grouped.setdefault(key, {})
-            slot[rest] = slot.get(rest, Fraction(0)) + c
-        out = {k: MVPoly(v) for k, v in grouped.items()}
-        return {k: v for k, v in out.items() if not v.is_zero}
+            grouped.setdefault(key, []).append((tuple(exps.items()), c))
+        return {k: _collect(v) for k, v in grouped.items()}
 
     def coefficient(self, mono_of: Mapping[str, int]) -> "MVPoly":
         """Coefficient polynomial of an exact monomial in the given variables."""
@@ -318,6 +272,18 @@ class MVPoly:
         return f"MVPoly({self.render()})"
 
 
+def _collect(terms: Iterable[tuple[Mono, Fraction]]) -> MVPoly:
+    """The sum of (monomial, coefficient) terms: like monomials add up and
+    zero sums drop out.  Every polynomial of this module is made here."""
+    out: dict[Mono, Fraction] = {}
+    for mono, c in terms:
+        old = out.get(mono)
+        out[mono] = c if old is None else old + c
+    p = MVPoly.__new__(MVPoly)
+    p.terms = {m: c for m, c in out.items() if c}
+    return p
+
+
 def _coerce(value) -> MVPoly:
     if isinstance(value, MVPoly):
         return value
@@ -346,9 +312,10 @@ def gamma_expand(p: MVPoly, x: str, y: str) -> list[tuple[int, MVPoly]]:
 
     `p` must be homogeneous of some degree d in (x, y) and symmetric under
     the swap of x and y; its coefficients may involve other variables.
-    Returns the nonzero (j, gamma_j) pairs, j ascending.  The expansion is
-    computed by peeling the leading pure-x coefficient, subtracting, and
-    dividing the remainder by xy.
+    Returns the nonzero (j, gamma_j) pairs, j ascending.  With a[k] the
+    coefficient of x^(d-k) y^k, gamma_j is a[j] once every earlier
+    (xy)^i (x+y)^(d-2i) term has been subtracted from a, and the
+    subtractions must leave a at zero.
     """
     if p.is_zero:
         return []
@@ -358,33 +325,16 @@ def gamma_expand(p: MVPoly, x: str, y: str) -> list[tuple[int, MVPoly]]:
         raise NotHomogeneousError(
             f"degrees in ({x},{y}) are not constant: {sorted(degrees)}")
     d = degrees.pop()
-    x_plus_y = MVPoly.var(x) + MVPoly.var(y)
+    a = [slices.get((d - k, k), MVPoly.zero()) for k in range(d + 1)]
     out: list[tuple[int, MVPoly]] = []
-    cur = p
-    j = 0
-    while not cur.is_zero:
-        rem = d - 2 * j
-        if rem < 0:
-            raise NotSymmetricError("peeling left a nonzero remainder")
-        lead = cur.coefficient({x: rem, y: 0})
-        if not lead.is_zero:
-            out.append((j, lead))
-            cur = cur - lead * x_plus_y ** rem
-        # every surviving term must now be divisible by x*y
-        quotient: dict[Mono, Fraction] = {}
-        for mono, c in cur.terms.items():
-            exps = dict(mono)
-            if exps.get(x, 0) < 1 or exps.get(y, 0) < 1:
-                raise NotSymmetricError("peeling left a nonzero remainder")
-            reduced = []
-            for v, e in mono:
-                if v in (x, y):
-                    e -= 1
-                if e:
-                    reduced.append((v, e))
-            quotient[tuple(reduced)] = c
-        cur = MVPoly(quotient)
-        j += 1
+    for j in range(d // 2 + 1):
+        gamma = a[j]
+        if not gamma.is_zero:
+            out.append((j, gamma))
+            for i in range(d - 2 * j + 1):
+                a[j + i] = a[j + i] - math.comb(d - 2 * j, i) * gamma
+    if any(not c.is_zero for c in a):
+        raise NotSymmetricError("peeling left a nonzero remainder")
     return out
 
 
@@ -431,10 +381,8 @@ def esym_expand(p: MVPoly, names: Sequence[str]) -> list[tuple[tuple[int, int, i
 def esym_assemble(coeffs: Iterable[tuple[tuple[int, int, int], Scalar]],
                   names: Sequence[str]) -> MVPoly:
     e1, e2, e3 = esym_polys(names)
-    total = MVPoly.zero()
-    for (i, j, k), c in coeffs:
-        total = total + Fraction(c) * e1 ** i * e2 ** j * e3 ** k
-    return total
+    return sum((Fraction(c) * e1 ** i * e2 ** j * e3 ** k for (i, j, k), c in coeffs),
+               MVPoly.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +394,9 @@ class TruncatedSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence[Scalar], order: int | None = None):
-        coeffs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient list must have length order+1")
-        self.order = order
-        self.coeffs = tuple(coeffs)
+    def __init__(self, coeffs: Sequence[Scalar]):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.order = len(self.coeffs) - 1
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":

@@ -10,7 +10,6 @@ degree.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -42,9 +41,6 @@ class CheckResult(NamedTuple):
     per_n: list               # [{"n": int, "status": str}, ...]
     witness: str | None
     ms: int
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 class Check(NamedTuple):
@@ -133,31 +129,19 @@ def _egf_rows(order: int, cases) -> list:
     return [(k, witnesses.get(k)) for k in range(order + 1)]
 
 
-@functools.cache
-def _grammar(build) -> gr.Grammar:
-    """A suite grammar, built on its first use and shared by every later n."""
-    return build()
-
-
 def _swapped(p: MVPoly, a: str = "x", b: str = "y") -> MVPoly:
     return p.subst({a: MVPoly.var(b), b: MVPoly.var(a)})
 
 
 def _first_word_in_diff(n: int, diff: MVPoly, key_of, names) -> str:
     """"; first word in diff: ..." naming the first word (stream order) whose
-    statistic monomial appears in `diff`, or "" when there is none.
+    exponent vector over `names` is one of `diff`'s, or "" when there is none.
 
     Censuses keep no objects, so a failing check rescans the words for this.
     """
-    support = set(diff.terms)
-    for w in wd.words(n):
-        exps = key_of(w)
-        if exps is None:
-            continue
-        mono = tuple(sorted((v, e) for v, e in zip(names, exps) if e))
-        if mono in support:
-            return f"; first word in diff: {wd.word_text(w)}"
-    return ""
+    support = diff.coefficients_in(names)
+    return next((f"; first word in diff: {wd.word_text(w)}"
+                 for w in wd.words(n) if key_of(w) in support), "")
 
 
 def _perm_quadruple_poly(n: int) -> MVPoly:
@@ -166,23 +150,20 @@ def _perm_quadruple_poly(n: int) -> MVPoly:
         ("x", "y", "p", "q"))
 
 
-def _exponent_transform(p: MVPoly, names, image) -> MVPoly:
-    """Map each term by an exponent-vector transform; asserts nonnegativity.
-
-    `image(exps)` returns {variable: exponent} for the transformed monomial.
-    """
-    out: dict[tuple, Fraction] = {}
-    for mono, c in p.terms.items():
-        exps = dict(mono)
-        vec = tuple(exps.get(v, 0) for v in names)
+def _exponent_transform(p: MVPoly, names, targets, image) -> MVPoly:
+    """Map each term of `p`, a polynomial in `names` alone, by an
+    exponent-vector transform; terms with one image add up.  `image(exps)`
+    returns the exponents over `targets`, which must be nonnegative."""
+    def checked(vec):
         mapped = image(vec)
-        for v, e in mapped.items():
+        for v, e in zip(targets, mapped):
             if e < 0:
                 raise NotSymmetricError(
                     f"transform produced negative exponent {v}^{e} from {vec}")
-        new = tuple(sorted((v, e) for v, e in mapped.items() if e))
-        out[new] = out.get(new, Fraction(0)) + c
-    return MVPoly(out)
+        return mapped
+
+    terms = {vec: c.constant_term() for vec, c in p.coefficients_in(names).items()}
+    return MVPoly.from_exponents(project(terms, checked), targets)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +411,7 @@ def _dnk(n):
         ("matching vs 2^n d_n(x,q/2)", matching_side,
          d.subst({"q": Fraction(1, 2) * MVPoly.var("q")}) * 2 ** n),
         ("matching vs weighted expansion", matching_side, expansion(
-            lambda qpoly: MVPoly({mono: c * 2 ** (n - dict(mono).get("q", 0))
-                                  for mono, c in qpoly.terms.items()})))])
+            lambda qpoly: qpoly.subst({"q": Fraction(1, 2) * MVPoly.var("q")}) * 2 ** n))])
 
 
 _B_NOTE = ("note: this check arbitrates the |sigma|-cycle convention for "
@@ -464,7 +444,7 @@ def _b_dual(n):
            sum((math.comb(n, k) * m_both(k) * m_tilde(n - k) for k in range(n + 1)),
                MVPoly.zero()))
     yield "x^n M~(1/x,q)", m_both(n), _exponent_transform(
-        m_tilde(n), ("x", "q"), lambda vec: {"x": n - vec[0], "q": vec[1]})
+        m_tilde(n), ("x", "q"), ("x", "q"), lambda vec: (n - vec[0], vec[1]))
 
 
 @_identity("COLORED", "r-colored Eulerian polynomials specialize to types A and B", 6,
@@ -544,7 +524,7 @@ def _klazar(n):
            lambda n: [("neighbor", n + 1)])
 def _c_grammar(n):
     I, E = MVPoly.var("I"), MVPoly.var("E")
-    yield ("", gr.d_iter(_grammar(gr.neighbor_grammar), I * MVPoly.var("y2") * E, n),
+    yield ("", gr.d_iter(gr.neighbor_grammar(), I * MVPoly.var("y2") * E, n),
            I * E * wd.c_poly(n + 1))
 
 
@@ -627,7 +607,7 @@ def _q_sym(n):
 
 @_identity("Q-GRAMMAR", "the xyz grammar iterates to Q_n(x,y,z)", 7, _at_n("stirling"))
 def _q_grammar(n):
-    yield ("", gr.d_iter(_grammar(gr.stirling_word_grammar), MVPoly.var("x"), n),
+    yield ("", gr.d_iter(gr.stirling_word_grammar(), MVPoly.var("x"), n),
            st.q_poly(n))
 
 
@@ -639,7 +619,7 @@ def _q_chen22(n):
         [(k, Fraction(v)) for k, v in sorted(st.gamma_table(n).entries.items())],
         ("x", "y", "z"))
     e1, e2, e3 = esym_polys(("x", "y", "z"))
-    yield "grammar H", q, gr.d_iter(_grammar(gr.esym_uvw_grammar), MVPoly.var("w"),
+    yield "grammar H", q, gr.d_iter(gr.esym_uvw_grammar(), MVPoly.var("w"),
                                     n - 1).subst({"u": e1, "v": e2, "w": e3})
 
 
@@ -648,15 +628,16 @@ def _q_chen22(n):
 def _cq_transform(n):
     q = st.q_poly(n)
     images = [
-        lambda v: {"x1": n - v[0], "x2": n - v[1], "x3": n - v[2],
-                   "y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]},
-        lambda v: {"x": n - v[0], "y": n - v[1], "z": n - v[2]},
-        lambda v: {"x1": n - v[0], "x2": n - v[1], "y2": n + 1 - v[2]},
-        lambda v: {"y1": 2 * n - v[0] - v[1], "y2": n + 1 - v[2]},
+        (("x1", "x2", "x3", "y1", "y2"),
+         lambda v: (n - v[0], n - v[1], n - v[2], 2 * n - v[0] - v[1], n + 1 - v[2])),
+        (("x", "y", "z"), lambda v: (n - v[0], n - v[1], n - v[2])),
+        (("x1", "x2", "y2"), lambda v: (n - v[0], n - v[1], n + 1 - v[2])),
+        (("y1", "y2"), lambda v: (2 * n - v[0] - v[1], n + 1 - v[2])),
     ]
     try:
         full, nca, lnelcrlrp, rrplrp = [
-            _exponent_transform(q, ("x", "y", "z"), image) for image in images]
+            _exponent_transform(q, ("x", "y", "z"), targets, image)
+            for targets, image in images]
     except NotSymmetricError as exc:
         return f"n={n}: {exc}"
     return _first_diff(n, [
@@ -773,7 +754,7 @@ def _foata(n):
            _at_n("perm"))
 def _g_exc(n):
     I = MVPoly.var("I")
-    yield ("", gr.d_iter(_grammar(gr.quadruple_statistic_grammar), I, n),
+    yield ("", gr.d_iter(gr.quadruple_statistic_grammar(), I, n),
            I * _perm_quadruple_poly(n))
 
 
@@ -781,7 +762,7 @@ def _g_exc(n):
            _at_n("block"))
 def _g_match(n):
     J = MVPoly.var("J")
-    yield ("", gr.d_iter(_grammar(gr.matching_statistic_grammar), J, n),
+    yield ("", gr.d_iter(gr.matching_statistic_grammar(), J, n),
            J * mt.m_poly(n).subst({"x": MVPoly.var("a"), "y": MVPoly.var("b")}))
 
 
@@ -790,22 +771,21 @@ def _g_change(n):
     binding = {"I": MVPoly.var("J"), "p": 2 * MVPoly.var("s"),
                "q": Fraction(1, 2) * MVPoly.var("t"),
                "x": 2 * MVPoly.var("a"), "y": 2 * MVPoly.var("b")}
-    yield ("", gr.d_iter(_grammar(gr.quadruple_statistic_grammar), MVPoly.var("I"),
+    yield ("", gr.d_iter(gr.quadruple_statistic_grammar(), MVPoly.var("I"),
                          n).subst(binding),
-           gr.d_iter(_grammar(gr.matching_statistic_grammar), MVPoly.var("J"), n))
+           gr.d_iter(gr.matching_statistic_grammar(), MVPoly.var("J"), n))
 
 
 @_identity("G-DUMONT", "Dumont's grammar iterates to a b^n A_n(a/b)", 8, _at_n("perm"))
 def _g_dumont(n):
-    g = _grammar(gr.dumont_grammar)
+    g = gr.dumont_grammar()
     a, b = MVPoly.var("a"), MVPoly.var("b")
     da = gr.d_iter(g, a, n)
     yield "D^n(a) vs D^n(b)", da, gr.d_iter(g, b, n)
     # a b^n A_n(a/b): the x^k term of A_n becomes a^(k+1) b^(n-k)
-    eulerian = pm.eulerian_xy(n).subst({"y": 1})
-    yield "vs a b^n A_n(a/b)", da, a * sum(
-        (c * MVPoly.var("a", dict(m).get("x", 0)) * MVPoly.var("b", n - dict(m).get("x", 0))
-         for m, c in eulerian.terms.items()), MVPoly.zero())
+    eulerian = pm.eulerian_xy(n).subst({"y": 1}).coefficients_in(("x",))
+    yield "vs a b^n A_n(a/b)", da, MVPoly.from_exponents(
+        {(k + 1, n - k): c.constant_term() for (k,), c in eulerian.items()}, ("a", "b"))
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +834,15 @@ def run_checks(selection="all", max_n: int | None = None,
     the run (`census.sharded`), so results do not depend on it.  Failing
     checks never abort the run.
     """
+    order = DEFAULT_EGF_ORDER if egf_order is None else egf_order
+    reads = _reads(selection, max_n, order)
+    with sharded(jobs, [key for keys in reads.values() for key in keys]):
+        return [_run_single(check_id, max_n, order) for check_id in reads]
+
+
+def _reads(selection, max_n: int | None, egf_order: int) -> dict[str, list]:
+    """The census keys each selected check declares it reads at these
+    bounds, by check id in run order."""
     if selection == "all" or selection is None:
         ids = list(_REGISTRY)
     else:
@@ -861,15 +850,12 @@ def run_checks(selection="all", max_n: int | None = None,
         for check_id in ids:
             if check_id not in _REGISTRY:
                 raise UnknownCheckIdError(f"unknown check id: {check_id}")
-    order = DEFAULT_EGF_ORDER if egf_order is None else egf_order
-    reads = [key for check in map(_REGISTRY.get, ids) for key in check.reads(
-        check.default_max_n if max_n is None else max_n, order)]
-    with sharded(jobs, reads):
-        return [_run_single(check_id, max_n, order) for check_id in ids]
+    return {check.id: check.reads(check.default_max_n if max_n is None else max_n, egf_order)
+            for check in map(_REGISTRY.get, ids)}
 
 
 def report_json(results: Iterable[CheckResult]) -> str:
-    return json.dumps({"results": [r.to_dict() for r in results]}, indent=2)
+    return json.dumps({"results": [r._asdict() for r in results]}, indent=2)
 
 
 def report_table(results: Iterable[CheckResult]) -> str:

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import checks
+from . import census, checks
 from . import grammar as gr
 from . import matchings as mt
 from . import perms as pm
@@ -28,7 +28,8 @@ from .grammar import DuplicateRuleError
 
 # `verify --max-n` becomes every check's bound and `--egf-order` every series
 # order; the checks that walk S_n and M_n default to at most 8 (M-EGF walks
-# M_order), and one order more costs them minutes to hours.
+# M_order), and one order more costs them minutes to hours.  No census a
+# selection declares it reads may be larger than M_8 either.
 _VERIFY_MAX_N = 8
 
 
@@ -152,7 +153,7 @@ def _emit(text: str, out) -> None:
 def _matching_rows(n):
     for rank, m in enumerate(mt.enumerate_matchings(n)):
         fixb, el, ol, es, os_, _ = mt.block_stats(m)
-        cr, ne, al, lne, lcr, nal, _, _, lrp, rrp = mt.pairwise_stats(m)
+        cr, ne, al, lne, lcr, nal, lrp, rrp = mt.pairwise_stats(m)
         yield (n, rank, mt.arcs_text(m), fixb, el, ol, es, os_, cr, ne,
                al, lne, lcr, nal, lrp, rrp, mt.trace(m))
 
@@ -313,12 +314,23 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"{flag} must be nonnegative, got {value}")
     for flag, value in bounds:
         _guard(flag, value, "verify", _VERIFY_MAX_N, args.force)
+    order = checks.DEFAULT_EGF_ORDER if args.egf_order is None else args.egf_order
+    try:
+        reads = checks._reads(selection, args.max_n, order)
+    except checks.UnknownCheckIdError as exc:
+        raise _UsageError(str(exc)) from None
+    limit = census.TABLE["block"][3](_VERIFY_MAX_N)
+    for check_id, keys in reads.items():
+        for name, *key in keys:
+            size = census.TABLE[name][3]
+            objects = size(*key) if size else 0
+            if objects > limit and not args.force:
+                raise _UsageError(
+                    f"{check_id} reads the {name} census of n={key[0]} ({objects:,} "
+                    f"objects), above the verify limit {limit:,} (pass --force to override)")
     with _output(args.out) as out:
-        try:
-            results = checks.run_checks(selection, max_n=args.max_n,
-                                        egf_order=args.egf_order, jobs=jobs)
-        except checks.UnknownCheckIdError as exc:
-            raise _UsageError(str(exc)) from None
+        results = checks.run_checks(selection, max_n=args.max_n,
+                                    egf_order=args.egf_order, jobs=jobs)
         report = checks.report_json if args.report == "json" else checks.report_table
         _emit(report(results), out)
     return 1 if any(r.status == "fail" for r in results) else 0

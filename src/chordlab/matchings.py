@@ -101,8 +101,6 @@ class PairStats(NamedTuple):
     lne: int
     lcr: int
     nal: int
-    rne: int
-    rcr: int
     lrp: int
     rrp: int
 
@@ -122,7 +120,7 @@ def pairwise_stats(m: Matching) -> PairStats:
         partner[a] = b
         partner[b] = a
     opened: list[int] = []
-    open_pairs = ne = lne = lcr = nal = rne = rcr = lrp = 0
+    open_pairs = ne = lne = lcr = nal = lrp = rrp = 0
     prev = 0  # partner of position p - 1 (0 before position 1)
     for p, q in enumerate(partner):
         if q > p:  # p opens the arc (p, q)
@@ -137,17 +135,15 @@ def pairwise_stats(m: Matching) -> PairStats:
         elif q:  # p closes the arc (q, p)
             if prev >= p:
                 lrp += 1
-            elif prev > q:
-                rne += 1
             else:
-                rcr += 1
+                rrp += 1
             idx = opened.index(q)
             ne += idx
             del opened[idx]
             open_pairs += len(opened)
         prev = q
     return PairStats(open_pairs - ne, ne, n * (n - 1) // 2 - open_pairs,
-                     lne, lcr, nal, rne, rcr, lrp, rne + rcr)
+                     lne, lcr, nal, lrp, rrp)
 
 
 # ---------------------------------------------------------------------------

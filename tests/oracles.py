@@ -8,9 +8,10 @@ plain tuples in the field order of the library's stat records (which are
 tuples too), so each can be compared with its kernel object by object; the
 neighbor classifier returns the five index sets whose sizes the kernel
 counts.
-Two algebra kernels have references here too: the grammar derivative on
-sparse (variable, exponent) monomials with `Fraction` coefficients, and
-the xi/gamma recurrences on tuple-keyed dictionaries.
+Three algebra kernels have references here too: the grammar derivative on
+sparse (variable, exponent) monomials with `Fraction` coefficients, the
+xi/gamma recurrences on tuple-keyed dictionaries, and the gamma expansion
+by peeling whole polynomials.
 
 Next come test-only constructions: the standard form of a matching given
 as arcs in any order and orientation, the O(n^2) one-line statistics of a
@@ -30,7 +31,7 @@ from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
-from chordlab.algebra import MVPoly, _mono_mul
+from chordlab.algebra import MVPoly, NotHomogeneousError, NotSymmetricError, _mono_mul
 
 
 def standard_form(arcs):
@@ -101,10 +102,10 @@ def block_stats(m):
 
 
 def pairwise_stats(m):
-    """(cr, ne, al, lne, lcr, nal, rne, rcr, lrp, rrp) by comparing every
-    pair of arcs."""
+    """(cr, ne, al, lne, lcr, nal, lrp, rrp) by comparing every pair of
+    arcs."""
     n = len(m)
-    cr = ne = al = lne = lcr = nal = rne = rcr = 0
+    cr = ne = al = lne = lcr = nal = 0
     for r in range(n):
         i1, j1 = m[r]
         for s in range(r + 1, n):
@@ -117,14 +118,10 @@ def pairwise_stats(m):
                 cr += 1
                 if i2 == i1 + 1:
                     lcr += 1
-                if j2 == j1 + 1:
-                    rcr += 1
             else:
                 ne += 1
                 if i1 == i2 + 1:
                     lne += 1
-                if j2 == j1 + 1:
-                    rne += 1
     is_opener = [False] * (2 * n + 2)
     for a, b in m:
         is_opener[a] = True
@@ -136,7 +133,7 @@ def pairwise_stats(m):
             lrp += 1
         else:
             rrp += 1
-    return (cr, ne, al, lne, lcr, nal, rne, rcr, lrp, rrp)
+    return (cr, ne, al, lne, lcr, nal, lrp, rrp)
 
 
 def trace_indices(m):
@@ -326,6 +323,48 @@ def insertion_words(n):
         tail = ((n, True),)
         for pos in range(2 * n - 1):
             yield w[:pos] + ((n, False),) + w[pos:] + tail
+
+
+def gamma_expand(p, x, y):
+    """`algebra.gamma_expand` by peeling: take the coefficient of x^(d-2j)
+    as gamma_j, subtract gamma_j (x+y)^(d-2j) and divide the remainder by
+    xy, for j = 0, 1, ...; it raises the same errors."""
+    if p.is_zero:
+        return []
+    slices = p.coefficients_in((x, y))
+    degrees = {ex + ey for ex, ey in slices}
+    if len(degrees) != 1:
+        raise NotHomogeneousError(
+            f"degrees in ({x},{y}) are not constant: {sorted(degrees)}")
+    d = degrees.pop()
+    x_plus_y = MVPoly.var(x) + MVPoly.var(y)
+    out = []
+    cur = p
+    j = 0
+    while not cur.is_zero:
+        rem = d - 2 * j
+        if rem < 0:
+            raise NotSymmetricError("peeling left a nonzero remainder")
+        lead = cur.coefficient({x: rem, y: 0})
+        if not lead.is_zero:
+            out.append((j, lead))
+            cur = cur - lead * x_plus_y ** rem
+        # every surviving term must now be divisible by x*y
+        quotient = {}
+        for mono, c in cur.terms.items():
+            exps = dict(mono)
+            if exps.get(x, 0) < 1 or exps.get(y, 0) < 1:
+                raise NotSymmetricError("peeling left a nonzero remainder")
+            reduced = []
+            for v, e in mono:
+                if v in (x, y):
+                    e -= 1
+                if e:
+                    reduced.append((v, e))
+            quotient[tuple(reduced)] = c
+        cur = MVPoly(quotient)
+        j += 1
+    return out
 
 
 def gamma_assemble(coeffs, x, y, d):

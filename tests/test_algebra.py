@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+import oracles
 from chordlab.algebra import (
-    BadConstantTermError, MVPoly, NotHomogeneousError, NotSymmetricError,
-    ParseError, TruncatedSeries, UnboundVariableError, esym_assemble,
-    esym_expand, gamma_expand, parse_poly, rising_factorial,
+    AlgebraError, BadConstantTermError, MVPoly, NotHomogeneousError,
+    NotSymmetricError, ParseError, TruncatedSeries, UnboundVariableError,
+    esym_assemble, esym_expand, gamma_expand, parse_poly, rising_factorial,
     stirling1_unsigned, stirling2,
 )
 from oracles import gamma_assemble
@@ -221,7 +222,7 @@ class TestTriangles:
         for n in range(1, 13):
             lhs = MVPoly.zero()
             for k in range(1, n + 1):
-                lhs = lhs + 2 ** (n - k) * stirling1_unsigned(n, k) * MVPoly.var("q", k)
+                lhs = lhs + 2 ** (n - k) * stirling1_unsigned(n, k) * MVPoly.var("q") ** k
             assert lhs == rising_factorial(2, n)
 
 
@@ -271,6 +272,61 @@ def test_gamma_round_trip_random(pairs):
     if p.is_zero:
         return
     assert sorted(gamma_expand(p, "x", "y")) == sorted(coeff_list)
+
+
+def _outcome(expand, p):
+    """What `expand(p, "x", "y")` returns, or the type and text it raises."""
+    try:
+        return expand(p, "x", "y")
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+z_polys = hst.dictionaries(hst.integers(0, 2), coeffs, max_size=2).map(
+    lambda d: MVPoly.from_exponents({(e,): c for e, c in d.items()}, ("z",)))
+
+
+@given(hst.integers(0, 6), hst.lists(z_polys, max_size=4),
+       hst.dictionaries(hst.tuples(hst.integers(0, 6), hst.integers(0, 2)), coeffs,
+                        max_size=2),
+       polys)
+def test_gamma_expand_matches_peeling(d, gammas, skew, noise):
+    """Symmetric homogeneous inputs with coefficients in z, the same made
+    asymmetric by homogeneous terms, and made inhomogeneous."""
+    symmetric = gamma_assemble(list(enumerate(gammas[:d // 2 + 1])), "x", "y", d)
+    asymmetric = symmetric + MVPoly.from_exponents(
+        {(min(a, d), d - min(a, d), k): c for (a, k), c in skew.items()}, ("x", "y", "z"))
+    for p in (symmetric, asymmetric, symmetric + noise):
+        assert _outcome(gamma_expand, p) == _outcome(oracles.gamma_expand, p)
+
+
+def _assert_well_formed(p):
+    """Nonzero Fraction coefficients on monomials sorted by variable, each
+    variable once with a positive int exponent."""
+    assert type(p) is MVPoly
+    for mono, c in p.terms.items():
+        assert type(c) is Fraction and c != 0, p.terms
+        assert type(mono) is tuple, p.terms
+        names = [v for v, _ in mono]
+        assert names == sorted(set(names)), p.terms
+        assert all(type(e) is int and e > 0 for _, e in mono), p.terms
+
+
+scalars = hst.one_of(hst.integers(-2, 2), coeffs)
+
+
+@given(polys, polys, scalars, hst.integers(0, 3), hst.sampled_from("xyzw"),
+       simple_bindings,
+       hst.dictionaries(hst.tuples(*[hst.integers(0, 2)] * 3), scalars, max_size=6))
+@settings(max_examples=50)
+def test_results_are_well_formed(a, b, c, k, v, binding, counts):
+    results = [a + b, a - b, a * b, a + c, c + a, a - c, c - a, a * c, c * a, -a,
+               a ** k, *(a.partial(u) for u in "xyzw"), a.subst(binding), a.subst({v: c}),
+               a.subst({"x": MVPoly.var("y"), "y": -MVPoly.var("x")}),
+               MVPoly.from_exponents(counts, ("z", "x", "y")),
+               *a.coefficients_in((v,)).values(), *a.coefficients_in(("y", "x")).values()]
+    for p in results:
+        _assert_well_formed(p)
 
 
 @given(hst.lists(hst.integers(1, 5), min_size=1, max_size=6))

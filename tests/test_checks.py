@@ -14,6 +14,7 @@ from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
+from chordlab.algebra import NotSymmetricError, parse_poly
 from chordlab.census import census
 from chordlab.checks import (CheckResult, UnknownCheckIdError, check_ids,
                              report_json, report_table, run_checks)
@@ -45,7 +46,7 @@ def forks(monkeypatch):
 def _normalized(results):
     out = []
     for r in results:
-        d = r.to_dict()
+        d = r._asdict()
         d["ms"] = 0
         out.append(d)
     return out
@@ -154,6 +155,14 @@ class TestRunner:
         results = run_checks(["A-RISING", "M-MAIN", "A-EGF"], max_n=0, egf_order=2)
         assert [r.status for r in results] == ["skip", "skip", "pass"]
         assert report_table(results).splitlines()[-1] == "1/1 checks passed, 2 skipped"
+
+    def test_exponent_transform_adds_colliding_images(self):
+        p = parse_poly("x^2*y + 3*x*y^2 + y")
+        assert checks._exponent_transform(
+            p, ("x", "y"), ("t",), lambda v: (v[0] + v[1],)) == parse_poly("4*t^3 + t")
+        with pytest.raises(NotSymmetricError,
+                           match=r"^transform produced negative exponent t\^-1 from \(0, 1\)$"):
+            checks._exponent_transform(p, ("x", "y"), ("t",), lambda v: (v[0] - 1,))
 
 
 # One permutation in each half of S_4 in lexicographic order.
@@ -477,8 +486,7 @@ class TestFaultInjection:
         def all_nestings_left(m):
             ps = real(m)
             return mt.PairStats(cr=ps.cr, ne=ps.ne, al=ps.al, lne=ps.ne,
-                                lcr=ps.lcr, nal=ps.nal, rne=ps.rne,
-                                rcr=ps.rcr, lrp=ps.lrp, rrp=ps.rrp)
+                                lcr=ps.lcr, nal=ps.nal, lrp=ps.lrp, rrp=ps.rrp)
 
         monkeypatch.setattr(mt, "pairwise_stats", all_nestings_left)
         chordlab.clear_caches()

@@ -342,6 +342,28 @@ class TestMisuse:
         assert code == 0
         assert "max_n=9" in out and out.splitlines()[-1] == "1/1 checks passed"
 
+    def test_declared_census_guard(self, capsys, monkeypatch, tmp_path):
+        ran = []
+        monkeypatch.setattr(checks, "run_checks", lambda *args, **kwargs: ran.append(args) or [])
+        limit = "above the verify limit 2,027,025 (pass --force to override)\n"
+        for argv, census_read in [
+                (["--max-n", "8"], "B-MAIN reads the signed census of n=8 (10,321,920 objects)"),
+                (["--max-n", "8", "--checks", "A-RISING,C-GRAMMAR"],
+                 "C-GRAMMAR reads the neighbor census of n=9 (34,459,425 objects)"),
+                (["--max-n", "8", "--checks", "Q-DUMONT", "--out", str(tmp_path / "report")],
+                 "Q-DUMONT reads the stirling census of n=9 (34,459,425 objects)")]:
+            assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {census_read}, {limit}")
+        assert not (tmp_path / "report").exists()
+        # MP-BIJ walks M_n but declares no read: the --max-n guard covers it
+        assert run_cli(capsys, "verify", "--max-n", "9", "--checks", "MP-BIJ") == (
+            2, "", "error: --max-n 9 exceeds the verify limit 8 (pass --force to override)\n")
+        assert ran == []
+        # M_8, the largest census at the default bounds, is not refused
+        for argv in (["--max-n", "8", "--checks", "M-EGF,MP-BIJ"], [],
+                     ["--max-n", "8", "--force"]):
+            assert run_cli(capsys, "verify", *argv) == (0, "0/0 checks passed\n", "")
+        assert len(ran) == 3
+
     def test_egf_order_guard(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--checks", "M-EGF",
                                  "--egf-order", "9")

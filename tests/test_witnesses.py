@@ -137,14 +137,12 @@ def _report(case, monkeypatch):
         module, name, perturb = PERTURBATIONS[case]
         monkeypatch.setattr(module, name, perturb(getattr(module, name)))
     chordlab.clear_caches()
-    checks._grammar.cache_clear()  # built grammars are not among clear_caches'
     try:
         results = run_checks(max_n=MAX_N, egf_order=EGF_ORDER)
     finally:
         monkeypatch.undo()
         chordlab.clear_caches()
-        checks._grammar.cache_clear()
-    return [dict(r.to_dict(), ms=0) for r in results]
+    return [dict(r._asdict(), ms=0) for r in results]
 
 
 @pytest.mark.parametrize("case", CASES)
