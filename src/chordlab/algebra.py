@@ -284,6 +284,12 @@ def _collect(terms: Iterable[tuple[Mono, Fraction]]) -> MVPoly:
     return p
 
 
+def poly_sum(polys: Iterable[MVPoly]) -> MVPoly:
+    """The sum of `polys`, their terms collected once: a running `+` would
+    re-collect the whole partial sum at every step."""
+    return _collect(itertools.chain.from_iterable(p.terms.items() for p in polys))
+
+
 def _coerce(value) -> MVPoly:
     if isinstance(value, MVPoly):
         return value
@@ -381,8 +387,7 @@ def esym_expand(p: MVPoly, names: Sequence[str]) -> list[tuple[tuple[int, int, i
 def esym_assemble(coeffs: Iterable[tuple[tuple[int, int, int], Scalar]],
                   names: Sequence[str]) -> MVPoly:
     e1, e2, e3 = esym_polys(names)
-    return sum((Fraction(c) * e1 ** i * e2 ** j * e3 ** k for (i, j, k), c in coeffs),
-               MVPoly.zero())
+    return poly_sum(Fraction(c) * e1 ** i * e2 ** j * e3 ** k for (i, j, k), c in coeffs)
 
 
 # ---------------------------------------------------------------------------

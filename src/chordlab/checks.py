@@ -25,8 +25,8 @@ from . import stirling as st
 from . import words as wd
 from .algebra import (MVPoly, NotHomogeneousError, NotSymmetricError,
                       TruncatedSeries, esym_assemble, esym_expand, esym_polys,
-                      gamma_expand, parse_poly, project, rising_factorial,
-                      stirling1_unsigned)
+                      gamma_expand, parse_poly, poly_sum, project,
+                      rising_factorial, stirling1_unsigned)
 from .census import census, sharded, top_up
 
 
@@ -266,8 +266,7 @@ def _a_neg(n):
     x = MVPoly.var("x")
     a = pm.eulerian_xpq(n)
     yield "p=1", a.subst({"p": 1, "q": -1}), -((x - MVPoly.const(1)) ** (n - 1))
-    yield "p=0", a.subst({"p": 0, "q": -1}), -sum((x ** k for k in range(1, n)),
-                                                  MVPoly.zero())
+    yield "p=0", a.subst({"p": 0, "q": -1}), -poly_sum(x ** k for k in range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +337,8 @@ def _m_marginal(n: int) -> MVPoly:
 @_identity("CONV", "2^n A_n(x,p,q) is the binomial convolution of matching marginals", 6,
            lambda n: [("perm", n), *_upto("block", n)])
 def _conv(n):
-    yield "", pm.eulerian_xpq(n) * 2 ** n, sum(
-        (math.comb(n, k) * _m_marginal(k) * _m_marginal(n - k) for k in range(n + 1)),
-        MVPoly.zero())
+    yield "", pm.eulerian_xpq(n) * 2 ** n, poly_sum(
+        math.comb(n, k) * _m_marginal(k) * _m_marginal(n - k) for k in range(n + 1))
 
 
 @_identity("COR2", "trace-weight -2 specializations collapse as stated", 6, _at_n("block"))
@@ -350,14 +348,14 @@ def _cor2(n):
     yield ("all matchings", m.subst({"y": 1, "s": 1, "t": -2}),
            -(2 ** n) * (x - MVPoly.const(1)) ** (n - 1))
     yield ("fixb=0", m.subst({"y": 1, "s": 0, "t": -2}),
-           -(2 ** n) * sum((x ** k for k in range(1, n)), MVPoly.zero()))
+           -(2 ** n) * poly_sum(x ** k for k in range(1, n)))
 
 
 @_per_n("M-GAMMA", "s-stratified gamma expansion of M_n exists with the stated positivity", 6,
         _at_n("block"))
 def _m_gamma(n):
     m = mt.m_poly(n)
-    reassembled = MVPoly.zero()
+    pieces = []
     for (i,), slice_poly in sorted(m.coefficients_in(("s",)).items()):
         try:
             coeffs = gamma_expand(slice_poly, "x", "y")
@@ -369,11 +367,10 @@ def _m_gamma(n):
             if any(c < 0 or c.denominator != 1 for c in gamma_t.terms.values()):
                 return (f"n={n}: gamma[{i},{j}](t) = {gamma_t.render()} "
                         "is not a nonnegative integer polynomial")
-            reassembled = reassembled + (
-                MVPoly.var("s") ** i * g
-                * (MVPoly.var("x") * MVPoly.var("y")) ** j
-                * (MVPoly.var("x") + MVPoly.var("y")) ** (n - i - 2 * j))
-    return _first_diff(n, [("reassembly", reassembled, m)])
+            pieces.append(MVPoly.var("s") ** i * g
+                          * (MVPoly.var("x") * MVPoly.var("y")) ** j
+                          * (MVPoly.var("x") + MVPoly.var("y")) ** (n - i - 2 * j))
+    return _first_diff(n, [("reassembly", poly_sum(pieces), m)])
 
 
 @_per_n("DER-COUNT", "derangement counts on both sides of the correspondence", 7,
@@ -400,8 +397,8 @@ def _dnk(n):
         return f"n={n}: cda-free excedances {sorted(bad_keys)} fall outside 1..{n // 2}"
 
     def expansion(weigh):
-        return sum((weigh(qpoly) * x ** k * (MVPoly.const(1) + x) ** (n - 2 * k)
-                    for k, qpoly in table.items()), MVPoly.zero())
+        return poly_sum(weigh(qpoly) * x ** k * (MVPoly.const(1) + x) ** (n - 2 * k)
+                        for k, qpoly in table.items())
 
     rhs = expansion(lambda qpoly: qpoly)
     if d != rhs:
@@ -441,8 +438,7 @@ def _b_dual(n):
         return mt.m_poly(k).subst({"y": 1, "s": 1, "t": MVPoly.var("q")})
 
     yield ("convolution", pm.b_poly(n).subst({"p": 1}),
-           sum((math.comb(n, k) * m_both(k) * m_tilde(n - k) for k in range(n + 1)),
-               MVPoly.zero()))
+           poly_sum(math.comb(n, k) * m_both(k) * m_tilde(n - k) for k in range(n + 1)))
     yield "x^n M~(1/x,q)", m_both(n), _exponent_transform(
         m_tilde(n), ("x", "q"), ("x", "q"), lambda vec: (n - vec[0], vec[1]))
 

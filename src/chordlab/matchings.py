@@ -23,36 +23,55 @@ def enumerate_matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
     The order pairs the smallest unmatched vertex with each larger unmatched
     vertex in turn; `start_rank` resumes the stream at that position, which
     is what makes prefix-sharded parallel aggregation possible.
+
+    One frame walks the choices with an explicit stack, and the last two
+    depths are written out: four free vertices a<b<c<e have the three
+    matchings {ab,ce}, {ac,be}, {ae,bc}, in that order.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     digits = start_digits(start_rank, [2 * (n - d) - 1 for d in range(n)])
     if digits is None:
         return
-    if n == 0:
-        yield ()
+    if n < 2:
+        yield ((1, 2),) if n else ()
         return
     # Each arc sits in the slot of its closer, so the filled slots read left
     # to right are already the standard form: no per-matching sort.
     slots: list = [None] * (2 * n + 1)
-
-    def rec(free: tuple, depth: int, on_prefix: bool) -> Iterator[Matching]:
-        a = free[0]
-        if len(free) == 2:
-            b = free[1]
-            slots[b] = (a, b)
+    free = [()] * (n - 2)  # free[d]: the vertices still unmatched at depth d
+    t = [1 + x for x in digits]  # t[d]: free[d][0]'s partner is free[d][t[d]]
+    f, d = tuple(range(1, 2 * n + 1)), 0
+    while True:
+        for d in range(d, n - 2):
+            free[d], k = f, t[d]
+            slots[f[k]] = (f[0], f[k])
+            f = f[1:k] + f[k + 1:]
+        # The last two depths, from leaf t[n - 2] - 1 on: past the first
+        # only where a resumed stream starts.
+        a, b, c, e = f
+        if t[n - 2] < 2:
+            slots[b], slots[e] = (a, b), (c, e)
             yield tuple(filter(None, slots))
             slots[b] = None
+        if t[n - 2] < 3:
+            slots[c], slots[e] = (a, c), (b, e)
+            yield tuple(filter(None, slots))
+        slots[c], slots[e] = (b, c), (a, e)
+        yield tuple(filter(None, slots))
+        slots[c] = slots[e] = None
+        # Ascend to the deepest depth with a partner left; deeper ones restart.
+        t[n - 2] = 1
+        d = n - 3
+        while d >= 0 and t[d] == 2 * (n - d) - 1:
+            slots[free[d][-1]] = None
+            t[d] = 1
+            d -= 1
+        if d < 0:
             return
-        lo = 1 + digits[depth] if on_prefix else 1
-        for t in range(lo, len(free)):
-            b = free[t]
-            slots[b] = (a, b)
-            yield from rec(free[1:t] + free[t + 1:], depth + 1,
-                           on_prefix and t == lo)
-            slots[b] = None
-
-    yield from rec(tuple(range(1, 2 * n + 1)), 0, True)
+        f = free[d]
+        slots[f[t[d]]] = None
+        t[d] += 1
 
 
 # ---------------------------------------------------------------------------

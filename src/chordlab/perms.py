@@ -43,30 +43,38 @@ def enumerate_derangements(n: int) -> Iterator[Permutation]:
 
 
 def enumerate_signed(n: int, start_rank: int = 0) -> Iterator[SignedPermutation]:
-    """Signed permutations in lexicographic window order (-n < ... < -1 < 1 < ... < n)."""
+    """Signed permutations in lexicographic window order (-n < ... < -1 < 1 < ... < n).
+
+    One frame keeps, per position, the values still free there and the
+    index of the one placed.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    digits = start_digits(start_rank, [2 * (n - d) for d in range(n)])
-    if digits is None:
+    picks = start_digits(start_rank, [2 * (n - d) for d in range(n)])
+    if picks is None:
         return
-    window: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec(depth: int, on_prefix: bool) -> Iterator[SignedPermutation]:
-        if depth == n:
+    if n == 0:
+        yield ()
+        return
+    window = [0] * n
+    choices = [[v for v in range(-n, n + 1) if v]] * n  # choices[d]: free at position d
+    d = 0
+    while True:
+        for d in range(d, n - 1):
+            v = window[d] = choices[d][picks[d]]
+            choices[d + 1] = [u for u in choices[d] if u != v and u != -v]
+        for v in choices[n - 1][picks[n - 1]:]:
+            window[n - 1] = v
             yield tuple(window)
+        # Move the deepest position with a value left one on; deeper ones restart.
+        picks[n - 1] = 0
+        d = n - 2
+        while d >= 0 and picks[d] == 2 * (n - d) - 1:
+            picks[d] = 0
+            d -= 1
+        if d < 0:
             return
-        choices = [v for v in range(-n, n + 1) if v and not used[abs(v)]]
-        lo = digits[depth] if on_prefix else 0
-        for idx in range(lo, len(choices)):
-            v = choices[idx]
-            used[abs(v)] = True
-            window.append(v)
-            yield from rec(depth + 1, on_prefix and idx == lo)
-            window.pop()
-            used[abs(v)] = False
-
-    yield from rec(0, True)
+        picks[d] += 1
 
 
 # ---------------------------------------------------------------------------

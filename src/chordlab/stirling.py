@@ -24,29 +24,35 @@ def enumerate_stirling(n: int, start_rank: int = 0) -> Iterator[StirlingPermutat
 
     Order k words arise from order k-1 words by inserting the adjacent pair
     "kk" into each of the 2k-1 gaps, leftmost gap first; ranks follow that
-    mixed-radix construction, so streams are restartable.
+    mixed-radix construction, so streams are restartable.  One frame keeps
+    the word of each order below n and the gap it was made with.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    digits = start_digits(start_rank, [2 * k - 1 for k in range(1, n + 1)])
-    if digits is None:
+    gaps = start_digits(start_rank, [2 * k - 1 for k in range(1, n + 1)])
+    if gaps is None:
         return
     if n == 0:
         yield ()
         return
-
-    def rec(word: tuple, k: int, on_prefix: bool) -> Iterator[StirlingPermutation]:
-        lo = digits[k - 1] if on_prefix else 0
-        pair = (k, k)
-        if k == n:
-            for gap in range(lo, 2 * k - 1):
-                yield word[:gap] + pair + word[gap:]
+    words = [()] * n  # words[k]: the prefix word of order k
+    pair, k = (n, n), 1
+    while True:
+        for k in range(k, n):
+            w, gap = words[k - 1], gaps[k - 1]
+            words[k] = w[:gap] + (k, k) + w[gap:]
+        w = words[n - 1]
+        for gap in range(gaps[n - 1], 2 * n - 1):
+            yield w[:gap] + pair + w[gap:]
+        # Move the deepest order with a gap left one gap on; deeper ones restart.
+        gaps[n - 1] = 0
+        k = n - 1
+        while k and gaps[k - 1] == 2 * k - 2:
+            gaps[k - 1] = 0
+            k -= 1
+        if not k:
             return
-        for gap in range(lo, 2 * k - 1):
-            yield from rec(word[:gap] + pair + word[gap:], k + 1,
-                           on_prefix and gap == lo)
-
-    yield from rec((), 1, True)
+        gaps[k - 1] += 1
 
 
 def stirling_word_stats(word: StirlingPermutation) -> tuple[int, int, int]:

@@ -1,7 +1,8 @@
 """Reference implementations of the per-object kernels.
 
 These are the straightforward versions the library's kernels replaced: a
-sorting matching enumerator, the O(n^2) pairwise and word loops, set-based
+sorting matching enumerator, recursive Stirling and sorted signed
+permutation enumerators, the O(n^2) pairwise and word loops, set-based
 trace and neighbor classifiers, a padded Stirling sweep and multi-pass
 permutation statistics.  They return
 plain tuples in the field order of the library's stat records (which are
@@ -23,6 +24,7 @@ a matching or a word back from its text.  Last is the CLI's earlier
 `csv.DictWriter` or `JSONEncoder`.
 """
 import csv
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -294,6 +296,13 @@ def enumerate_stirling(n, start_rank=0):
 
     yield from rec((), 1, True)
 
+
+def enumerate_signed(n, start_rank=0):
+    """Every sign vector on every permutation, sorted: the window
+    lexicographic order -n < ... < -1 < 1 < ... < n is tuple order."""
+    return sorted(tuple(s * v for s, v in zip(signs, pi))
+                  for pi in itertools.permutations(range(1, n + 1))
+                  for signs in itertools.product((-1, 1), repeat=n))[start_rank:]
 
 
 def signed_oneline_stats(sigma):

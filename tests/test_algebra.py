@@ -9,8 +9,8 @@ import oracles
 from chordlab.algebra import (
     AlgebraError, BadConstantTermError, MVPoly, NotHomogeneousError,
     NotSymmetricError, ParseError, TruncatedSeries, UnboundVariableError,
-    esym_assemble, esym_expand, gamma_expand, parse_poly, rising_factorial,
-    stirling1_unsigned, stirling2,
+    esym_assemble, esym_expand, gamma_expand, parse_poly, poly_sum,
+    rising_factorial, stirling1_unsigned, stirling2,
 )
 from oracles import gamma_assemble
 
@@ -324,9 +324,12 @@ def test_results_are_well_formed(a, b, c, k, v, binding, counts):
                a ** k, *(a.partial(u) for u in "xyzw"), a.subst(binding), a.subst({v: c}),
                a.subst({"x": MVPoly.var("y"), "y": -MVPoly.var("x")}),
                MVPoly.from_exponents(counts, ("z", "x", "y")),
-               *a.coefficients_in((v,)).values(), *a.coefficients_in(("y", "x")).values()]
+               *a.coefficients_in((v,)).values(), *a.coefficients_in(("y", "x")).values(),
+               poly_sum([a, b, -a, MVPoly.const(c)])]
     for p in results:
         _assert_well_formed(p)
+    assert poly_sum([a, b, -a, MVPoly.const(c)]) == b + c
+    assert poly_sum([]).is_zero
 
 
 @given(hst.lists(hst.integers(1, 5), min_size=1, max_size=6))

@@ -44,6 +44,13 @@ def test_stirling_stream_matches_the_reference(n):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_signed_stream_matches_the_sorted_reference(n):
+    full = oracles.enumerate_signed(n)
+    for start in _start_ranks(len(full)):
+        assert list(pm.enumerate_signed(n, start)) == full[start:]
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_matching_kernels(n):
     for m in mt.enumerate_matchings(n):
         assert mt.block_stats(m) == oracles.block_stats(m), m

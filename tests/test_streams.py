@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import oracles
+from chordlab import census as census_module
 from chordlab import matchings as mt
 from chordlab import perms as pm
 from chordlab import stirling as st
@@ -70,3 +72,36 @@ def test_cached_streams_resume_above_the_cache(stream, uncached):
     assert list(itertools.islice(stream(7, rank), 3)) == list(
         itertools.islice(uncached(7), rank, rank + 3))
     assert list(stream(7, 135_135)) == []
+
+
+# Streams that `verify --jobs` resumes at shard starts (M_7 under the pair
+# census and W_7, Q_7, B_6), each with the reference it must agree with.
+SHARDED = {
+    ("block", 7): (mt.enumerate_matchings, oracles.enumerate_matchings),
+    ("stirling", 7): (st.enumerate_stirling, oracles.enumerate_stirling),
+    ("signed", 6): (pm.enumerate_signed, oracles.enumerate_signed),
+}
+
+
+def _shard_starts(key, k, monkeypatch):
+    """The start ranks of the shards `census.sharded(k, [key])` cuts `key`
+    into, read off its table with no child started and no census cached."""
+    monkeypatch.setattr(census_module, "_cpus", lambda: k)
+    monkeypatch.setattr(census_module, "top_up", lambda: None)
+    monkeypatch.setattr(census_module, "_CACHE", {})
+    with census_module.sharded(k, [key]):
+        return [shard.lo for shard in census_module._SHARDS[key]]
+
+
+@pytest.mark.parametrize("key", sorted(SHARDED), ids="{0[0]}-{0[1]}".format)
+def test_streams_resume_where_shards_start(key, monkeypatch):
+    """The first 50 objects from every shard start of a 2-, 3- and 4-way
+    cut, and from the multiple of 3 at or below each start and the two
+    ranks after it: the matching walk writes its last three leaves out, and
+    these ranks enter that group at each of its leaves."""
+    stream, reference = SHARDED[key]
+    starts = {lo for k in (2, 3, 4) for lo in _shard_starts(key, k, monkeypatch)}
+    assert len(starts) > 1
+    for rank in sorted({lo - lo % 3 + j for lo in starts for j in range(3)}):
+        assert list(itertools.islice(stream(key[1], rank), 50)) == list(
+            itertools.islice(reference(key[1], rank), 50)), rank
