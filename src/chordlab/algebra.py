@@ -180,11 +180,11 @@ class MVPoly:
     # -- calculus and substitution ------------------------------------
 
     def partial(self, v: str) -> "MVPoly":
-        """Formal partial derivative with respect to `v`; a term's `v`
-        exponent drops by one, and `v` leaves the monomial at zero."""
-        return _collect((mono[:i] + ((v, e - 1),) * (e > 1) + mono[i + 1:], c * e)
-                        for mono, c in self.terms.items()
-                        for i, (name, e) in enumerate(mono) if name == v)
+        """Formal partial derivative with respect to `v`: each coefficient
+        c of v^e becomes e * c * v^(e-1)."""
+        x = MVPoly.var(v)
+        return poly_sum(c * e * x ** (e - 1)
+                        for (e,), c in self.coefficients_in((v,)).items() if e)
 
     def subst(self, bindings: Mapping[str, "MVPoly | Scalar"]) -> "MVPoly":
         """Simultaneously replace bound variables; unbound ones are kept.

@@ -33,7 +33,7 @@ def _odd_double_factorial(n: int) -> int:
 # name -> (module, stream, kernel, size), the first three attributes of
 # chordlab.<module>.  Stream and kernel are looked up when a walk starts, so
 # a monkeypatched kernel reaches it.  size(*args) counts the stream's
-# objects; a census without one is never sharded.
+# objects; only `size` below reads it.
 TABLE = {
     "block": ("matchings", "matchings", "_block_key", _odd_double_factorial),
     "pair": ("matchings", "matchings", "pairwise_stats", _odd_double_factorial),
@@ -60,6 +60,12 @@ _RUNNING: dict = {}  # read end of a child's pipe -> the shard it walks
 _slots = 0  # children alive at once
 
 
+def size(key: tuple) -> int:
+    """The object count of census `key`; 0 for an unsized one, never sharded."""
+    count = TABLE[key[0]][3]
+    return count(*key[1:]) if count else 0
+
+
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -76,8 +82,7 @@ def sharded(k: int, reads=()):
     _slots = min(k, _cpus()) if hasattr(os, "fork") else 0
     try:
         for key in dict.fromkeys(reads):
-            size = TABLE[key[0]][3]
-            objects = size(*key[1:]) if size and _slots and key not in _CACHE else 0
+            objects = size(key) if _slots and key not in _CACHE else 0
             cut = min(k, objects // SHARD_MIN + 1)
             if cut > 1:
                 bounds = [objects * i // cut for i in range(cut + 1)]

@@ -50,6 +50,9 @@ class Check(NamedTuple):
     run: Callable  # (max_n, egf_order) -> [(n, witness | None)]
     reads: Callable  # (max_n, egf_order) -> census keys a passing run reads, in order
 
+    def bound(self, max_n: int | None) -> int:  # the largest n a run at max_n checks
+        return self.default_max_n if max_n is None else max_n
+
 
 _REGISTRY: dict[str, Check] = {}
 
@@ -799,20 +802,18 @@ def check_ids() -> list[str]:
 def _run_single(check_id: str, max_n: int | None, egf_order: int) -> CheckResult:
     top_up()  # between checks, a finished census shard's child frees its slot
     check = _REGISTRY[check_id]
-    effective = check.default_max_n if max_n is None else max_n
+    effective = check.bound(max_n)
     started = time.monotonic()
     try:
-        rows = check.run(effective, egf_order)
+        rows, crash = check.run(effective, egf_order), None
     except OSError:
         raise  # the process failed, not the identity: say, a census could not fork
     except Exception as exc:  # a crashing side counts as a failure, not an abort
-        ms = int(round((time.monotonic() - started) * 1000))
-        return CheckResult(id=check_id, status="fail", max_n=effective,
-                           per_n=[], witness=f"exception: {exc!r}", ms=ms)
-    if not rows:
-        return CheckResult(id=check_id, status="skip", max_n=effective,
-                           per_n=[], witness=None, ms=0)
+        rows, crash = [], f"exception: {exc!r}"
     ms = int(round((time.monotonic() - started) * 1000))
+    if not rows:
+        return CheckResult(id=check_id, status="skip" if crash is None else "fail",
+                           max_n=effective, per_n=[], witness=crash, ms=ms)
     per_n = [{"n": n, "status": "pass" if wit is None else "fail"} for n, wit in rows]
     witness = next((wit for _, wit in rows if wit is not None), None)
     return CheckResult(id=check_id, status="pass" if witness is None else "fail",
@@ -846,7 +847,7 @@ def _reads(selection, max_n: int | None, egf_order: int) -> dict[str, list]:
         for check_id in ids:
             if check_id not in _REGISTRY:
                 raise UnknownCheckIdError(f"unknown check id: {check_id}")
-    return {check.id: check.reads(check.default_max_n if max_n is None else max_n, egf_order)
+    return {check.id: check.reads(check.bound(max_n), egf_order)
             for check in map(_REGISTRY.get, ids)}
 
 

@@ -68,10 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated check ids, or 'all'")
     p_verify.add_argument("--max-n", type=int, default=None)
     p_verify.add_argument("--egf-order", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=None,
+    p_verify.add_argument("--jobs", type=int, default=1,
                           help="shards per large census, walked by up to this many "
                                "forked children, no more than the CPUs, from the start "
-                               "of the run (default: $CHORDLAB_JOBS, else 1)")
+                               "of the run (default: 1, which forks nothing)")
     p_verify.add_argument("--report", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--force", action="store_true",
@@ -296,14 +296,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    source, raw = (("--jobs", args.jobs) if args.jobs is not None
-                   else ("CHORDLAB_JOBS", os.environ.get("CHORDLAB_JOBS", "1")))
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise _UsageError(f"{source} must be a positive integer, got {raw!r}")
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be a positive integer, got {args.jobs}")
     selection = "all" if args.checks.strip() == "all" else [
         part.strip() for part in args.checks.split(",") if part.strip()]
     if not selection:
@@ -319,18 +313,17 @@ def _cmd_verify(args) -> int:
         reads = checks._reads(selection, args.max_n, order)
     except checks.UnknownCheckIdError as exc:
         raise _UsageError(str(exc)) from None
-    limit = census.TABLE["block"][3](_VERIFY_MAX_N)
+    limit = census.size(("block", _VERIFY_MAX_N))
     for check_id, keys in reads.items():
-        for name, *key in keys:
-            size = census.TABLE[name][3]
-            objects = size(*key) if size else 0
+        for key in keys:
+            objects = census.size(key)
             if objects > limit and not args.force:
                 raise _UsageError(
-                    f"{check_id} reads the {name} census of n={key[0]} ({objects:,} "
+                    f"{check_id} reads the {key[0]} census of n={key[1]} ({objects:,} "
                     f"objects), above the verify limit {limit:,} (pass --force to override)")
     with _output(args.out) as out:
         results = checks.run_checks(selection, max_n=args.max_n,
-                                    egf_order=args.egf_order, jobs=jobs)
+                                    egf_order=args.egf_order, jobs=args.jobs)
         report = checks.report_json if args.report == "json" else checks.report_table
         _emit(report(results), out)
     return 1 if any(r.status == "fail" for r in results) else 0

@@ -207,19 +207,20 @@ def trace(m: Matching) -> int:
 # Polynomial families
 # ---------------------------------------------------------------------------
 
+_LISTED = 6  # M_n and W_n up to this n (10,395 objects at most) are listed once
+
+
 @lru_cache(maxsize=None)
 def _matching_list(n: int) -> tuple:
-    """Materialized stream for small n, reused across the many small checks."""
     return tuple(enumerate_matchings(n))
 
 
 def matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
-    """Like enumerate_matchings but cached for n <= 6."""
-    if n > 6:
-        return enumerate_matchings(n, start_rank=start_rank)
-    if start_rank < 0:
-        raise ValueError("start_rank must be nonnegative")
-    return iter(_matching_list(n)[start_rank:])
+    """Like enumerate_matchings, but a whole walk of a listed M_n reads
+    its list; a resumed stream walks."""
+    if start_rank == 0 and n <= _LISTED:
+        return iter(_matching_list(n))
+    return enumerate_matchings(n, start_rank=start_rank)
 
 
 def _block_key(m: Matching) -> tuple:

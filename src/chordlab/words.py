@@ -78,24 +78,21 @@ def validate_word(w: Word) -> None:
 
 def enumerate_words(n: int, start_rank: int = 0) -> Iterator[Word]:
     """Matching permutations, in the image order of the matching stream."""
-    for m in mt.enumerate_matchings(n, start_rank=start_rank):
-        yield from_matching(m)
+    return map(from_matching, mt.enumerate_matchings(n, start_rank=start_rank))
 
 
 @lru_cache(maxsize=None)
 def _word_list(n: int) -> tuple:
-    """Materialized words for small n, reused by every word census."""
+    """Words for a listed n, shared by every word census."""
     return tuple(map(from_matching, mt.matchings(n)))
 
 
 def words(n: int, start_rank: int = 0) -> Iterator[Word]:
-    """Like :func:`enumerate_words` but cached for n <= 6, like
+    """Like :func:`enumerate_words`, with the list rule of
     :func:`matchings.matchings`."""
-    if n > 6:
-        return map(from_matching, mt.matchings(n, start_rank))
-    if start_rank < 0:
-        raise ValueError("start_rank must be nonnegative")
-    return iter(_word_list(n)[start_rank:])
+    if start_rank == 0 and n <= mt._LISTED:
+        return iter(_word_list(n))
+    return enumerate_words(n, start_rank)
 
 
 # ---------------------------------------------------------------------------

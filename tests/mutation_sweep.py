@@ -14,9 +14,10 @@ stale .pyc), a 1-GB address-space limit and a 5-s timeout.  A mutant is
 killed when verify exits nonzero, timed out when the timeout stops it,
 and survives when every check passes.  The unmutated module, unparsed the
 same way, must pass first.  Survivors go to FILE (default
-mutation_survivors.txt), one line each: module, line, change and the
-original source line.  Standard library only; pytest does not collect
-this file.
+mutation_survivors.txt), one line each: module, line and 0-based column
+of the mutated node, its site index k (`_mutant(source, k)` replays it),
+the change and the original source line.  Standard library only; pytest
+does not collect this file.
 """
 from __future__ import annotations
 
@@ -57,8 +58,9 @@ def _sites(tree: ast.AST) -> list[tuple]:
     return sites
 
 
-def _mutant(source: str, k: int) -> tuple[str, int, str]:
-    """The source with its k-th site changed, that site's line and change."""
+def _mutant(source: str, k: int) -> tuple[str, int, int, str]:
+    """The source with its k-th site changed, that site's line, column and
+    change."""
     tree = ast.parse(source)
     node, slot, change = _sites(tree)[k]
     if slot is None:
@@ -67,7 +69,7 @@ def _mutant(source: str, k: int) -> tuple[str, int, str]:
         node.value += 1
     else:
         node.ops[slot] = _SWAPS[type(node.ops[slot])]()
-    return ast.unparse(tree), node.lineno, change
+    return ast.unparse(tree), node.lineno, node.col_offset, change
 
 
 def _limit_memory() -> None:
@@ -76,8 +78,7 @@ def _limit_memory() -> None:
 
 def _verify(root: Path) -> str:
     """"killed", "survived" or "timeout" for the package under `root`."""
-    env = {k: v for k, v in os.environ.items() if k != "CHORDLAB_JOBS"}
-    env.update(PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run([sys.executable, *VERIFY], env=env, timeout=TIMEOUT_S,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -97,12 +98,13 @@ def sweep(module: str, root: Path, survivors: list[str]) -> dict[str, int]:
         if _verify(root) != "survived":
             raise SystemExit(f"{module}: the unmutated, unparsed module fails verify")
         for k in range(len(_sites(ast.parse(source)))):
-            text, line, change = _mutant(source, k)
+            text, line, column, change = _mutant(source, k)
             path.write_text(text)
             outcome = _verify(root)
             counts[outcome] += 1
             if outcome == "survived":
-                survivors.append(f"{module}.py:{line}: {change}: {lines[line - 1].strip()}")
+                survivors.append(f"{module}.py:{line}:{column}: site {k}: {change}: "
+                                 f"{lines[line - 1].strip()}")
     finally:
         path.write_text(source)
     return counts

@@ -134,14 +134,15 @@ SIZED = {"block": 5, "pair": 5, "neighbor": 5, "word": 5, "perm": 5, "signed": 4
 
 
 def test_every_census_but_tree_has_a_size():
-    assert {name for name, entry in TABLE.items() if entry[3]} == set(SIZED)
+    assert {name for name in TABLE if census_module.size((name, 1))} == set(SIZED)
+    assert census_module.size(("tree", 7, 2)) == 0
 
 
 @pytest.mark.parametrize("name", sorted(SIZED))
 def test_size_counts_the_stream(name):
-    module, stream, _, size = TABLE[name]
+    module, stream, _, _ = TABLE[name]
     stream = getattr(getattr(chordlab, module), stream)
-    assert [size(n) for n in range(SIZED[name] + 1)] == [
+    assert [census_module.size((name, n)) for n in range(SIZED[name] + 1)] == [
         sum(1 for _ in stream(n)) for n in range(SIZED[name] + 1)]
 
 
@@ -152,9 +153,9 @@ def test_shards_merged_in_order_are_the_census(name, data):
     # the counts added in rank order, as a sharded census merges them, give
     # the census item for item, key order included.
     n = data.draw(hs.integers(0, SIZED[name]))
-    size = TABLE[name][3]
-    cuts = data.draw(hs.lists(hs.integers(0, size(n)), max_size=3))
-    bounds = [0, *sorted(cuts), size(n)]
+    size = census_module.size((name, n))
+    cuts = data.draw(hs.lists(hs.integers(0, size), max_size=3))
+    bounds = [0, *sorted(cuts), size]
     merged = collections.Counter()
     for lo, hi in zip(bounds, bounds[1:]):
         merged.update(census_module._walk((name, n), lo, hi))

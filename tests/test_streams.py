@@ -14,8 +14,9 @@ from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
 
-# Up to n = 6 the cached streams slice a list; above it they resume the
-# matching stream (test_cached_streams_resume_above_the_cache).
+# Up to n = 6 the cached streams read a list from rank 0 and walk from any
+# other rank (test_listed_streams_walk_when_resumed); above it they always
+# walk (test_cached_streams_resume_above_the_cache).
 STREAMS = {
     "matchings": (mt.enumerate_matchings, 5),
     "matchings.matchings": (mt.matchings, 6),
@@ -72,6 +73,25 @@ def test_cached_streams_resume_above_the_cache(stream, uncached):
     assert list(itertools.islice(stream(7, rank), 3)) == list(
         itertools.islice(uncached(7), rank, rank + 3))
     assert list(stream(7, 135_135)) == []
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_listed_streams_walk_when_resumed(n, monkeypatch):
+    reference = list(oracles.enumerate_matchings(n))
+    words = list(map(wd.from_matching, reference))
+
+    def unread(n):
+        raise AssertionError(f"the list of n={n} was read")
+
+    monkeypatch.setattr(mt, "_matching_list", unread)
+    monkeypatch.setattr(wd, "_word_list", unread)
+    for stream in (mt.matchings, wd.words):  # a whole walk reads the list
+        with pytest.raises(AssertionError, match=f"n={n} was read"):
+            stream(n)
+    total = len(reference)
+    for rank in sorted({1, 2, total // 2, total - 1, total, total + 1} - {0}):
+        assert list(mt.matchings(n, rank)) == reference[rank:]
+        assert list(wd.words(n, rank)) == words[rank:]
 
 
 # Streams that `verify --jobs` resumes at shard starts (M_7 under the pair
