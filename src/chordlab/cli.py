@@ -148,7 +148,8 @@ def _emit(text: str, out) -> None:
 # Row generators, one per kind of object.  Each row holds its family's fields
 # in order: field 2 is the object's text and every other field an int.
 # Kernels are looked up on their modules for every row, so a patched kernel
-# reaches the output.
+# reaches the output.  A one-line text is formatted with one "%d %d ..."
+# template per n.
 
 def _matching_rows(n):
     for rank, m in enumerate(mt.enumerate_matchings(n)):
@@ -165,22 +166,25 @@ def _word_rows(n):
 
 
 def _perm_rows(n, stream):
+    text = " ".join(["%d"] * n)
     for rank, pi in enumerate(stream):
-        yield (n, rank, " ".join(map(str, pi))) + pm.perm_stats(pi)
+        yield (n, rank, text % pi) + pm.perm_stats(pi)
 
 
 def _signed_rows(n):
+    text = " ".join(["%d"] * n)
     for rank, sigma in enumerate(pm.enumerate_signed(n)):
         wexc, exc, drop, fix, single, cyc = pm.signed_stats(sigma)
         asc, des, inv, dd = pm.oneline_stats(sigma)
         cda = pm.perm_stats(tuple(map(abs, sigma))).cda
-        yield (n, rank, " ".join(map(str, sigma)), exc, drop, fix, cyc,
+        yield (n, rank, text % sigma, exc, drop, fix, cyc,
                asc, des, inv, cda, dd, wexc, single)
 
 
 def _stirling_rows(n):
+    text = " ".join(["%d"] * (2 * n))
     for rank, word in enumerate(st.enumerate_stirling(n)):
-        yield (n, rank, " ".join(map(str, word))) + st.stirling_word_stats(word)
+        yield (n, rank, text % word) + st.stirling_word_stats(word)
 
 
 def _tree_rows(n, degree):

@@ -105,7 +105,7 @@ def block_stats(m: Matching) -> BlockStats:
             else:
                 el += 1
     rest = len(m) - fixb
-    return BlockStats(fixb, el, rest - el, es, rest - es, eto)
+    return tuple.__new__(BlockStats, (fixb, el, rest - el, es, rest - es, eto))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,8 @@ def pairwise_stats(m: Matching) -> PairStats:
             del opened[idx]
             open_pairs += len(opened)
         prev = q
-    return PairStats(open_pairs - ne, ne, n * (n - 1) // 2 - open_pairs,
-                     lne, lcr, nal, lrp, rrp)
+    return tuple.__new__(PairStats, (open_pairs - ne, ne, n * (n - 1) // 2 - open_pairs,
+                                     lne, lcr, nal, lrp, rrp))
 
 
 # ---------------------------------------------------------------------------

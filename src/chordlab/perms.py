@@ -153,7 +153,8 @@ def perm_stats(pi: Permutation) -> PermStats:
         if inverse[i] < i < v:
             cda += 1
     asc, des, inv, dd = oneline_stats(pi)
-    return PermStats(exc, drop, n - exc - drop, cycle_count(pi), asc, des, inv, cda, dd)
+    return tuple.__new__(PermStats, (exc, drop, n - exc - drop, cycle_count(pi),
+                                     asc, des, inv, cda, dd))
 
 
 class SignedStats(NamedTuple):
@@ -184,8 +185,8 @@ def signed_stats(sigma: SignedPermutation) -> SignedStats:
             fix += 1
         elif v == -i:
             single += 1
-    return SignedStats(exc + single, exc, drop, fix, single,
-                       cycle_count(tuple(map(abs, sigma))))
+    return tuple.__new__(SignedStats, (exc + single, exc, drop, fix, single,
+                                       cycle_count(tuple(map(abs, sigma)))))
 
 
 # ---------------------------------------------------------------------------

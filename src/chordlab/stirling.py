@@ -96,33 +96,48 @@ def q_univariate(n: int) -> MVPoly:
 
 def enumerate_trees(n: int, max_degree: int) -> Iterator[PlaneTree]:
     """Increasing plane trees on [n], every vertex with at most `max_degree`
-    ordered children; vertex m+1 is attached at each legal child slot."""
+    ordered children; vertex m is attached at each legal child slot of the
+    tree on [m-1], vertex by vertex and slot by slot.  One frame keeps, per
+    vertex m, its legal (vertex, slot) choices and the index of the one
+    placed; children are tuples, so a tree is yielded as `tuple(kids)`."""
     if n < 1:
         raise ValueError("n must be positive")
     if max_degree not in (2, 3):
         raise ValueError("max_degree must be 2 or 3")
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-
-    def snapshot() -> PlaneTree:
-        return tuple(tuple(c) for c in children)
-
-    def rec(m: int) -> Iterator[PlaneTree]:
-        if m > n:
-            yield snapshot()
-            return
-        for v in range(1, m):
-            kids = children[v]
-            if len(kids) >= max_degree:
-                continue
-            for slot in range(len(kids) + 1):
-                kids.insert(slot, m)
-                yield from rec(m + 1)
-                kids.pop(slot)
-
+    kids = [()] * (n + 1)
     if n == 1:
-        yield snapshot()
-    else:
-        yield from rec(2)
+        yield tuple(kids)
+        return
+    choices, picked = [[]] * n, [0] * n
+    m = 2
+    while True:
+        while True:  # descend from vertex m, placing each at its picked choice
+            legal = [(v, s) for v in range(1, m) if len(kids[v]) < max_degree
+                     for s in range(len(kids[v]) + 1)]
+            if m == n:
+                break
+            choices[m] = legal
+            v, s = legal[picked[m]]
+            kids[v] = kids[v][:s] + (m,) + kids[v][s:]
+            m += 1
+        for v, s in legal:
+            old = kids[v]
+            kids[v] = old[:s] + (n,) + old[s:]
+            yield tuple(kids)
+            kids[v] = old
+        # Move the deepest vertex with a slot left one on and re-descend from
+        # it; deeper ones restart.
+        m = n - 1
+        while m > 1:
+            v, s = choices[m][picked[m]]
+            kids[v] = kids[v][:s] + kids[v][s + 1:]
+            picked[m] += 1
+            if picked[m] < len(choices[m]):
+                break
+            picked[m] = 0
+            m -= 1
+        if m == 1:
+            return
 
 
 def tree_degree_histogram(tree: PlaneTree) -> tuple[int, int, int, int]:
@@ -134,21 +149,13 @@ def tree_degree_histogram(tree: PlaneTree) -> tuple[int, int, int, int]:
 
 
 def tree_text(tree: PlaneTree) -> str:
-    """Nested rendering such as 1(2(4),3)."""
-    parts: list[str] = []
-
-    def render(v: int) -> None:
+    """Nested rendering such as 1(2(4),3), built from vertex n down to 1:
+    children carry larger labels than their parent."""
+    text = [""] * len(tree)
+    for v in range(len(tree) - 1, 0, -1):
         kids = tree[v]
-        if not kids:
-            parts.append(str(v))
-            return
-        parts.append(f"{v}(")
-        for k in kids:
-            render(k)
-            parts.append(",")
-        parts[-1] = ")"  # the comma after the last child closes the list
-    render(1)
-    return "".join(parts)
+        text[v] = f"{v}({','.join([text[k] for k in kids])})" if kids else f"{v}"
+    return text[1]
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def neighbor_classify(w: Word) -> NeighborClassification:
         else:
             lcr += 1
         v1, b1 = v2, b2
-    return NeighborClassification(lne, lcr, nal, rrp, lrp)
+    return tuple.__new__(NeighborClassification, (lne, lcr, nal, rrp, lrp))
 
 
 class WordStats(NamedTuple):
@@ -167,7 +167,7 @@ def word_stats(w: Word) -> WordStats:
             rank += bisect_left(barred_seen, value)
             insort(unbarred, value)
             insort(spanning, value)
-    return WordStats(inv, coinv, rank)
+    return tuple.__new__(WordStats, (inv, coinv, rank))
 
 
 def word_text(w: Word) -> str:

@@ -1,8 +1,9 @@
 """Reference implementations of the per-object kernels.
 
 These are the straightforward versions the library's kernels replaced: a
-sorting matching enumerator, recursive Stirling and sorted signed
-permutation enumerators, the O(n^2) pairwise and word loops, set-based
+sorting matching enumerator, recursive Stirling, sorted signed permutation
+and recursive increasing plane tree enumerators with a recursive tree
+renderer, the O(n^2) pairwise and word loops, set-based
 trace and neighbor classifiers, a padded Stirling sweep and multi-pass
 permutation statistics.  They return
 plain tuples in the field order of the library's stat records (which are
@@ -295,6 +296,41 @@ def enumerate_stirling(n, start_rank=0):
                            on_prefix and gap == lo)
 
     yield from rec((), 1, True)
+
+
+def enumerate_trees(n, max_degree):
+    """Attach vertex m at every legal child slot, recursing on m + 1; each
+    tree is a snapshot of the mutable children lists."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if max_degree not in (2, 3):
+        raise ValueError("max_degree must be 2 or 3")
+    children = [[] for _ in range(n + 1)]
+
+    def rec(m):
+        if m > n:
+            yield tuple(tuple(c) for c in children)
+            return
+        for v in range(1, m):
+            kids = children[v]
+            if len(kids) >= max_degree:
+                continue
+            for slot in range(len(kids) + 1):
+                kids.insert(slot, m)
+                yield from rec(m + 1)
+                kids.pop(slot)
+
+    yield from rec(2)
+
+
+def tree_text(tree):
+    """Nested rendering such as 1(2(4),3), rendering each child recursively."""
+    def render(v):
+        kids = tree[v]
+        if not kids:
+            return str(v)
+        return f"{v}(" + ",".join(render(k) for k in kids) + ")"
+    return render(1)
 
 
 def enumerate_signed(n, start_rank=0):
@@ -636,9 +672,9 @@ def family_rows(family, n):
         fields = ["n", "rank", "tree", "leaves", "deg1", "deg2", "deg3"]
 
         def rows():
-            for rank, tree in enumerate(st.enumerate_trees(n, degree)):
+            for rank, tree in enumerate(enumerate_trees(n, degree)):
                 leaves, d1, d2, d3 = st.tree_degree_histogram(tree)
-                yield {"n": n, "rank": rank, "tree": st.tree_text(tree),
+                yield {"n": n, "rank": rank, "tree": tree_text(tree),
                        "leaves": leaves, "deg1": d1, "deg2": d2, "deg3": d3}
         return fields, rows()
     raise ValueError(f"unknown family {family!r}")

@@ -1,8 +1,10 @@
 """Differential tests: every kernel agrees with its reference
 implementation in tests/oracles.py.  Per-object kernels are compared object
-by object over whole families for n <= 6 and over random matchings up to
-n = 12; the grammar derivative over every named grammar and over random
-rational grammars; the xi/gamma tables entry by entry up to order 80."""
+by object over whole families for n <= 6 (trees for n <= 8) and over
+random matchings up to n = 12; the grammar derivative over every named
+grammar and over random rational grammars; the xi/gamma tables entry by
+entry up to order 80."""
+import pickle
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -105,6 +107,60 @@ def test_records_keep_their_field_names():
         "even_to_odd": 1}
     assert mt.pairwise_stats(m).ne == 1
     assert wd.word_stats(wd.from_matching(m)) == wd.WordStats(inv=1, coinv=0, rank=0)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tree_stream_and_text_match_the_recursive_reference(n, degree):
+    trees = list(st.enumerate_trees(n, degree))
+    assert trees == list(oracles.enumerate_trees(n, degree))
+    assert all(type(kids) is tuple for tree in trees for kids in tree)
+    assert list(map(st.tree_text, trees)) == list(map(oracles.tree_text, trees))
+
+
+@pytest.mark.parametrize("n, degree, message", [
+    (0, 3, "n must be positive"), (3, 4, "max_degree must be 2 or 3")])
+def test_tree_stream_rejects_bad_arguments(n, degree, message):
+    for stream in (st.enumerate_trees, oracles.enumerate_trees):
+        with pytest.raises(ValueError, match=message):
+            next(stream(n, degree))
+
+
+# (kernel, its record class, the class's field names, the objects it reads)
+RECORD_KERNELS = [
+    (mt.block_stats, mt.BlockStats,
+     ("fixb", "elblock", "olblock", "esblock", "osblock", "even_to_odd"),
+     lambda: mt.enumerate_matchings(5)),
+    (mt.pairwise_stats, mt.PairStats,
+     ("cr", "ne", "al", "lne", "lcr", "nal", "lrp", "rrp"),
+     lambda: mt.enumerate_matchings(5)),
+    (wd.neighbor_classify, wd.NeighborClassification,
+     ("lne", "lcr", "nal", "rrp", "lrp"), lambda: wd.enumerate_words(5)),
+    (wd.word_stats, wd.WordStats, ("inv", "coinv", "rank"),
+     lambda: wd.enumerate_words(5)),
+    (pm.perm_stats, pm.PermStats,
+     ("exc", "drop", "fix", "cyc", "asc", "des", "inv", "cda", "dd"),
+     lambda: pm.enumerate_permutations(6)),
+    (pm.signed_stats, pm.SignedStats,
+     ("wexc", "exc_B", "drop_B", "fix_B", "single", "cyc_B"),
+     lambda: pm.enumerate_signed(4)),
+]
+
+
+@pytest.mark.parametrize("kernel, cls, fields, objects", RECORD_KERNELS,
+                         ids=[k.__name__ for k, *_ in RECORD_KERNELS])
+def test_records_built_without_the_constructor_are_whole_records(
+        kernel, cls, fields, objects):
+    """Kernels build their records with tuple.__new__; each is still an
+    instance of its class that equals one built by the constructor, and
+    survives the pickling that carries shard results between processes."""
+    assert cls._fields == fields
+    for obj in objects():
+        r = kernel(obj)
+        assert type(r) is cls, obj
+        assert r == cls(*r), obj
+        assert r._fields == fields, obj
+        assert pickle.loads(pickle.dumps(r)) == r, obj
 
 
 @hs.composite
