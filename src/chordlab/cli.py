@@ -176,9 +176,8 @@ def _signed_rows(n):
     for rank, sigma in enumerate(pm.enumerate_signed(n)):
         wexc, exc, drop, fix, single, cyc = pm.signed_stats(sigma)
         asc, des, inv, dd = pm.oneline_stats(sigma)
-        cda = pm.perm_stats(tuple(map(abs, sigma))).cda
-        yield (n, rank, text % sigma, exc, drop, fix, cyc,
-               asc, des, inv, cda, dd, wexc, single)
+        yield (n, rank, text % sigma, exc, drop, fix, cyc, asc, des, inv,
+               pm.cda(tuple(map(abs, sigma))), dd, wexc, single)
 
 
 def _stirling_rows(n):

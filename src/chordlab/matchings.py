@@ -207,18 +207,15 @@ def trace(m: Matching) -> int:
 # Polynomial families
 # ---------------------------------------------------------------------------
 
-_LISTED = 6  # M_n and W_n up to this n (10,395 objects at most) are listed once
-
-
 @lru_cache(maxsize=None)
 def _matching_list(n: int) -> tuple:
     return tuple(enumerate_matchings(n))
 
 
 def matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
-    """Like enumerate_matchings, but a whole walk of a listed M_n reads
-    its list; a resumed stream walks."""
-    if start_rank == 0 and n <= _LISTED:
+    """Like enumerate_matchings, but a whole walk of M_0..M_6 (10,395
+    matchings at most) reads a list made once; a resumed stream walks."""
+    if start_rank == 0 and n <= 6:
         return iter(_matching_list(n))
     return enumerate_matchings(n, start_rank=start_rank)
 

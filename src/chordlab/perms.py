@@ -133,28 +133,34 @@ def oneline_stats(w: tuple) -> tuple[int, int, int, int]:
     return asc, len(w) - 1 - asc if w else 0, inv, dd
 
 
+def cda(pi: Permutation) -> int:
+    """Cyclic double ascents: the i with pi^-1(i) < i < pi(i)."""
+    inverse = [0] * (len(pi) + 1)
+    for i, v in enumerate(pi, start=1):
+        inverse[v] = i
+    count = 0
+    for i, v in enumerate(pi, start=1):
+        if inverse[i] < i < v:
+            count += 1
+    return count
+
+
 def perm_stats(pi: Permutation) -> PermStats:
     """The statistic record used throughout; dd uses boundary pi(0)=pi(n+1)=0.
 
-    A pass over positions gives exc/drop and the inverse, then cda; the
-    one-line statistics come from :func:`oneline_stats`.
+    A pass over positions gives exc/drop; cda comes from :func:`cda` and
+    the one-line statistics from :func:`oneline_stats`.
     """
     n = len(pi)
-    inverse = [0] * (n + 1)
     exc = drop = 0
     for i, v in enumerate(pi, start=1):
-        inverse[v] = i
         if v > i:
             exc += 1
         elif v < i:
             drop += 1
-    cda = 0
-    for i, v in enumerate(pi, start=1):
-        if inverse[i] < i < v:
-            cda += 1
     asc, des, inv, dd = oneline_stats(pi)
     return tuple.__new__(PermStats, (exc, drop, n - exc - drop, cycle_count(pi),
-                                     asc, des, inv, cda, dd))
+                                     asc, des, inv, cda(pi), dd))
 
 
 class SignedStats(NamedTuple):

@@ -81,18 +81,10 @@ def enumerate_words(n: int, start_rank: int = 0) -> Iterator[Word]:
     return map(from_matching, mt.enumerate_matchings(n, start_rank=start_rank))
 
 
-@lru_cache(maxsize=None)
-def _word_list(n: int) -> tuple:
-    """Words for a listed n, shared by every word census."""
-    return tuple(map(from_matching, mt.matchings(n)))
-
-
 def words(n: int, start_rank: int = 0) -> Iterator[Word]:
-    """Like :func:`enumerate_words`, with the list rule of
-    :func:`matchings.matchings`."""
-    if start_rank == 0 and n <= mt._LISTED:
-        return iter(_word_list(n))
-    return enumerate_words(n, start_rank)
+    """Like :func:`enumerate_words`, built from :func:`matchings.matchings`,
+    so a whole walk of a listed n reads the matching list."""
+    return map(from_matching, mt.matchings(n, start_rank))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,9 @@ def test_verify_report_is_byte_identical_up_to_ms(capsys):
     assert out == (GOLDEN / "verify_n5.json").read_text()
 
 
-def test_word_censuses_share_one_word_list(monkeypatch):
+def test_word_censuses_read_the_matching_list(walks, monkeypatch):
+    """Each word census builds its words from the listed M_5, which is
+    walked once, before either census runs."""
     calls = collections.Counter()
     real = wd.from_matching
 
@@ -97,15 +99,13 @@ def test_word_censuses_share_one_word_list(monkeypatch):
         calls[len(m)] += 1
         return real(m)
 
+    mt.matchings(5)
+    walks.clear()
     monkeypatch.setattr(wd, "from_matching", counted)
-    chordlab.clear_caches()
-    try:
-        census("neighbor", 5)
-        census("word", 5)
-        assert sum(calls.values()) == calls[5] == 945
-    finally:
-        monkeypatch.undo()
-        chordlab.clear_caches()
+    census("neighbor", 5)
+    census("word", 5)
+    assert walks == {}
+    assert calls == {5: 2 * 945}
 
 
 def test_clear_caches_empties_every_cache():

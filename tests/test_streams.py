@@ -14,9 +14,9 @@ from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
 
-# Up to n = 6 the cached streams read a list from rank 0 and walk from any
-# other rank (test_listed_streams_walk_when_resumed); above it they always
-# walk (test_cached_streams_resume_above_the_cache).
+# Up to n = 6 the cached streams read the matching list from rank 0 and walk
+# from any other rank (test_listed_streams_walk_when_resumed); above it they
+# always walk (test_cached_streams_resume_above_the_cache).
 STREAMS = {
     "matchings": (mt.enumerate_matchings, 5),
     "matchings.matchings": (mt.matchings, 6),
@@ -84,7 +84,6 @@ def test_listed_streams_walk_when_resumed(n, monkeypatch):
         raise AssertionError(f"the list of n={n} was read")
 
     monkeypatch.setattr(mt, "_matching_list", unread)
-    monkeypatch.setattr(wd, "_word_list", unread)
     for stream in (mt.matchings, wd.words):  # a whole walk reads the list
         with pytest.raises(AssertionError, match=f"n={n} was read"):
             stream(n)
@@ -94,10 +93,15 @@ def test_listed_streams_walk_when_resumed(n, monkeypatch):
         assert list(wd.words(n, rank)) == words[rank:]
 
 
+def _reference_words(n, start_rank=0):
+    return map(wd.from_matching, oracles.enumerate_matchings(n, start_rank))
+
+
 # Streams that `verify --jobs` resumes at shard starts (M_7 under the pair
 # census and W_7, Q_7, B_6), each with the reference it must agree with.
 SHARDED = {
     ("block", 7): (mt.enumerate_matchings, oracles.enumerate_matchings),
+    ("neighbor", 7): (wd.words, _reference_words),
     ("stirling", 7): (st.enumerate_stirling, oracles.enumerate_stirling),
     ("signed", 6): (pm.enumerate_signed, oracles.enumerate_signed),
 }
