@@ -1,19 +1,14 @@
 """The census table: every enumerated {statistic key: count} tally.
 
-A census makes one streaming pass over a family, calls one group of
-statistic kernels per object and tallies the key it returns.  Every
-polynomial family and every enumerated tally of the checks is a projection
-of one of these, so each family is walked once per census and argument.
-
-On entry, `sharded(k, reads)` cuts each uncached census in `reads` of at
-least SHARD_MIN objects into up to k contiguous rank ranges (shards) and
-queues them all, in order, and at most k forked children, and no more than
-the usable CPUs, start walking shards from that queue.  The parent walks
-every other census in one pass when it is first read.  Reading a queued
-census, the parent walks its shards no child has started, waits for the
-others and adds them up in rank order, so the result equals the serial
-census, key order included.  The parent collects finished children, and
-starts children for queued shards, whenever it enters `census` or `top_up`.
+A census makes one streaming pass over a family, calls one statistic kernel
+per object and tallies the key it returns.  The censuses a run declares
+(`sharded(k, reads)`) are grouped by stream and arguments, and the first
+read of one walks its whole group in one pass.  Any other read walks its
+census alone, and so does the census being read when its group walk raises.
+`sharded` also cuts each group of at least SHARD_MIN objects into up to k
+rank ranges (shards) for up to k forked children, no more than the CPUs.
+The parent walks the shards of a group no child has started and adds them
+all up in rank order, so each census equals the serial one, key order too.
 """
 from __future__ import annotations
 
@@ -30,31 +25,35 @@ def _odd_double_factorial(n: int) -> int:
     return math.prod(range(1, 2 * n, 2))
 
 
-# name -> (module, stream, kernel, size), the first three attributes of
-# chordlab.<module>.  Stream and kernel are looked up when a walk starts, so
-# a monkeypatched kernel reaches it.  size(*args) counts the stream's
-# objects; only `size` below reads it.
+_M = "matchings.enumerate_matchings"
+# name -> (stream, view, kernel, size), the first three "module.function" in
+# chordlab, looked up when a walk starts, so a monkeypatched kernel reaches
+# it.  The kernel reads view(object), built once per object of a walk, or the
+# object where view is None.  size(*args) counts the objects; only `size` reads it.
 TABLE = {
-    "block": ("matchings", "matchings", "_block_key", _odd_double_factorial),
-    "pair": ("matchings", "matchings", "pairwise_stats", _odd_double_factorial),
-    "neighbor": ("words", "words", "neighbor_classify", _odd_double_factorial),
-    "word": ("words", "words", "word_stats", _odd_double_factorial),
-    "perm": ("perms", "enumerate_permutations", "perm_stats", math.factorial),
-    "signed": ("perms", "enumerate_signed", "signed_stats",
+    "block": (_M, None, "matchings._block_key", _odd_double_factorial),
+    "pair": (_M, None, "matchings.pairwise_stats", _odd_double_factorial),
+    "neighbor": (_M, "words.from_matching", "words.neighbor_classify", _odd_double_factorial),
+    "word": (_M, "words.from_matching", "words.word_stats", _odd_double_factorial),
+    "bij": (_M, None, "checks._bij_fault", _odd_double_factorial),
+    "perm": ("perms.enumerate_permutations", None, "perms.perm_stats", math.factorial),
+    "signed": ("perms.enumerate_signed", None, "perms.signed_stats",
                lambda n: 2 ** n * math.factorial(n)),
-    "stirling": ("stirling", "enumerate_stirling", "stirling_word_stats",
+    "stirling": ("stirling.enumerate_stirling", None, "stirling.stirling_word_stats",
                  _odd_double_factorial),
-    "tree": ("stirling", "enumerate_trees", "tree_degree_histogram", None),
+    "tree": ("stirling.enumerate_trees", None, "stirling.tree_degree_histogram", None),
 }
 
-# A census of fewer objects is walked in one pass, and one of n objects gets
+# A group of fewer objects is walked in one pass, and one of n objects gets
 # at most n // SHARD_MIN + 1 shards: a fork costs more than a short walk.
 SHARD_MIN = 30_000
+_CHUNK = 1024  # objects a walk takes at once, for Counter.update to count in C
 
 _CACHE: dict[tuple, Counter] = {}  # (name, *args) -> census
-# A shard is ranks lo..hi-1 of census `key`: `pid` is the child's that walks
-# it, `result` the counts or exception once walked.
-_SHARDS: dict[tuple, list] = {}  # key -> its shards, while the census is queued
+_GROUPS: dict[tuple, tuple] = {}  # a declared uncached key -> its group
+# A shard is ranks lo..hi-1 of the walk of group `keys`: `pid` is the child's
+# that walks it, `result` its censuses or the exception once walked.
+_SHARDS: dict[tuple, list] = {}  # a group's first key -> its shards, while queued
 _QUEUE: list = []  # shards no process has started, in start order
 _RUNNING: dict = {}  # read end of a child's pipe -> the shard it walks
 _slots = 0  # children alive at once
@@ -74,21 +73,26 @@ def _cpus() -> int:
 
 @contextlib.contextmanager
 def sharded(k: int, reads=()):
-    """Queue the shards of every large uncached census in `reads`, each cut
-    into up to k, and start walking them in up to k forked children but no
-    more than the CPUs.  Every child is killed if still walking, and
-    reaped, before this exits."""
+    """Group the uncached censuses in `reads` by stream and arguments, queue
+    the shards of every large group, each cut into up to k, and start
+    walking them in up to k forked children but no more than the CPUs.
+    Every child is killed if still walking, and reaped, before this exits."""
     global _slots
     _slots = min(k, _cpus()) if hasattr(os, "fork") else 0
     try:
-        for key in dict.fromkeys(reads):
-            objects = size(key) if _slots and key not in _CACHE else 0
+        walks: dict[tuple, list] = {}  # stream and arguments -> keys, in first-read order
+        for key in dict.fromkeys(key for key in reads if key not in _CACHE):
+            walks.setdefault((TABLE[key[0]][0], *key[1:]), []).append(key)
+        for group in map(tuple, walks.values()):
+            _GROUPS.update(dict.fromkeys(group, group))
+            objects = size(group[0]) if _slots else 0
             cut = min(k, objects // SHARD_MIN + 1)
             if cut > 1:
                 bounds = [objects * i // cut for i in range(cut + 1)]
-                _SHARDS[key] = [SimpleNamespace(key=key, lo=lo, hi=hi, pid=None, result=None)
-                                for lo, hi in zip(bounds, bounds[1:])]
-                _QUEUE.extend(_SHARDS[key])
+                shards = [SimpleNamespace(keys=group, lo=lo, hi=hi, pid=None, result=None)
+                          for lo, hi in zip(bounds, bounds[1:])]
+                _SHARDS[group[0]] = shards
+                _QUEUE.extend(shards)
         top_up()
         yield
     finally:
@@ -97,57 +101,68 @@ def sharded(k: int, reads=()):
             os.kill(shard.pid, signal.SIGKILL)
             os.close(fd)
             os.waitpid(shard.pid, 0)
-        for state in (_RUNNING, _QUEUE, _SHARDS):
+        for state in (_RUNNING, _QUEUE, _SHARDS, _GROUPS):
             state.clear()
         _slots = 0
 
 
 def census(name: str, *args) -> Counter:
-    """The census `name` of the family `stream(*args)`, walked on first use.
-
-    Callers must not mutate the result.
-    """
+    """The census `name` of the family `stream(*args)`, walked with its
+    group on first use.  Callers must not mutate the result."""
     key = (name, *args)
     top_up()
     if key not in _CACHE:
-        shards = _SHARDS.pop(key, None)
-        _CACHE[key] = _walk(key) if shards is None else _merge(shards)
+        group = [k for k in _GROUPS.get(key, (key,)) if k not in _CACHE]
+        shards = _SHARDS.pop(group[0], None)
+        try:
+            counts = _walk(group) if shards is None else _merge(shards)
+        except OSError:
+            raise  # the process failed, not a kernel
+        except Exception:  # alone, the census raises what its serial walk meets first
+            group, counts = [key], _walk([key])
+        _CACHE.update(zip(group, counts))
     return _CACHE[key]
 
 
-def _walk(key: tuple, lo: int = 0, hi: int | None = None) -> Counter:
-    """Census `key` over ranks lo..hi-1 of its stream, or over all of it."""
-    name, *args = key
-    module, stream, kernel, _ = TABLE[name]
-    module = importlib.import_module(f"{__package__}.{module}")
-    stream, kernel = getattr(module, stream), getattr(module, kernel)
-    return Counter(map(kernel, stream(*args) if hi is None
-                       else islice(stream(*args, lo), hi - lo)))
+def _function(name: str):
+    module, attr = name.split(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), attr)
 
 
-def _merge(shards: list) -> Counter:
-    """The census of `shards`, added up in rank order.  The parent walks
-    each shard no child has started, then waits on the children's pipes,
-    topping up meanwhile, until each shard's own child is collected; the
-    exception of the lowest shard that met one is raised, as a serial walk
-    meets it first."""
+def _walk(keys, lo: int = 0, hi: int | None = None) -> list:
+    """The census of each key in `keys`, all of one stream and arguments,
+    over ranks lo..hi-1 of the stream, or over all of it, in one pass."""
+    stream, args = _function(TABLE[keys[0][0]][0]), keys[0][1:]
+    objects = stream(*args) if hi is None else islice(stream(*args, lo), hi - lo)
+    tallies = [(TABLE[name][1], _function(TABLE[name][2]), Counter()) for name, *_ in keys]
+    views = {view: view and _function(view) for view, _, _ in tallies}
+    while chunk := list(islice(objects, _CHUNK)):
+        seen = {view: chunk if build is None else list(map(build, chunk))
+                for view, build in views.items()}
+        for view, kernel, count in tallies:
+            count.update(map(kernel, seen[view]))
+        top_up()  # a long walk of the parent keeps its children busy
+    return [count for _, _, count in tallies]
+
+
+def _merge(shards: list) -> list:
+    """The censuses of the group cut into `shards`, each added up in rank
+    order.  The parent walks each shard no child has started, then waits on
+    the children's pipes, topping up, until each shard's child is collected."""
     import select
-    _QUEUE[:] = [shard for shard in _QUEUE if shard.key != shards[0].key]
+    _QUEUE[:] = [shard for shard in _QUEUE if shard.keys != shards[0].keys]
     for shard in shards:
         if shard.pid is None:
-            try:
-                shard.result = _walk(shard.key, shard.lo, shard.hi)
-            except Exception as exc:
-                shard.result = exc
-                break
-    total = Counter()
+            shard.result = _walk(shard.keys, shard.lo, shard.hi)
+    total = [Counter() for _ in shards[0].keys]
     for shard in shards:
         while shard.result is None:  # not its fd in _RUNNING: a new pipe reuses it
             select.select(list(_RUNNING), [], [])
             top_up()
         if isinstance(shard.result, BaseException):
             raise shard.result
-        total.update(shard.result)
+        for count, part in zip(total, shard.result):
+            count.update(part)
     return total
 
 
@@ -164,7 +179,7 @@ def top_up() -> None:
 
 def _fork(shard) -> None:
     """Start a child on the shard.  It writes nothing to its pipe until its
-    walk is over, then pickles the census, or the exception that stopped
+    walk is over, then pickles its censuses, or the exception that stopped
     it, into the pipe and always leaves by os._exit, so nothing the parent
     buffered or registered runs twice."""
     read, write = os.pipe()
@@ -180,8 +195,10 @@ def _fork(shard) -> None:
             import pickle  # only a sharded walk pays for it
             for fd in [read, *_RUNNING]:
                 os.close(fd)  # so a write fails, not blocks, if the parent is gone
+            _RUNNING.clear()
+            _QUEUE.clear()  # so its walk's top_up starts and collects nothing
             try:
-                part = _walk(shard.key, shard.lo, shard.hi)
+                part = _walk(shard.keys, shard.lo, shard.hi)
             except BaseException as exc:
                 part = exc
             with open(write, "wb") as pipe:

@@ -207,19 +207,6 @@ def trace(m: Matching) -> int:
 # Polynomial families
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _matching_list(n: int) -> tuple:
-    return tuple(enumerate_matchings(n))
-
-
-def matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
-    """Like enumerate_matchings, but a whole walk of M_0..M_6 (10,395
-    matchings at most) reads a list made once; a resumed stream walks."""
-    if start_rank == 0 and n <= 6:
-        return iter(_matching_list(n))
-    return enumerate_matchings(n, start_rank=start_rank)
-
-
 def _block_key(m: Matching) -> tuple:
     """(elblock, olblock, fixb, trace, even_to_odd), never pairwise_stats."""
     bs = block_stats(m)

@@ -82,9 +82,8 @@ def enumerate_words(n: int, start_rank: int = 0) -> Iterator[Word]:
 
 
 def words(n: int, start_rank: int = 0) -> Iterator[Word]:
-    """Like :func:`enumerate_words`, built from :func:`matchings.matchings`,
-    so a whole walk of a listed n reads the matching list."""
-    return map(from_matching, mt.matchings(n, start_rank))
+    """:func:`enumerate_words`, the stream a failing check rescans."""
+    return map(from_matching, mt.enumerate_matchings(n, start_rank=start_rank))
 
 
 # ---------------------------------------------------------------------------

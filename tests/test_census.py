@@ -44,13 +44,17 @@ def walks(monkeypatch):
     chordlab.clear_caches()
 
 
+def _caches(module) -> set:
+    """The names of the memoized functions of `module`."""
+    return {name for name, value in vars(module).items() if hasattr(value, "cache_info")}
+
+
 def test_suite_walks_each_family_once_per_n(walks):
     results = run_checks("all", max_n=5, egf_order=5)
     assert all(r.status == "pass" for r in results)
     assert walks, "no enumerator was called"
     assert {key: c for key, c in walks.items() if c > 1} == {}
-    # M_0..M_6 are listed once; nothing larger is ever materialised
-    assert mt._matching_list.cache_info().currsize <= 7
+    assert _caches(mt) == {"m_poly", "i_poly"}  # no cache in matchings holds matchings
 
 
 def test_block_group_streams_m7_once_without_pairwise_stats(walks, monkeypatch):
@@ -62,7 +66,7 @@ def test_block_group_streams_m7_once_without_pairwise_stats(walks, monkeypatch):
     assert mt.m_poly(7).evaluate({"x": 1, "y": 1, "s": 1, "t": 1}) == 135135
     assert mt.count_even_to_odd_free(7) == 16717  # z^7 of sqrt(e^z/(2-e^z))
     assert walks[("enumerate_matchings", (7,))] == 1
-    assert mt._matching_list.cache_info().currsize <= 7
+    assert _caches(mt) == {"m_poly", "i_poly"}  # no cache in matchings holds matchings
 
 
 def _golden_polys():
@@ -89,9 +93,10 @@ def test_verify_report_is_byte_identical_up_to_ms(capsys):
     assert out == (GOLDEN / "verify_n5.json").read_text()
 
 
-def test_word_censuses_read_the_matching_list(walks, monkeypatch):
-    """Each word census builds its words from the listed M_5, which is
-    walked once, before either census runs."""
+def test_reading_one_census_walks_its_declared_group(walks, monkeypatch):
+    """Inside a run, the first read of any census of M_5 walks M_5 once for
+    all five, building each word once for the neighbor and word censuses
+    together (the bij kernel builds its own)."""
     calls = collections.Counter()
     real = wd.from_matching
 
@@ -99,13 +104,16 @@ def test_word_censuses_read_the_matching_list(walks, monkeypatch):
         calls[len(m)] += 1
         return real(m)
 
-    mt.matchings(5)
-    walks.clear()
     monkeypatch.setattr(wd, "from_matching", counted)
-    census("neighbor", 5)
-    census("word", 5)
-    assert walks == {}
-    assert calls == {5: 2 * 945}
+    group = [(name, 5) for name in ("block", "pair", "neighbor", "word", "bij")]
+    with census_module.sharded(1, group):
+        census("word", 5)
+        assert walks == {("enumerate_matchings", (5,)): 1}
+        assert calls == {5: 2 * 945}
+        assert all(key in _CACHE for key in group)
+        assert census("neighbor", 5) == collections.Counter(
+            map(wd.neighbor_classify, wd.enumerate_words(5)))
+    assert walks == {("enumerate_matchings", (5,)): 2}  # the reference above
 
 
 def test_clear_caches_empties_every_cache():
@@ -129,8 +137,8 @@ def test_every_table_entry_is_read():
 
 
 # Each sized entry at the largest n its shard property walks.
-SIZED = {"block": 5, "pair": 5, "neighbor": 5, "word": 5, "perm": 5, "signed": 4,
-         "stirling": 5}
+SIZED = {"block": 5, "pair": 5, "neighbor": 5, "word": 5, "bij": 5, "perm": 5,
+         "signed": 4, "stirling": 5}
 
 
 def test_every_census_but_tree_has_a_size():
@@ -140,7 +148,7 @@ def test_every_census_but_tree_has_a_size():
 
 @pytest.mark.parametrize("name", sorted(SIZED))
 def test_size_counts_the_stream(name):
-    module, stream, _, _ = TABLE[name]
+    module, stream = TABLE[name][0].split(".")
     stream = getattr(getattr(chordlab, module), stream)
     assert [census_module.size((name, n)) for n in range(SIZED[name] + 1)] == [
         sum(1 for _ in stream(n)) for n in range(SIZED[name] + 1)]
@@ -149,17 +157,23 @@ def test_size_counts_the_stream(name):
 @settings(max_examples=40, deadline=None)
 @given(hs.sampled_from(sorted(SIZED)), hs.data())
 def test_shards_merged_in_order_are_the_census(name, data):
-    # Cut points anywhere, empty ranges included: each range walked apart and
-    # the counts added in rank order, as a sharded census merges them, give
-    # the census item for item, key order included.
-    n = data.draw(hs.integers(0, SIZED[name]))
-    size = census_module.size((name, n))
+    # A group of censuses of one stream, cut anywhere, empty ranges included:
+    # each range walked apart and the counts added in rank order, as a
+    # sharded group merges them, give each census as its own walk does,
+    # item for item, key order included.
+    same = [other for other in sorted(SIZED) if TABLE[other][0] == TABLE[name][0]]
+    names = [name, *data.draw(hs.lists(hs.sampled_from(same), unique=True))]
+    n = data.draw(hs.integers(0, min(SIZED[other] for other in names)))
+    keys = [(other, n) for other in dict.fromkeys(names)]
+    size = census_module.size(keys[0])
     cuts = data.draw(hs.lists(hs.integers(0, size), max_size=3))
     bounds = [0, *sorted(cuts), size]
-    merged = collections.Counter()
+    merged = [collections.Counter() for _ in keys]
     for lo, hi in zip(bounds, bounds[1:]):
-        merged.update(census_module._walk((name, n), lo, hi))
-    assert list(merged.items()) == list(census_module._walk((name, n)).items())
+        for total, part in zip(merged, census_module._walk(keys, lo, hi)):
+            total.update(part)
+    assert [list(total.items()) for total in merged] == [
+        list(census_module._walk([key])[0].items()) for key in keys]
 
 
 @pytest.mark.parametrize("bounds", [(3, 3), (6, 6)])

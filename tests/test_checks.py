@@ -217,7 +217,7 @@ class TestProcesses:
         monkeypatch.setattr(pm, "perm_stats", lambda pi: pi)
         monkeypatch.setattr(census_module, "SHARD_MIN", 20160)
         monkeypatch.setattr(census_module, "_cpus", lambda: 1)
-        assert len(pickle.dumps(census_module._walk(("perm", 8), 0, 20160))) > 4 * 65536
+        assert len(pickle.dumps(census_module._walk((("perm", 8),), 0, 20160))) > 4 * 65536
         deadline = time.monotonic() + 60
         with census_module.sharded(2, [("perm", 8)]):
             assert len(forks) == 1
@@ -235,7 +235,7 @@ class TestProcesses:
         # collected, a child on a shard of B_2, whose kernel sleeps in a
         # child, takes that fd again, and the read must not wait for it.
         real, parent = pm.perm_stats, os.getpid()
-        serial = census_module._walk(("perm", 4))
+        serial, = census_module._walk((("perm", 4),))
 
         def slow_last_third(pi):
             if pi[0] == 4 and os.getpid() != parent:
@@ -433,6 +433,23 @@ class TestFaultInjection:
         assert _normalized(sharded) == _normalized(serial)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_kernel_raising_in_a_group_walk(self, fresh_caches, monkeypatch):
+        # GOLDEN's block and neighbor censuses of M_3 share one walk with
+        # KZ-SYM's pair census; a raising pairwise_stats fails KZ-SYM alone.
+        real = mt.pairwise_stats
+
+        def raising(m):
+            if m == ((1, 3), (2, 5), (4, 6)):
+                raise ValueError(f"no statistics for {m}")
+            return real(m)
+
+        monkeypatch.setattr(mt, "pairwise_stats", raising)
+        results = run_checks(["GOLDEN", "M-MAIN", "KZ-SYM"], max_n=3)
+        assert [(r.id, r.status) for r in results] == [
+            ("GOLDEN", "pass"), ("M-MAIN", "pass"), ("KZ-SYM", "fail")]
+        assert results[2].witness == (
+            "exception: ValueError('no statistics for ((1, 3), (2, 5), (4, 6))')")
 
     def test_weak_excedance(self, fresh_caches, monkeypatch):
         real = pm.perm_stats

@@ -355,7 +355,7 @@ class TestMisuse:
                  "Q-DUMONT reads the stirling census of n=9 (34,459,425 objects)")]:
             assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {census_read}, {limit}")
         assert not (tmp_path / "report").exists()
-        # MP-BIJ walks M_n but declares no read: the --max-n guard covers it
+        # MP-BIJ reads the bij census of M_9, but the --max-n guard refuses first
         assert run_cli(capsys, "verify", "--max-n", "9", "--checks", "MP-BIJ") == (
             2, "", "error: --max-n 9 exceeds the verify limit 8 (pass --force to override)\n")
         assert ran == []

@@ -14,12 +14,8 @@ from chordlab import perms as pm
 from chordlab import stirling as st
 from chordlab import words as wd
 
-# Up to n = 6 the cached streams read the matching list from rank 0 and walk
-# from any other rank (test_listed_streams_walk_when_resumed); above it they
-# always walk (test_cached_streams_resume_above_the_cache).
 STREAMS = {
     "matchings": (mt.enumerate_matchings, 5),
-    "matchings.matchings": (mt.matchings, 6),
     "words.words": (wd.words, 6),
     "perms": (pm.enumerate_permutations, 5),
     "signed": (pm.enumerate_signed, 4),
@@ -66,8 +62,7 @@ def test_negative_start_rank_is_rejected(family, n):
         next(STREAMS[family][0](n, -1))
 
 
-@pytest.mark.parametrize("stream,uncached", [
-    (mt.matchings, mt.enumerate_matchings), (wd.words, wd.enumerate_words)])
+@pytest.mark.parametrize("stream,uncached", [(wd.words, wd.enumerate_words)])
 def test_cached_streams_resume_above_the_cache(stream, uncached):
     rank = 100_000
     assert list(itertools.islice(stream(7, rank), 3)) == list(
@@ -75,33 +70,10 @@ def test_cached_streams_resume_above_the_cache(stream, uncached):
     assert list(stream(7, 135_135)) == []
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_listed_streams_walk_when_resumed(n, monkeypatch):
-    reference = list(oracles.enumerate_matchings(n))
-    words = list(map(wd.from_matching, reference))
-
-    def unread(n):
-        raise AssertionError(f"the list of n={n} was read")
-
-    monkeypatch.setattr(mt, "_matching_list", unread)
-    for stream in (mt.matchings, wd.words):  # a whole walk reads the list
-        with pytest.raises(AssertionError, match=f"n={n} was read"):
-            stream(n)
-    total = len(reference)
-    for rank in sorted({1, 2, total // 2, total - 1, total, total + 1} - {0}):
-        assert list(mt.matchings(n, rank)) == reference[rank:]
-        assert list(wd.words(n, rank)) == words[rank:]
-
-
-def _reference_words(n, start_rank=0):
-    return map(wd.from_matching, oracles.enumerate_matchings(n, start_rank))
-
-
-# Streams that `verify --jobs` resumes at shard starts (M_7 under the pair
-# census and W_7, Q_7, B_6), each with the reference it must agree with.
+# Streams that `verify --jobs` resumes at shard starts (M_7, Q_7, B_6), each
+# with the reference it must agree with.
 SHARDED = {
     ("block", 7): (mt.enumerate_matchings, oracles.enumerate_matchings),
-    ("neighbor", 7): (wd.words, _reference_words),
     ("stirling", 7): (st.enumerate_stirling, oracles.enumerate_stirling),
     ("signed", 6): (pm.enumerate_signed, oracles.enumerate_signed),
 }
