@@ -217,41 +217,44 @@ def gamma_table(n: int) -> CoeffTable:
                       + k gamma(n-1; i,j-1,k),
 
     starting from gamma(1; 0,0,1) = 1; keys satisfy i + 2j + 3k = 2n + 1.
-    Iterated from order 1 up, keeping only the previous order as lists
-    indexed [k][j] (i follows from the order).  The first two terms read
-    row k-1 and the third is multiplied by k, so row 0 is all zeros; beyond
-    that the second term needs i >= 1 and the third j >= 1, which keeps
-    every index in range.
+    Iterated from order 1 up, keeping only the previous order as rows
+    (first j, values) indexed [k] (i follows from the order).  Row k of
+    order m starts at j = m + 1 - 2k (or 0), since every other entry is
+    zero: each term keeps s = i + j + k or raises it by one, from s = 1 at
+    order 1, so s <= m, that is j + 2k >= m + 1.  Row 0 is empty; the first
+    term reads row k-1 from its first j, the second needs i >= 1 and the
+    third a j past the first of row k, which keeps every index in range.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cur = [[0, 0], [1]]
+    cur = [(2, []), (0, [1])]
     for m in range(2, n + 1):
-        prev, cur = cur, []
+        prev, cur = cur, [(m + 1, [])]
         target = 2 * m + 1
-        for k in range(target // 3 + 1):
-            same = prev[k] if k < len(prev) else ()
-            below = prev[k - 1] if k else ()
+        for k in range(1, target // 3 + 1):
+            first = max(0, m + 1 - 2 * k)
+            bf, below = prev[k - 1]
+            sf, same = prev[k] if k < len(prev) else (0, ())
             row = []
-            for j in range((target - 3 * k) // 2 + 1):
+            for j in range(first, (target - 3 * k) // 2 + 1):
                 i = target - 2 * j - 3 * k
-                total = 0
-                if k:
-                    total = 3 * (1 + i) * below[j]
-                    if i:
-                        total += 2 * (1 + j) * below[j + 1]
-                    if j:
-                        total += k * same[j - 1]
+                total = 3 * (1 + i) * below[j - bf] if j >= bf else 0
+                if i:
+                    total += 2 * (1 + j) * below[j + 1 - bf]
+                if j > sf:
+                    total += k * same[j - 1 - sf]
                 row.append(total)
-            cur.append(row)
-    return CoeffTable(n, _entries(cur, 2 * n + 1))
+            cur.append((first, row))
+    firsts, rows = zip(*cur)
+    return CoeffTable(n, _entries(rows, 2 * n + 1, firsts))
 
 
-def _entries(rows: list, order: int) -> dict:
-    """{(i, j, k): c} of the nonzero entries of lists indexed [k][j] with
-    i + 2j + 3k = order, in the (k, j) order of the lists."""
+def _entries(rows, order: int, firsts=None) -> dict:
+    """{(i, j, k): c} of the nonzero entries of rows indexed [k] with
+    i + 2j + 3k = order, in (k, j) order; row k starts at j = firsts[k] or 0."""
     return {(order - 2 * j - 3 * k, j, k): c
-            for k, row in enumerate(rows) for j, c in enumerate(row) if c}
+            for k, (first, row) in enumerate(zip(firsts or [0] * len(rows), rows))
+            for j, c in enumerate(row, first) if c}
 
 
 def xi_poly(n: int) -> MVPoly:

@@ -11,9 +11,15 @@ mutant at a time, and `chordlab verify --max-n 4 --egf-order 5` runs on
 it with PYTHONDONTWRITEBYTECODE=1 (a mutant written within the same
 second as the last one, at the same size, would otherwise reuse its
 stale .pyc), a 1-GB address-space limit and a 5-s timeout.  A mutant is
-killed when verify exits nonzero, timed out when the timeout stops it,
-and survives when every check passes.  The unmutated module, unparsed the
-same way, must pass first.  Survivors go to FILE (default
+killed when verify exits nonzero; when it passes, verify runs again with
+`--report json`, and the mutant is also killed when that run fails or
+its report, with the `ms` fields zeroed, differs from the unmutated
+module's (a dropped per-n row or a changed witness).  It is timed out
+when a timeout stops either run, and survives when both pass with the
+same report.  The summary line counts the mutants killed by their report
+alone apart, so the exit-status criterion can be read off too.  The
+unmutated module, unparsed the same way, must pass both runs first.
+Survivors go to FILE (default
 mutation_survivors.txt), one line each: module, line and 0-based column
 of the mutated node, its site index k (`_mutant(source, k)` replays it),
 the change and the original source line.  Standard library only; pytest
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -76,31 +83,46 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def _verify(root: Path) -> str:
-    """"killed", "survived" or "timeout" for the package under `root`."""
+def _verify(root: Path, *options: str) -> tuple[str, bytes]:
+    """"killed", "passed" or "timeout" for the package under `root`, and
+    what verify printed, with its `ms` fields zeroed."""
     env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
     try:
-        done = subprocess.run([sys.executable, *VERIFY], env=env, timeout=TIMEOUT_S,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        done = subprocess.run([sys.executable, *VERIFY, *options], env=env, timeout=TIMEOUT_S,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                               preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
-        return "timeout"
-    return "survived" if done.returncode == 0 else "killed"
+        return "timeout", b""
+    report = re.sub(rb'"ms": \d+', b'"ms": 0', done.stdout)
+    return ("passed" if done.returncode == 0 else "killed"), report
+
+
+def _outcome(root: Path, clean: bytes) -> str:
+    """"killed", "reported" (killed by its report alone), "survived" or
+    "timeout" for the package under `root`."""
+    outcome, _ = _verify(root)
+    if outcome == "passed":
+        outcome, report = _verify(root, "--report", "json")
+    if outcome == "passed":
+        outcome = "survived" if report == clean else "reported"
+    return outcome
 
 
 def sweep(module: str, root: Path, survivors: list[str]) -> dict[str, int]:
     path = root / "chordlab" / f"{module}.py"
     source = path.read_text()
     lines = source.splitlines()
-    counts = {"killed": 0, "survived": 0, "timeout": 0}
+    counts = {"killed": 0, "reported": 0, "survived": 0, "timeout": 0}
     try:
         path.write_text(ast.unparse(ast.parse(source)))
-        if _verify(root) != "survived":
+        runs = [_verify(root), _verify(root, "--report", "json")]
+        if any(outcome != "passed" for outcome, _ in runs):
             raise SystemExit(f"{module}: the unmutated, unparsed module fails verify")
+        clean = runs[1][1]
         for k in range(len(_sites(ast.parse(source)))):
             text, line, column, change = _mutant(source, k)
             path.write_text(text)
-            outcome = _verify(root)
+            outcome = _outcome(root, clean)
             counts[outcome] += 1
             if outcome == "survived":
                 survivors.append(f"{module}.py:{line}:{column}: site {k}: {change}: "
@@ -122,7 +144,9 @@ def main(argv=None) -> int:
                         ignore=shutil.ignore_patterns("__pycache__"))
         for module in args.modules:
             counts = sweep(module, root, survivors)
-            print(f"{module}: {sum(counts.values())} mutants, {counts['killed']} killed, "
+            print(f"{module}: {sum(counts.values())} mutants, "
+                  f"{counts['killed'] + counts['reported']} killed "
+                  f"({counts['reported']} by their report alone), "
                   f"{counts['survived']} survived, {counts['timeout']} timed out", flush=True)
     Path(args.out).write_text("".join(line + "\n" for line in survivors))
     return 0

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import oracles
 from chordlab import stirling as st
 from chordlab.algebra import MVPoly, parse_poly
 
@@ -106,6 +107,16 @@ class TestTables:
             assert all(i + 2 * j + 3 * k == n for i, j, k in st.xi_table(n).entries)
             assert all(i + 2 * j + 3 * k == 2 * n + 1
                        for i, j, k in st.gamma_table(n).entries)
+
+    def test_gamma_support(self):
+        # the tuple-keyed recurrence is nonzero exactly where gamma_table
+        # iterates: k >= 1 and j + 2k >= n + 1
+        for n in range(1, 61):
+            target = 2 * n + 1
+            support = {(target - 2 * j - 3 * k, j, k)
+                       for k in range(1, target // 3 + 1)
+                       for j in range(max(0, n + 1 - 2 * k), (target - 3 * k) // 2 + 1)}
+            assert set(oracles.gamma_table(n)) == support, n
 
     def test_xi_census_agreement(self):
         for n in range(1, 6):
