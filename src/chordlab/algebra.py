@@ -17,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Mono = tuple  # tuple[tuple[str, int], ...], sorted by variable name
 Scalar = Union[int, Fraction]
@@ -250,21 +250,26 @@ class MVPoly:
 
         return sorted(self.terms.items(), key=key, reverse=True)
 
-    def render(self) -> str:
+    def render_pieces(self) -> Iterator[str]:
+        """The text of `render` term by term, each term after the first with
+        its leading " + ", so a writer never holds the whole text."""
         if not self.terms:
-            return "0"
-        parts = []
+            yield "0"
+        sep = ""
         for mono, c in self._ordered_terms():
             body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
             if not body:
-                parts.append(str(c))
+                yield sep + str(c)
             elif c == 1:
-                parts.append(body)
+                yield sep + body
             elif c == -1:
-                parts.append(f"-{body}")
+                yield f"{sep}-{body}"
             else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts)
+                yield f"{sep}{c}*{body}"
+            sep = " + "
+
+    def render(self) -> str:
+        return "".join(self.render_pieces())
 
     __str__ = render
 

@@ -138,11 +138,12 @@ def _writing(out):
         raise _UsageError(f"cannot write {name}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, out) -> None:
+def _emit(pieces, out) -> None:
+    """Write a text piece by piece as it is rendered, then its newline, so
+    the whole text is never held."""
     with _writing(out):
-        out.write(text)
-        if not text.endswith("\n"):
-            out.write("\n")
+        out.writelines(pieces)
+        out.write("\n")
 
 
 # Row generators, one per kind of object.  Each row holds its family's fields
@@ -288,13 +289,13 @@ def _cmd_poly(args) -> int:
         _guard("--n", args.n, family, _FAMILIES[family][0], args.force)
     with _output(args.out) as out:
         if args.format == "json" and table is not None:
-            _emit(table(args.n).to_json(args.name), out)
+            _emit(table(args.n).json_pieces(args.name), out)
         elif args.format == "json":
-            _emit(json.dumps({"name": args.name, "n": args.n,
-                              "poly": poly(args.n).render()},
-                             separators=(",", ":")), out)
+            _emit([json.dumps({"name": args.name, "n": args.n,
+                               "poly": poly(args.n).render()},
+                              separators=(",", ":"))], out)
         else:
-            _emit(poly(args.n).render(), out)
+            _emit(poly(args.n).render_pieces(), out)
     return 0
 
 
@@ -328,7 +329,7 @@ def _cmd_verify(args) -> int:
         results = checks.run_checks(selection, max_n=args.max_n,
                                     egf_order=args.egf_order, jobs=args.jobs)
         report = checks.report_json if args.report == "json" else checks.report_table
-        _emit(report(results), out)
+        _emit([report(results)], out)
     return 1 if any(r.status == "fail" for r in results) else 0
 
 
@@ -349,7 +350,7 @@ def _cmd_grammar(args) -> int:
     if args.iterations < 0:
         raise _UsageError("--iterations must be nonnegative")
     with _output(args.out) as out:
-        _emit(gr.d_iter(g, seed, args.iterations).render(), out)
+        _emit(gr.d_iter(g, seed, args.iterations).render_pieces(), out)
     return 0
 
 

@@ -169,10 +169,16 @@ class CoeffTable(NamedTuple):
     def poly(self, names=("x", "y", "z")) -> MVPoly:
         return MVPoly.from_exponents(self.entries, names)
 
-    def to_json(self, family: str) -> str:
-        rows = [{"i": i, "j": j, "k": k, "c": str(c)}
-                for (i, j, k), c in sorted(self.entries.items())]
-        return json.dumps({"family": family, "n": self.n, "entries": rows})
+    def json_pieces(self, family: str) -> Iterator[str]:
+        """What `json.dumps` writes for {"family", "n", "entries"}, where
+        entries are {"i", "j", "k", "c": str(c)} rows in key order: the head,
+        one row at a time, then the tail."""
+        yield f'{{"family": {json.dumps(family)}, "n": {self.n}, "entries": ['
+        sep = ""
+        for (i, j, k), c in sorted(self.entries.items()):
+            yield f'{sep}{{"i": {i}, "j": {j}, "k": {k}, "c": "{c}"}}'
+            sep = ", "
+        yield "]}"
 
 
 @lru_cache(maxsize=None)

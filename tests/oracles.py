@@ -20,9 +20,10 @@ as arcs in any order and orientation, the O(n^2) one-line statistics of a
 signed permutation, the insertion generator of matching permutations, the
 inverse of `gamma_expand`, the psi/psi1/psi2 generation of M_{n+1} from M_n
 with its inverse reduction, a matching validator and the parsers that read
-a matching or a word back from its text.  Last is the CLI's earlier
-`enumerate` writer, which built one dict per object and serialised it with
-`csv.DictWriter` or `JSONEncoder`.
+a matching or a word back from its text.  Last are the CLI's earlier
+writers: the `enumerate` writer, which built one dict per object and
+serialised it with `csv.DictWriter` or `JSONEncoder`, then the polynomial
+text and the coefficient table JSON, each built as one string.
 """
 import csv
 import itertools
@@ -699,3 +700,34 @@ def write_rows(fmt, family, fields, rows, out):
         lines = (f"{row[key]}\n" for row in rows)
         out.write(next(lines, "\n"))  # an empty stream is one empty line
         out.writelines(lines)
+
+
+# ---------------------------------------------------------------------------
+# The CLI's earlier `poly` and `grammar` writers: the whole text or JSON
+# built as one string
+# ---------------------------------------------------------------------------
+
+def render(p):
+    """The whole text of `p` built at once: every term's string in a list,
+    joined by " + "; "0" for the zero polynomial."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for mono, c in p._ordered_terms():
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+        if not body:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    return " + ".join(parts)
+
+
+def table_json(table, family):
+    """A coefficient table as one `json.dumps` string of row dicts."""
+    rows = [{"i": i, "j": j, "k": k, "c": str(c)}
+            for (i, j, k), c in sorted(table.entries.items())]
+    return json.dumps({"family": family, "n": table.n, "entries": rows})

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,10 @@ import pytest
 import chordlab
 import oracles
 from chordlab import census, checks, cli
+from chordlab import grammar as gr
 from chordlab import matchings as mt
 from chordlab import perms as pm
+from chordlab import stirling as st
 from chordlab import words as wd
 from chordlab.cli import main
 from chordlab.algebra import parse_poly
@@ -406,6 +409,75 @@ class TestStreamedOutput:
         assert target.read_bytes() == GOLDEN_ENUMERATE[f"derangements 4 {fmt}"].encode()
 
 
+POLY_SIZES = ([(name, n) for name in sorted(cli._POLYS) for n in range(1, 6)]
+              + [("xi", 60), ("gamma", 60)])
+GRAMMAR_SEEDS = {"dumont_grammar": "a", "quadruple_statistic_grammar": "I",
+                 "matching_statistic_grammar": "J", "neighbor_grammar": "I*y2*E",
+                 "stirling_word_grammar": "x", "esym_w_grammar": "a",
+                 "esym_uvw_grammar": "w"}
+
+
+class TestRenderedOutput:
+    """`poly` and `grammar` write their one line piece by piece, byte for
+    byte what the whole string built at once wrote (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("name,n", POLY_SIZES)
+    def test_poly_text(self, capsys, name, n):
+        code, out, _ = run_cli(capsys, "poly", "--name", name, "--n", str(n))
+        assert (code, out) == (0, oracles.render(cli._POLYS[name][1](n)) + "\n")
+
+    @pytest.mark.parametrize("name,n", POLY_SIZES)
+    def test_poly_json(self, capsys, name, n):
+        _, poly, table = cli._POLYS[name]
+        want = (oracles.table_json(table(n), name) if table is not None else
+                json.dumps({"name": name, "n": n, "poly": oracles.render(poly(n))},
+                           separators=(",", ":")))
+        code, out, _ = run_cli(capsys, "poly", "--name", name, "--n", str(n),
+                               "--format", "json")
+        assert (code, out) == (0, want + "\n")
+
+    def test_seeds_name_every_grammar(self):
+        assert sorted(GRAMMAR_SEEDS) == sorted(
+            name for name in vars(gr) if name.endswith("_grammar") and name != "parse_grammar")
+
+    @pytest.mark.parametrize("name", sorted(GRAMMAR_SEEDS))
+    def test_grammar(self, tmp_path, capsys, name):
+        g = getattr(gr, name)()
+        rules = tmp_path / f"{name}.g"
+        rules.write_text("".join(f"{v} -> {oracles.render(rule)}\n"
+                                 for v, rule in g.rules.items()))
+        seed = GRAMMAR_SEEDS[name]
+        code, out, _ = run_cli(capsys, "grammar", "--rules", str(rules),
+                               "--seed", seed, "--iterations", "12")
+        assert (code, out) == (0, oracles.render(gr.d_iter(g, parse_poly(seed), 12)) + "\n")
+
+    @pytest.mark.parametrize("seed,iterations,text", [
+        ("a", 1, "0"),  # a -> 0 takes a to the zero polynomial
+        ("0", 0, "0"),
+        ("b^2 - 3/2*a*b + 2/3 - a", 0, "-3/2*a*b + b^2 + -a + 2/3"),
+    ], ids=["to-zero", "zero-seed", "signs-and-fractions"])
+    def test_grammar_edge_terms(self, tmp_path, capsys, seed, iterations, text):
+        rules = tmp_path / "zero.g"
+        rules.write_text("a -> 0\n")
+        code, out, _ = run_cli(capsys, "grammar", "--rules", str(rules),
+                               "--seed", seed, "--iterations", str(iterations))
+        assert (code, out) == (0, text + "\n")
+        g = gr.parse_grammar("a -> 0\n")
+        assert text == oracles.render(gr.d_iter(g, parse_poly(seed), iterations))
+
+    def test_the_text_is_never_held_whole(self, tmp_path):
+        st.xi_table(400)  # cached, so the table's own memory is not traced
+        target = tmp_path / "xi-400.txt"
+        tracemalloc.start()
+        try:
+            code = main(["poly", "--name", "xi", "--n", "400", "--out", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < target.stat().st_size
+
+
 FAMILY_SIZES = [(family, n) for family, (_, smallest, _, _) in sorted(cli._FAMILIES.items())
                 for n in range(smallest, 6)]
 
@@ -512,6 +584,8 @@ class TestOutputErrors:
         ["poly", "--name", "Mn", "--n", "3"],
         ["verify", "--checks", "A-RISING", "--max-n", "2"],
         ["grammar", "--rules", "{rules}", "--seed", "a", "--iterations", "2"],
+        # one 263,206-byte line, far past the write buffer
+        ["poly", "--name", "xi", "--n", "120"],
     ])
     def test_full_device_exits_2(self, tmp_path, argv, to_stdout):
         rules = tmp_path / "dumont.g"
@@ -551,4 +625,16 @@ class TestOutputErrors:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert first == b"(1,2)(3,4)(5,6)(7,8)(9,10)(11,12)(13,14)\n"
+        assert err == b""
+
+    def test_closed_pipe_inside_a_line_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chordlab.cli", "poly", "--name", "xi", "--n", "250"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first == b"x^250 + 36185027"
         assert err == b""

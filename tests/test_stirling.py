@@ -129,7 +129,7 @@ class TestTables:
             assert {(j, i, n + 1 - i - j - k): c for (i, j, k), c in xi.items()} == gamma
 
     def test_json_schema(self):
-        blob = json.loads(st.xi_table(2).to_json("xi"))
+        blob = json.loads("".join(st.xi_table(2).json_pieces("xi")))
         assert blob == {"family": "xi", "n": 2,
                         "entries": [{"i": 0, "j": 1, "k": 0, "c": "2"},
                                     {"i": 2, "j": 0, "k": 0, "c": "1"}]}
