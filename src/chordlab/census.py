@@ -6,9 +6,10 @@ per object and tallies the key it returns.  The censuses a run declares
 read of one walks its whole group in one pass.  Any other read walks its
 census alone, and so does the census being read when its group walk raises.
 `sharded` also cuts each group of at least SHARD_MIN objects into up to k
-rank ranges (shards) for up to k forked children, no more than the CPUs.
-The parent walks the shards of a group no child has started and adds them
-all up in rank order, so each census equals the serial one, key order too.
+rank ranges (shards), no more than the CPUs, and forks one child per shard
+at once, at a lower priority than the parent.  The first read of the group
+adds the children's censuses up in rank order, so each census equals the
+serial one, key order too.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import math
 import os
 from collections import Counter
 from itertools import islice
-from types import SimpleNamespace
 
 
 def _odd_double_factorial(n: int) -> int:
@@ -51,12 +51,8 @@ _CHUNK = 1024  # objects a walk takes at once, for Counter.update to count in C
 
 _CACHE: dict[tuple, Counter] = {}  # (name, *args) -> census
 _GROUPS: dict[tuple, tuple] = {}  # a declared uncached key -> its group
-# A shard is ranks lo..hi-1 of the walk of group `keys`: `pid` is the child's
-# that walks it, `result` its censuses or the exception once walked.
-_SHARDS: dict[tuple, list] = {}  # a group's first key -> its shards, while queued
-_QUEUE: list = []  # shards no process has started, in start order
-_RUNNING: dict = {}  # read end of a child's pipe -> the shard it walks
-_slots = 0  # children alive at once
+_SHARDS: dict[tuple, list] = {}  # a group's first key -> its shards' child pids, until read
+_CHILDREN: dict = {}  # pid of a child not yet reaped -> the read end of its pipe
 
 
 def size(key: tuple) -> int:
@@ -73,49 +69,42 @@ def _cpus() -> int:
 
 @contextlib.contextmanager
 def sharded(k: int, reads=()):
-    """Group the uncached censuses in `reads` by stream and arguments, queue
-    the shards of every large group, each cut into up to k, and start
-    walking them in up to k forked children but no more than the CPUs.
-    Every child is killed if still walking, and reaped, before this exits."""
-    global _slots
-    _slots = min(k, _cpus()) if hasattr(os, "fork") else 0
+    """Group the uncached censuses in `reads` by stream and arguments, cut
+    every large group into up to k shards, no more than the CPUs, and fork
+    one child per shard to walk it at once.  Every child is killed if
+    still walking, and reaped, before this exits."""
+    jobs = min(k, _cpus()) if hasattr(os, "fork") else 1
     try:
         walks: dict[tuple, list] = {}  # stream and arguments -> keys, in first-read order
         for key in dict.fromkeys(key for key in reads if key not in _CACHE):
             walks.setdefault((TABLE[key[0]][0], *key[1:]), []).append(key)
         for group in map(tuple, walks.values()):
             _GROUPS.update(dict.fromkeys(group, group))
-            objects = size(group[0]) if _slots else 0
-            cut = min(k, objects // SHARD_MIN + 1)
+            objects = size(group[0])
+            cut = min(jobs, objects // SHARD_MIN + 1)
             if cut > 1:
                 bounds = [objects * i // cut for i in range(cut + 1)]
-                shards = [SimpleNamespace(keys=group, lo=lo, hi=hi, pid=None, result=None)
-                          for lo, hi in zip(bounds, bounds[1:])]
-                _SHARDS[group[0]] = shards
-                _QUEUE.extend(shards)
-        top_up()
+                _SHARDS[group[0]] = [_fork(group, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         yield
     finally:
-        for fd, shard in _RUNNING.items():
+        for pid, pipe in _CHILDREN.items():
             import signal  # only a run with children alive pays for it
-            os.kill(shard.pid, signal.SIGKILL)
-            os.close(fd)
-            os.waitpid(shard.pid, 0)
-        for state in (_RUNNING, _QUEUE, _SHARDS, _GROUPS):
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+        for state in (_CHILDREN, _SHARDS, _GROUPS):
             state.clear()
-        _slots = 0
 
 
 def census(name: str, *args) -> Counter:
     """The census `name` of the family `stream(*args)`, walked with its
     group on first use.  Callers must not mutate the result."""
     key = (name, *args)
-    top_up()
     if key not in _CACHE:
         group = [k for k in _GROUPS.get(key, (key,)) if k not in _CACHE]
-        shards = _SHARDS.pop(group[0], None)
+        children = _SHARDS.pop(group[0], None)
         try:
-            counts = _walk(group) if shards is None else _merge(shards)
+            counts = _walk(group) if children is None else _merge(group, children)
         except OSError:
             raise  # the process failed, not a kernel
         except Exception:  # alone, the census raises what its serial walk meets first
@@ -141,47 +130,30 @@ def _walk(keys, lo: int = 0, hi: int | None = None) -> list:
                 for view, build in views.items()}
         for view, kernel, count in tallies:
             count.update(map(kernel, seen[view]))
-        top_up()  # a long walk of the parent keeps its children busy
     return [count for _, _, count in tallies]
 
 
-def _merge(shards: list) -> list:
-    """The censuses of the group cut into `shards`, each added up in rank
-    order.  The parent walks each shard no child has started, then waits on
-    the children's pipes, topping up, until each shard's child is collected."""
-    import select
-    _QUEUE[:] = [shard for shard in _QUEUE if shard.keys != shards[0].keys]
-    for shard in shards:
-        if shard.pid is None:
-            shard.result = _walk(shard.keys, shard.lo, shard.hi)
-    total = [Counter() for _ in shards[0].keys]
-    for shard in shards:
-        while shard.result is None:  # not its fd in _RUNNING: a new pipe reuses it
-            select.select(list(_RUNNING), [], [])
-            top_up()
-        if isinstance(shard.result, BaseException):
-            raise shard.result
-        for count, part in zip(total, shard.result):
-            count.update(part)
+def _merge(keys, children: list) -> list:
+    """The censuses of `keys`, cut into shards walked by `children`, each
+    added up in rank order as its child is collected; the first shard in
+    rank order that raised raises, without waiting for the others."""
+    total = [Counter() for _ in keys]
+    for pid in children:
+        part = _collect(pid)
+        if isinstance(part, BaseException):
+            raise part
+        for count, more in zip(total, part):
+            count.update(more)
     return total
 
 
-def top_up() -> None:
-    """Collect every child whose pipe is readable, then start children for
-    queued shards while fewer than the allowed number are alive."""
-    if _RUNNING:
-        import select
-        for fd in select.select(list(_RUNNING), [], [], 0)[0]:
-            _collect(fd)
-    while _QUEUE and len(_RUNNING) < _slots:
-        _fork(_QUEUE.pop(0))
-
-
-def _fork(shard) -> None:
-    """Start a child on the shard.  It writes nothing to its pipe until its
-    walk is over, then pickles its censuses, or the exception that stopped
-    it, into the pipe and always leaves by os._exit, so nothing the parent
-    buffered or registered runs twice."""
+def _fork(keys, lo: int, hi: int) -> int:
+    """Start a child on ranks lo..hi-1 of the walk of `keys` and return its
+    pid.  The child lowers its priority, so the parent's checks keep their
+    CPU, writes nothing to its pipe until its walk is over, then pickles its
+    censuses, or the exception that stopped it, into the pipe and always
+    leaves by os._exit, so nothing the parent buffered or registered runs
+    twice."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -193,12 +165,12 @@ def _fork(shard) -> None:
         status = 1
         try:
             import pickle  # only a sharded walk pays for it
-            for fd in [read, *_RUNNING]:
-                os.close(fd)  # so a write fails, not blocks, if the parent is gone
-            _RUNNING.clear()
-            _QUEUE.clear()  # so its walk's top_up starts and collects nothing
+            os.close(read)
+            for pipe in _CHILDREN.values():
+                pipe.close()  # so a write fails, not blocks, if the parent is gone
+            os.nice(10)
             try:
-                part = _walk(shard.keys, shard.lo, shard.hi)
+                part = _walk(keys, lo, hi)
             except BaseException as exc:
                 part = exc
             with open(write, "wb") as pipe:
@@ -207,18 +179,19 @@ def _fork(shard) -> None:
         finally:
             os._exit(status)
     os.close(write)
-    shard.pid = pid
-    _RUNNING[read] = shard
+    _CHILDREN[pid] = open(read, "rb")
+    return pid
 
 
-def _collect(fd: int) -> None:
-    """Read a readable pipe to its end, reap its child and unpickle.  The
-    child writes only once its walk is over, so the read blocks only while
-    the pickle is written, which may take more than one pipe buffer."""
+def _collect(pid: int):
+    """Read the child's pipe to its end, reap it and return what it
+    pickled.  The child writes only once its walk is over, so the read
+    waits for the walk, then for the pickle, which may take more than one
+    pipe buffer."""
     import pickle
-    shard = _RUNNING.pop(fd)
-    with open(fd, "rb") as pipe:
+    with _CHILDREN[pid] as pipe:
         data = pipe.read()
-    _, status = os.waitpid(shard.pid, 0)
-    shard.result = pickle.loads(data) if status == 0 else ChildProcessError(
+    _, status = os.waitpid(pid, 0)
+    del _CHILDREN[pid]
+    return pickle.loads(data) if status == 0 else ChildProcessError(
         f"census shard process exited with {os.waitstatus_to_exitcode(status)}")

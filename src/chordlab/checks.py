@@ -27,7 +27,7 @@ from .algebra import (MVPoly, NotHomogeneousError, NotSymmetricError,
                       TruncatedSeries, esym_assemble, esym_expand, esym_polys,
                       gamma_expand, parse_poly, poly_sum, project,
                       rising_factorial, stirling1_unsigned)
-from .census import census, sharded, top_up
+from .census import census, sharded
 
 
 class UnknownCheckIdError(Exception):
@@ -807,7 +807,6 @@ def check_ids() -> list[str]:
 
 
 def _run_single(check_id: str, max_n: int | None, egf_order: int) -> CheckResult:
-    top_up()  # between checks, a finished census shard's child frees its slot
     check = _REGISTRY[check_id]
     effective = check.bound(max_n)
     started = time.monotonic()
@@ -833,10 +832,10 @@ def run_checks(selection="all", max_n: int | None = None,
 
     `selection` is "all", None, one check id, or an iterable of ids; an id
     named twice runs once.  The checks run in this process, in order;
-    `jobs` only lets each large census they declare they read be cut into
-    up to that many shards, walked by forked children from the start of
-    the run (`census.sharded`), so results do not depend on it.  Failing
-    checks never abort the run.
+    `jobs` only cuts each large census they declare they read into up to
+    that many shards, no more than the CPUs, each walked by its own forked
+    child from the start of the run (`census.sharded`), so results do not
+    depend on it.  Failing checks never abort the run.
     """
     order = DEFAULT_EGF_ORDER if egf_order is None else egf_order
     reads = _reads(selection, max_n, order)

@@ -69,9 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=None)
     p_verify.add_argument("--egf-order", type=int, default=None)
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="shards per large census, walked by up to this many "
-                               "forked children, no more than the CPUs, from the start "
-                               "of the run (default: 1, which forks nothing)")
+                          help="shards per large census, no more than the CPUs, each "
+                               "walked by its own forked child from the start of the run "
+                               "(default: 1, which forks nothing)")
     p_verify.add_argument("--report", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--force", action="store_true",

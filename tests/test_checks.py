@@ -2,7 +2,6 @@ import collections
 import json
 import os
 import pickle
-import select
 import time
 
 import pytest
@@ -208,82 +207,75 @@ class TestProcesses:
         assert len(forks) == 2 and time.monotonic() - started < 30
         self._assert_no_child_left()
 
-    def test_a_census_larger_than_the_pipe_buffer_frees_its_slot(self, forks, monkeypatch):
+    def test_a_shard_larger_than_the_pipe_buffer(self, forks, monkeypatch):
         # Each half of S_8 tallied by identity pickles to several pipe
-        # buffers.  With one child allowed, the parent reads the first
-        # child's whole pickle once its pipe turns readable, which lets that
-        # child exit, so the second half gets a child before anything reads
-        # the census.
+        # buffers, so its child exits only once the parent has read its
+        # whole pipe.
         monkeypatch.setattr(pm, "perm_stats", lambda pi: pi)
         monkeypatch.setattr(census_module, "SHARD_MIN", 20160)
-        monkeypatch.setattr(census_module, "_cpus", lambda: 1)
         assert len(pickle.dumps(census_module._walk((("perm", 8),), 0, 20160))) > 4 * 65536
-        deadline = time.monotonic() + 60
         with census_module.sharded(2, [("perm", 8)]):
-            assert len(forks) == 1
-            while len(forks) < 2 and time.monotonic() < deadline:
-                census_module.top_up()
-                time.sleep(0.01)
             assert len(forks) == 2
             assert census("perm", 8) == collections.Counter(pm.enumerate_permutations(8))
         self._assert_no_child_left()
 
-    def test_a_wait_ends_when_its_own_child_is_collected(self, forks, monkeypatch):
-        # One CPU: the three shards of S_4 get a child each in turn, and each
-        # new child's pipe takes the fd its collected predecessor freed.
-        # Reading S_4 waits for the third, slowed in the child; once it is
-        # collected, a child on a shard of B_2, whose kernel sleeps in a
-        # child, takes that fd again, and the read must not wait for it.
-        real, parent = pm.perm_stats, os.getpid()
-        serial, = census_module._walk((("perm", 4),))
-
-        def slow_last_third(pi):
-            if pi[0] == 4 and os.getpid() != parent:
-                time.sleep(0.1)
-            return real(pi)
-
-        def stuck(signed):
-            time.sleep(60)
-
-        pipes = []
-        real_pipe = os.pipe
-
-        def recorded():
-            pipes.append(real_pipe())
-            return pipes[-1]
-
-        monkeypatch.setattr(pm, "perm_stats", slow_last_third)
-        monkeypatch.setattr(pm, "signed_stats", stuck)
-        monkeypatch.setattr(os, "pipe", recorded)
-        monkeypatch.setattr(census_module, "SHARD_MIN", 1)
-        monkeypatch.setattr(census_module, "_cpus", lambda: 1)
-        started = time.monotonic()
-        with census_module.sharded(3, [("perm", 4), ("signed", 2)]):
-            while len(forks) < 3 and time.monotonic() - started < 30:
-                census_module.top_up()
-                time.sleep(0.01)
-            assert census_module._RUNNING  # the third child is still walking
-            assert census("perm", 4) == serial
-            assert len(forks) == 4 and time.monotonic() - started < 30
-            assert list(census_module._RUNNING) == [pipes[0][0]]
-        assert len({read for read, _ in pipes}) == 1
-        self._assert_no_child_left()
-
-    def test_live_children_never_outnumber_the_cpus(self, monkeypatch):
-        alive = []
-        real_fork = os.fork
-
-        def counted():
-            alive.append(len(census_module._RUNNING))
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counted)
+    def test_no_more_shards_than_jobs_or_cpus(self, forks, monkeypatch):
         monkeypatch.setattr(census_module, "SHARD_MIN", 1)
         with census_module.sharded(8, [("perm", 4), ("signed", 3)]):
+            assert len(forks) == 4  # two halves of each group, all forked at once
             assert census("perm", 4) == collections.Counter(
                 map(pm.perm_stats, pm.enumerate_permutations(4)))
-        assert len(alive) > 2 and max(alive) < 2
+            assert census("signed", 3) == collections.Counter(
+                map(pm.signed_stats, pm.enumerate_signed(3)))
         self._assert_no_child_left()
+
+    def test_children_run_at_lower_priority(self, forks, monkeypatch):
+        monkeypatch.setattr(pm, "perm_stats", lambda pi: os.nice(0))
+        with census_module.sharded(2, [("perm", 4)]):
+            assert list(census("perm", 4)) == [min(os.nice(0) + 10, 19)]
+        assert len(forks) == 2
+        self._assert_no_child_left()
+
+    def test_the_parent_never_walks_a_shard(self, monkeypatch):
+        ranged = []
+        real = census_module._walk
+
+        def walk(keys, *rank_range):
+            if rank_range:  # a child's walk appends to its own copy
+                ranged.append((keys, rank_range))
+            return real(keys, *rank_range)
+
+        monkeypatch.setattr(census_module, "_walk", walk)
+        monkeypatch.setattr(census_module, "SHARD_MIN", 30_000)  # cuts B_6, M_7 and Q_7
+        results = run_checks("all", max_n=6, egf_order=6, jobs=2)
+        assert {r.status for r in results} == {"pass"}
+        assert ranged == []
+        self._assert_no_child_left()
+
+    def test_a_raising_shard_does_not_wait_for_the_others(self, forks, monkeypatch):
+        # The first half of S_4 raises; the second half's child would sleep
+        # for a minute.  The census raises the first half's exception at
+        # once, the check fails as it does serially, and the sleeping child
+        # is killed when the run ends.
+        real, parent = pm.perm_stats, os.getpid()
+        bad = BAD_PERMS[0]
+
+        def raising(pi):
+            if pi == bad:
+                raise ValueError(f"no statistics for {pi}")
+            if len(pi) == 4 and pi >= (3,) and os.getpid() != parent:
+                time.sleep(60)
+            return real(pi)
+
+        monkeypatch.setattr(pm, "perm_stats", raising)
+        started = time.monotonic()
+        sharded = run_checks(["A-EQUIDIST"], max_n=4, jobs=2)
+        assert len(forks) == 2 and time.monotonic() - started < 30
+        self._assert_no_child_left()
+        chordlab.clear_caches()
+        serial = run_checks(["A-EQUIDIST"], max_n=4)
+        assert serial[0].witness == f"exception: ValueError('no statistics for {bad}')"
+        assert _normalized(sharded) == _normalized(serial)
 
     @pytest.mark.parametrize("bad", BAD_PERMS)
     def test_a_kernel_raising_in_a_prefetched_shard(self, forks, monkeypatch, bad):
@@ -398,41 +390,6 @@ class TestFaultInjection:
         assert "fail" in {r.status for r in serial}
         assert [(r.id, r.status, r.witness) for r in sharded] == [
             (r.id, r.status, r.witness) for r in serial]
-
-    # S_4 in lexicographic order, cut in two at rank 12, with one CPU: the
-    # only child starts on the first half with the run, and its kernel waits
-    # until the parent walks a permutation of S_4, which it does only on the
-    # second half, no child having started it.  So the bad permutation is met
-    # by a child in the first half and by the parent in the second.
-    @pytest.mark.parametrize("bad", BAD_PERMS)
-    def test_kernel_raising_in_a_shard(self, fresh_caches, forks, monkeypatch, bad):
-        real, parent = pm.perm_stats, os.getpid()
-        gate, opener = os.pipe()
-
-        def raising(pi):
-            if len(pi) == 4 and os.getpid() == parent:
-                os.write(opener, b".")
-            elif len(pi) == 4:
-                select.select([gate], [], [], 30)
-            if pi == bad:
-                raise ValueError(f"no statistics for {pi}")
-            return real(pi)
-
-        monkeypatch.setattr(pm, "perm_stats", raising)
-        monkeypatch.setattr(census_module, "SHARD_MIN", 12)
-        monkeypatch.setattr(census_module, "_cpus", lambda: 1)
-        try:
-            sharded = run_checks(["A-EQUIDIST"], max_n=4, jobs=2)
-            assert forks == [1]
-            chordlab.clear_caches()
-            serial = run_checks(["A-EQUIDIST"], max_n=4)
-        finally:
-            os.close(gate)
-            os.close(opener)
-        assert serial[0].witness == f"exception: ValueError('no statistics for {bad}')"
-        assert _normalized(sharded) == _normalized(serial)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_kernel_raising_in_a_group_walk(self, fresh_caches, monkeypatch):
         # GOLDEN's block and neighbor censuses of M_3 share one walk with

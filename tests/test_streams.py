@@ -81,12 +81,14 @@ SHARDED = {
 
 def _shard_starts(key, k, monkeypatch):
     """The start ranks of the shards `census.sharded(k, [key])` cuts `key`
-    into, read off its table with no child started and no census cached."""
+    into, read off the forks it asks for, with none made and no census
+    cached."""
+    starts = []
     monkeypatch.setattr(census_module, "_cpus", lambda: k)
-    monkeypatch.setattr(census_module, "top_up", lambda: None)
     monkeypatch.setattr(census_module, "_CACHE", {})
+    monkeypatch.setattr(census_module, "_fork", lambda keys, lo, hi: starts.append(lo))
     with census_module.sharded(k, [key]):
-        return [shard.lo for shard in census_module._SHARDS[key]]
+        return starts
 
 
 @pytest.mark.parametrize("key", sorted(SHARDED), ids="{0[0]}-{0[1]}".format)
