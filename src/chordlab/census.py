@@ -1,10 +1,12 @@
 """The census table: every enumerated {statistic key: count} tally.
 
-A census makes one streaming pass over a family, calls one statistic kernel
-per object and tallies the key it returns.  The censuses a run declares
-(`sharded(k, reads)`) are grouped by stream and arguments, and the first
-read of one walks its whole group in one pass.  Any other read walks its
-census alone, and so does the census being read when its group walk raises.
+A census makes one streaming pass over a family and tallies the key one
+statistic kernel returns per object, on the object or values computed from
+it, such as its word.  The censuses a run declares (`sharded(k, reads)`)
+are grouped by stream and arguments, and the first read of one walks its
+whole group in one pass, computing each value once per object for every
+census that reads it.  Any other read walks its census alone, computing all
+its inputs, and so does the census being read when its group walk raises.
 `sharded` also cuts each group of at least SHARD_MIN objects into up to k
 rank ranges (shards), no more than the CPUs, and forks one child per shard
 at once, at a lower priority than the parent.  The first read of the group
@@ -26,22 +28,28 @@ def _odd_double_factorial(n: int) -> int:
 
 
 _M = "matchings.enumerate_matchings"
-# name -> (stream, view, kernel, size), the first three "module.function" in
-# chordlab, looked up when a walk starts, so a monkeypatched kernel reaches
-# it.  The kernel reads view(object), built once per object of a walk, or the
-# object where view is None.  size(*args) counts the objects; only `size` reads it.
+# A node is ("module.function", argument nodes), where None is the streamed
+# object.  name -> (stream, node, size): the census tallies its node over the
+# family stream(*args), and size(*args) counts the objects; only `size` reads
+# it.  Functions are looked up in chordlab when a walk starts, so a
+# monkeypatched kernel reaches every census.
+_WORD = ("words.from_matching", (None,))
+_PAIR = ("matchings.pairwise_stats", (None,))
+_CLASSES = ("words.neighbor_classify", (_WORD,))
+_WORD_STATS = ("words.word_stats", (_WORD,))
 TABLE = {
-    "block": (_M, None, "matchings._block_key", _odd_double_factorial),
-    "pair": (_M, None, "matchings.pairwise_stats", _odd_double_factorial),
-    "neighbor": (_M, "words.from_matching", "words.neighbor_classify", _odd_double_factorial),
-    "word": (_M, "words.from_matching", "words.word_stats", _odd_double_factorial),
-    "bij": (_M, None, "checks._bij_fault", _odd_double_factorial),
-    "perm": ("perms.enumerate_permutations", None, "perms.perm_stats", math.factorial),
-    "signed": ("perms.enumerate_signed", None, "perms.signed_stats",
+    "block": (_M, ("matchings._block_key", (None,)), _odd_double_factorial),
+    "pair": (_M, _PAIR, _odd_double_factorial),
+    "neighbor": (_M, _CLASSES, _odd_double_factorial),
+    "word": (_M, _WORD_STATS, _odd_double_factorial),
+    "bij": (_M, ("checks._bij_fault", (None, _WORD, _PAIR, _CLASSES, _WORD_STATS)),
+            _odd_double_factorial),
+    "perm": ("perms.enumerate_permutations", ("perms.perm_stats", (None,)), math.factorial),
+    "signed": ("perms.enumerate_signed", ("perms.signed_stats", (None,)),
                lambda n: 2 ** n * math.factorial(n)),
-    "stirling": ("stirling.enumerate_stirling", None, "stirling.stirling_word_stats",
+    "stirling": ("stirling.enumerate_stirling", ("stirling.stirling_word_stats", (None,)),
                  _odd_double_factorial),
-    "tree": ("stirling.enumerate_trees", None, "stirling.tree_degree_histogram", None),
+    "tree": ("stirling.enumerate_trees", ("stirling.tree_degree_histogram", (None,)), None),
 }
 
 # A group of fewer objects is walked in one pass, and one of n objects gets
@@ -57,7 +65,7 @@ _CHILDREN: dict = {}  # pid of a child not yet reaped -> the read end of its pip
 
 def size(key: tuple) -> int:
     """The object count of census `key`; 0 for an unsized one, never sharded."""
-    count = TABLE[key[0]][3]
+    count = TABLE[key[0]][2]
     return count(*key[1:]) if count else 0
 
 
@@ -120,17 +128,28 @@ def _function(name: str):
 
 def _walk(keys, lo: int = 0, hi: int | None = None) -> list:
     """The census of each key in `keys`, all of one stream and arguments,
-    over ranks lo..hi-1 of the stream, or over all of it, in one pass."""
+    over ranks lo..hi-1 of the stream, or over all of it, in one pass that
+    computes each node the keys read once per object."""
     stream, args = _function(TABLE[keys[0][0]][0]), keys[0][1:]
     objects = stream(*args) if hi is None else islice(stream(*args, lo), hi - lo)
-    tallies = [(TABLE[name][1], _function(TABLE[name][2]), Counter()) for name, *_ in keys]
-    views = {view: view and _function(view) for view, _, _ in tallies}
+    tallies = [(TABLE[name][1], Counter()) for name, *_ in keys]
+    functions: dict = {}  # node -> its function, each after its arguments
+
+    def add(node):
+        if node is not None and node not in functions:
+            for arg in node[1]:
+                add(arg)
+            functions[node] = _function(node[0])
+
+    for node, _ in tallies:
+        add(node)
     while chunk := list(islice(objects, _CHUNK)):
-        seen = {view: chunk if build is None else list(map(build, chunk))
-                for view, build in views.items()}
-        for view, kernel, count in tallies:
-            count.update(map(kernel, seen[view]))
-    return [count for _, _, count in tallies]
+        values = {None: chunk}
+        for node, function in functions.items():
+            values[node] = list(map(function, *(values[arg] for arg in node[1])))
+        for node, count in tallies:
+            count.update(values[node])
+    return [count for _, count in tallies]
 
 
 def _merge(keys, children: list) -> list:

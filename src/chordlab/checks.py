@@ -469,24 +469,24 @@ def _run_callan(max_n, egf_order):
 # ---------------------------------------------------------------------------
 
 
-def _bij_fault(m: mt.Matching) -> str | None:
-    """The `bij` census kernel: None when the word of m is valid, maps back to
-    m and carries m's neighbor classes and ne/cr/al, else a witness naming m,
-    so MP-BIJ's first in key order is the first in stream order."""
-    n, w = len(m), wd.from_matching(m)
+def _bij_fault(m: mt.Matching, w: wd.Word, ps: mt.PairStats,
+               classes: wd.NeighborClassification, ws: wd.WordStats) -> str | None:
+    """The `bij` census kernel, given m's word w, PairStats and the word's
+    neighbor classes and WordStats: None when w is valid, maps back to m and
+    carries m's neighbor classes and ne/cr/al, else a witness naming m, so
+    MP-BIJ's first in key order is the first in stream order."""
+    n = len(m)
     try:
         wd.validate_word(w)
     except ValueError as exc:
         return f"n={n}: {mt.arcs_text(m)}: invalid word ({exc})"
     if wd.to_matching(w) != m:
         return f"n={n}: round-trip failed on {mt.arcs_text(m)}"
-    ps = mt.pairwise_stats(m)
-    transferred = tuple(wd.neighbor_classify(w))
+    transferred = tuple(classes)
     matching = (ps.lne, ps.lcr, ps.nal, ps.rrp, ps.lrp)
     if transferred != matching:
         return (f"n={n}: neighbor stats differ on {mt.arcs_text(m)}: "
                 f"word {transferred}, matching {matching}")
-    ws = wd.word_stats(w)
     if (ws.inv, ws.coinv, ws.rank) != (ps.ne, ps.cr, ps.al):
         return (f"n={n}: inv/coinv/rank differ on {mt.arcs_text(m)}: "
                 f"word {(ws.inv, ws.coinv, ws.rank)}, matching {(ps.ne, ps.cr, ps.al)}")

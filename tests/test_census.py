@@ -95,21 +95,28 @@ def test_verify_report_is_byte_identical_up_to_ms(capsys):
 
 def test_reading_one_census_walks_its_declared_group(walks, monkeypatch):
     """Inside a run, the first read of any census of M_5 walks M_5 once for
-    all five, building each word once for the neighbor and word censuses
-    together (the bij kernel builds its own)."""
+    all five, computing each matching's word, pairwise statistics, neighbor
+    classes and word statistics once for every census that reads them, the
+    bij kernel included."""
     calls = collections.Counter()
-    real = wd.from_matching
 
-    def counted(m):
-        calls[len(m)] += 1
-        return real(m)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(wd, "from_matching", counted)
+        def wrapper(arg):
+            calls[name] += 1
+            return real(arg)
+        monkeypatch.setattr(module, name, wrapper)
+
+    shared = ((wd, "from_matching"), (mt, "pairwise_stats"),
+              (wd, "neighbor_classify"), (wd, "word_stats"))
+    for module, name in shared:
+        counted(module, name)
     group = [(name, 5) for name in ("block", "pair", "neighbor", "word", "bij")]
     with census_module.sharded(1, group):
         census("word", 5)
         assert walks == {("enumerate_matchings", (5,)): 1}
-        assert calls == {5: 2 * 945}
+        assert calls == {name: 945 for _, name in shared}
         assert all(key in _CACHE for key in group)
         assert census("neighbor", 5) == collections.Counter(
             map(wd.neighbor_classify, wd.enumerate_words(5)))

@@ -393,7 +393,9 @@ class TestFaultInjection:
 
     def test_kernel_raising_in_a_group_walk(self, fresh_caches, monkeypatch):
         # GOLDEN's block and neighbor censuses of M_3 share one walk with
-        # KZ-SYM's pair census; a raising pairwise_stats fails KZ-SYM alone.
+        # the pair, bij and word censuses of KZ-SYM, MP-BIJ and I-STATS; a
+        # raising pairwise_stats, which both the pair and bij censuses read,
+        # fails those three alone, each with the exception as its witness.
         real = mt.pairwise_stats
 
         def raising(m):
@@ -402,11 +404,32 @@ class TestFaultInjection:
             return real(m)
 
         monkeypatch.setattr(mt, "pairwise_stats", raising)
-        results = run_checks(["GOLDEN", "M-MAIN", "KZ-SYM"], max_n=3)
+        results = run_checks(["GOLDEN", "M-MAIN", "KZ-SYM", "MP-BIJ", "I-STATS"], max_n=3)
         assert [(r.id, r.status) for r in results] == [
-            ("GOLDEN", "pass"), ("M-MAIN", "pass"), ("KZ-SYM", "fail")]
-        assert results[2].witness == (
-            "exception: ValueError('no statistics for ((1, 3), (2, 5), (4, 6))')")
+            ("GOLDEN", "pass"), ("M-MAIN", "pass"), ("KZ-SYM", "fail"),
+            ("MP-BIJ", "fail"), ("I-STATS", "fail")]
+        assert {r.witness for r in results[2:]} == {
+            "exception: ValueError('no statistics for ((1, 3), (2, 5), (4, 6))')"}
+
+    @pytest.mark.parametrize("module,kernel,field", [
+        *((mt, "pairwise_stats", f)
+          for f in ("lne", "lcr", "nal", "rrp", "lrp", "ne", "cr", "al")),
+        *((wd, "neighbor_classify", f) for f in wd.NeighborClassification._fields),
+        *((wd, "word_stats", f) for f in wd.WordStats._fields)])
+    def test_mp_bij_compares_both_sides(self, fresh_caches, monkeypatch,
+                                        module, kernel, field):
+        # MP-BIJ compares each field of either side with its image on the
+        # other, so one side perturbed on some objects fails it, whichever
+        # side, however the walk shares its values; tuples of ints hash
+        # alike under every hash seed.
+        real = getattr(module, kernel)
+
+        def perturbed(obj):
+            value = real(obj)
+            return value._replace(**{field: getattr(value, field) + 1}) if hash(obj) % 2 else value
+
+        monkeypatch.setattr(module, kernel, perturbed)
+        self._assert_some_failure(["MP-BIJ"], max_n=4)
 
     def test_weak_excedance(self, fresh_caches, monkeypatch):
         real = pm.perm_stats
