@@ -11,7 +11,10 @@ its inputs, and so does the census being read when its group walk raises.
 rank ranges (shards), no more than the CPUs, and forks one child per shard
 at once, at a lower priority than the parent.  The first read of the group
 adds the children's censuses up in rank order, so each census equals the
-serial one, key order too.
+serial one, key order too.  A shard that does not deliver its censuses (a
+refused fork, or a child that raised, was killed or exited nonzero) is a
+group walk that raised: the census is walked alone in the parent, and a
+refused fork forks nothing more in that run.
 """
 from __future__ import annotations
 
@@ -92,7 +95,10 @@ def sharded(k: int, reads=()):
             cut = min(jobs, objects // SHARD_MIN + 1)
             if cut > 1:
                 bounds = [objects * i // cut for i in range(cut + 1)]
-                _SHARDS[group[0]] = [_fork(group, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+                try:
+                    _SHARDS[group[0]] = [_fork(group, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+                except OSError:  # no fork: this group and every later one walk serially
+                    jobs = 1
         yield
     finally:
         for pid, pipe in _CHILDREN.items():
@@ -113,9 +119,7 @@ def census(name: str, *args) -> Counter:
         children = _SHARDS.pop(group[0], None)
         try:
             counts = _walk(group) if children is None else _merge(group, children)
-        except OSError:
-            raise  # the process failed, not a kernel
-        except Exception:  # alone, the census raises what its serial walk meets first
+        except Exception:  # a kernel raised or a shard failed: walk the census alone
             group, counts = [key], _walk([key])
         _CACHE.update(zip(group, counts))
     return _CACHE[key]
@@ -154,14 +158,21 @@ def _walk(keys, lo: int = 0, hi: int | None = None) -> list:
 
 def _merge(keys, children: list) -> list:
     """The censuses of `keys`, cut into shards walked by `children`, each
-    added up in rank order as its child is collected; the first shard in
-    rank order that raised raises, without waiting for the others."""
+    added up in rank order once its child's pipe is read to its end and the
+    child reaped.  The child writes only once its walk is over, so the read
+    waits for the walk, then for the pickle, which may take more than one
+    pipe buffer.  A child that did not exit 0 raises ChildProcessError at
+    once, without waiting for the others."""
+    import pickle
     total = [Counter() for _ in keys]
     for pid in children:
-        part = _collect(pid)
-        if isinstance(part, BaseException):
-            raise part
-        for count, more in zip(total, part):
+        with _CHILDREN[pid] as pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del _CHILDREN[pid]
+        if status:
+            raise ChildProcessError(f"census shard process exited with {status}")
+        for count, more in zip(total, pickle.loads(data)):
             count.update(more)
     return total
 
@@ -170,9 +181,9 @@ def _fork(keys, lo: int, hi: int) -> int:
     """Start a child on ranks lo..hi-1 of the walk of `keys` and return its
     pid.  The child lowers its priority, so the parent's checks keep their
     CPU, writes nothing to its pipe until its walk is over, then pickles its
-    censuses, or the exception that stopped it, into the pipe and always
-    leaves by os._exit, so nothing the parent buffered or registered runs
-    twice."""
+    list of censuses into the pipe and exits 0; on any failure it exits 1
+    with the pipe unfinished.  It always leaves by os._exit, so nothing the
+    parent buffered or registered runs twice."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -188,29 +199,11 @@ def _fork(keys, lo: int, hi: int) -> int:
             for pipe in _CHILDREN.values():
                 pipe.close()  # so a write fails, not blocks, if the parent is gone
             os.nice(10)
-            try:
-                part = _walk(keys, lo, hi)
-            except BaseException as exc:
-                part = exc
             with open(write, "wb") as pipe:
-                pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_walk(keys, lo, hi), pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
     os.close(write)
     _CHILDREN[pid] = open(read, "rb")
     return pid
-
-
-def _collect(pid: int):
-    """Read the child's pipe to its end, reap it and return what it
-    pickled.  The child writes only once its walk is over, so the read
-    waits for the walk, then for the pickle, which may take more than one
-    pipe buffer."""
-    import pickle
-    with _CHILDREN[pid] as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    del _CHILDREN[pid]
-    return pickle.loads(data) if status == 0 else ChildProcessError(
-        f"census shard process exited with {os.waitstatus_to_exitcode(status)}")

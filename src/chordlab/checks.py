@@ -144,7 +144,7 @@ def _first_word_in_diff(n: int, diff: MVPoly, key_of, names) -> str:
     """
     support = diff.coefficients_in(names)
     return next((f"; first word in diff: {wd.word_text(w)}"
-                 for w in wd.words(n) if key_of(w) in support), "")
+                 for w in wd.enumerate_words(n) if key_of(w) in support), "")
 
 
 def _perm_quadruple_poly(n: int) -> MVPoly:
@@ -812,8 +812,6 @@ def _run_single(check_id: str, max_n: int | None, egf_order: int) -> CheckResult
     started = time.monotonic()
     try:
         rows, crash = check.run(effective, egf_order), None
-    except OSError:
-        raise  # the process failed, not the identity: say, a census could not fork
     except Exception as exc:  # a crashing side counts as a failure, not an abort
         rows, crash = [], f"exception: {exc!r}"
     ms = int(round((time.monotonic() - started) * 1000))
@@ -834,8 +832,10 @@ def run_checks(selection="all", max_n: int | None = None,
     named twice runs once.  The checks run in this process, in order;
     `jobs` only cuts each large census they declare they read into up to
     that many shards, no more than the CPUs, each walked by its own forked
-    child from the start of the run (`census.sharded`), so results do not
-    depend on it.  Failing checks never abort the run.
+    child from the start of the run (`census.sharded`).  A shard that fails
+    (a refused fork, a child that raised, was killed or exited nonzero) is
+    walked serially, so results do not depend on `jobs`.  Failing checks
+    never abort the run.
     """
     order = DEFAULT_EGF_ORDER if egf_order is None else egf_order
     reads = _reads(selection, max_n, order)

@@ -82,8 +82,8 @@ def enumerate_words(n: int, start_rank: int = 0) -> Iterator[Word]:
 
 
 def words(n: int, start_rank: int = 0) -> Iterator[Word]:
-    """:func:`enumerate_words`, the stream a failing check rescans."""
-    return map(from_matching, mt.enumerate_matchings(n, start_rank=start_rank))
+    """:func:`enumerate_words`, under the name perfbench/layers.py wraps."""
+    return enumerate_words(n, start_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import collections
+import errno
 import json
 import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -195,14 +197,14 @@ class TestProcesses:
         def stuck(pi):
             time.sleep(60)
 
-        def refused(max_n, egf_order):
-            raise OSError("refused")
+        def interrupted(max_n, egf_order):
+            raise KeyboardInterrupt("interrupted")
 
         monkeypatch.setattr(pm, "perm_stats", stuck)  # reaches the children
         monkeypatch.setitem(checks._REGISTRY, "GOLDEN", checks._REGISTRY["GOLDEN"]._replace(
-            run=refused, reads=lambda max_n, egf_order: [("perm", 4)]))
+            run=interrupted, reads=lambda max_n, egf_order: [("perm", 4)]))
         started = time.monotonic()
-        with pytest.raises(OSError, match="refused"):
+        with pytest.raises(KeyboardInterrupt, match="interrupted"):
             run_checks(["GOLDEN"], jobs=2)
         assert len(forks) == 2 and time.monotonic() - started < 30
         self._assert_no_child_left()
@@ -254,9 +256,9 @@ class TestProcesses:
 
     def test_a_raising_shard_does_not_wait_for_the_others(self, forks, monkeypatch):
         # The first half of S_4 raises; the second half's child would sleep
-        # for a minute.  The census raises the first half's exception at
-        # once, the check fails as it does serially, and the sleeping child
-        # is killed when the run ends.
+        # for a minute.  The first half's child exits nonzero, so the census
+        # is walked serially at once, the check fails as it does serially,
+        # and the sleeping child is killed when the run ends.
         real, parent = pm.perm_stats, os.getpid()
         bad = BAD_PERMS[0]
 
@@ -293,6 +295,83 @@ class TestProcesses:
         assert serial[0].witness == f"exception: ValueError('no statistics for {bad}')"
         assert _normalized(sharded) == _normalized(serial)
         self._assert_no_child_left()
+
+    # A shard that fails, however it fails, is walked serially: every check
+    # at (4, 5), where 10 groups are cut in two, gives the serial results.
+    def _assert_serial_results(self):
+        """Run every check at (4, 5) serially, then with jobs=2, and require
+        equal results with ms zeroed, no child left and no file left open.
+        Returns the serial results."""
+        chordlab.clear_caches()
+        serial = _normalized(run_checks("all", max_n=4, egf_order=5))
+        chordlab.clear_caches()
+        fds = os.listdir("/proc/self/fd")
+        assert _normalized(run_checks("all", max_n=4, egf_order=5, jobs=2)) == serial
+        self._assert_no_child_left()
+        assert os.listdir("/proc/self/fd") == fds
+        return serial
+
+    @pytest.mark.parametrize("call", ["first", "middle", "last"])
+    def test_a_refused_fork_walks_serially(self, monkeypatch, call):
+        def fork():
+            calls.append(None)
+            if len(calls) == refused:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        calls, refused, real = [], None, os.fork
+        monkeypatch.setattr(os, "fork", fork)
+        run_checks("all", max_n=4, egf_order=5, jobs=2)  # counts the forks
+        refused = {"first": 1, "middle": len(calls) // 2, "last": len(calls)}[call]
+        calls.clear()
+        self._assert_serial_results()
+        assert len(calls) == refused  # none after the refusal
+
+    def test_a_killed_child_walks_serially(self, monkeypatch):
+        def fork(keys, lo, hi):
+            pid = real(keys, lo, hi)
+            if keys[0][0] == "perm" and not killed:
+                os.kill(pid, signal.SIGKILL)
+                killed.append(pid)
+            return pid
+
+        def stuck(pi):  # so the killed child, on S_4, is still walking
+            if len(pi) == 4 and os.getpid() != parent:
+                time.sleep(60)
+            return stats(pi)
+
+        killed, real, stats, parent = [], census_module._fork, pm.perm_stats, os.getpid()
+        monkeypatch.setattr(census_module, "_fork", fork)
+        monkeypatch.setattr(pm, "perm_stats", stuck)
+        started = time.monotonic()
+        self._assert_serial_results()
+        assert len(killed) == 1 and time.monotonic() - started < 30
+
+    def test_a_child_that_exits_nonzero_walks_serially(self, forks, monkeypatch):
+        def leaving(pi):
+            if os.getpid() != parent:
+                os._exit(3)
+            return stats(pi)
+
+        stats, parent = pm.perm_stats, os.getpid()
+        monkeypatch.setattr(pm, "perm_stats", leaving)
+        self._assert_serial_results()
+        assert forks
+
+    def test_a_kernel_raising_what_pickle_cannot_write(self, forks, monkeypatch):
+        class Odd(Exception):  # a local class with a lambda in it
+            pass
+
+        def raising(pi):
+            if pi == BAD_PERMS[0]:
+                raise Odd(unpicklable)
+            return stats(pi)
+
+        stats, unpicklable = pm.perm_stats, lambda: 0
+        monkeypatch.setattr(pm, "perm_stats", raising)
+        serial = self._assert_serial_results()
+        assert forks and any(r["witness"] == f"exception: Odd({unpicklable!r})"
+                             for r in serial)
 
     def test_one_job_forks_nothing(self, monkeypatch):
         def refuse():

@@ -1,6 +1,8 @@
+import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -602,16 +604,25 @@ class TestOutputErrors:
         assert result.returncode == 2
         assert result.stderr == f"error: cannot write {name}: No space left on device\n"
 
-    def test_fork_that_fails_is_not_a_write_error(self, monkeypatch):
+    def test_a_fork_that_fails_walks_serially(self, tmp_path, capsys, monkeypatch):
         def refuse():
-            raise OSError(28, "No space left on device")
+            refused.append(None)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
+        refused = []
         monkeypatch.setattr(os, "fork", refuse)
         monkeypatch.setattr(census, "SHARD_MIN", 12)  # shards S_4
-        chordlab.clear_caches()
+        monkeypatch.setattr(census, "_cpus", lambda: 2)
         fds = os.listdir("/proc/self/fd")
-        with pytest.raises(OSError, match="No space left on device"):
-            main(["verify", "--checks", "A-EQUIDIST", "--max-n", "4", "--jobs", "2"])
+        runs = []
+        for jobs in ("1", "2"):
+            chordlab.clear_caches()
+            out = tmp_path / f"jobs{jobs}.json"
+            code, stdout, err = run_cli(capsys, "verify", "--checks", "A-EQUIDIST", "--max-n",
+                                        "4", "--jobs", jobs, "--report", "json", "--out", str(out))
+            runs.append((code, stdout, err, re.sub(r'"ms": \d+', '"ms": 0', out.read_text())))
+        assert refused == [None]  # --jobs 2 asked for one fork and no more
+        assert runs[0] == runs[1] and runs[0][:3] == (0, "", "")
         assert os.listdir("/proc/self/fd") == fds  # the shard's pipe is closed
 
     def test_closed_pipe_exits_quietly(self):
