@@ -515,31 +515,30 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _triangle_row(n: int, first_kind: bool) -> tuple[int, ...]:
+    """Row n, k = 0..n, of T(m, k) = T(m-1, k-1) + w T(m-1, k) with
+    T(0, 0) = 1, where w = m - 1 (first kind) or k (second kind).  Built
+    from row 0 up, so no order recurses."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    row = (1,)
+    for m in range(1, n + 1):
+        row = tuple((row[k - 1] if k else 0)
+                    + ((m - 1 if first_kind else k) * row[k] if k < m else 0)
+                    for k in range(m + 1))
+    return row
+
+
 def stirling1_unsigned(n: int, k: int) -> int:
     """Signless Stirling numbers of the first kind c(n, k); 0 off the triangle."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return stirling1_unsigned(n - 1, k - 1) + (n - 1) * stirling1_unsigned(n - 1, k)
+    row = _triangle_row(n, True)
+    return row[k] if 0 <= k <= n else 0
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind S(n, k); 0 off the triangle."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
+    row = _triangle_row(n, False)
+    return row[k] if 0 <= k <= n else 0
 
 
 def rising_factorial(step: Scalar, n: int) -> MVPoly:
@@ -675,5 +674,12 @@ class _Parser:
 
 
 def parse_poly(text: str, line: int = 1) -> MVPoly:
-    """Parse the polynomial text format (explicit `*`, `^` powers, `p/q`)."""
-    return _Parser(text, line=line).parse()
+    """Parse the polynomial text format (explicit `*`, `^` powers, `p/q`).
+    Nesting deeper than the interpreter's stack is a `ParseError` at the
+    token the parser had reached."""
+    parser = _Parser(text, line=line)
+    try:
+        return parser.parse()
+    except RecursionError:
+        pass  # fail below, once the stack has unwound
+    parser._fail("parentheses nested too deeply")

@@ -218,7 +218,8 @@ def _run_golden(max_n, egf_order):
              + listed("dB", pm.type_b_derangement_poly, _GOLDEN_DB))
     for n, text in _GOLDEN_DG2.items():
         cases.append((f"DG2^{n}(a)", gr.d_iter(g2, a, n), a * parse_poly(text)))
-        cases.append((f"xi_{n}(w)", st.xi_table(n).poly(("w1", "w2", "w3")), parse_poly(text)))
+        cases.append((f"xi_{n}(w)", MVPoly.from_exponents(st.xi_table(n), ("w1", "w2", "w3")),
+                      parse_poly(text)))
     cases += (listed("xi", st.xi_poly, _GOLDEN_XI) + listed("gamma", st.gamma_poly, _GOLDEN_GAMMA)
               + [("Q_1", st.q_poly(1), parse_poly("x*y*z"))])
     return [(row, None if lhs == rhs else f"{label}: got {lhs.render()}, want {rhs.render()}")
@@ -546,7 +547,7 @@ def _c_epos(n):
             got = dict(esym_expand(nca, ("x", "y", "z")))
         except NotSymmetricError as exc:
             return f"n={n}: NCA not e-expandable: {exc}"
-        expected = {k: Fraction(v) for k, v in st.xi_table(n - 1).entries.items()}
+        expected = {k: Fraction(v) for k, v in st.xi_table(n - 1).items()}
         if got != expected:
             return f"n={n}: e-coefficients {got} != xi table {expected}"
     x1, x2, x3 = MVPoly.var("x1"), MVPoly.var("x2"), MVPoly.var("x3")
@@ -571,23 +572,23 @@ def _same_table(n: int, left: str, lhs: dict, right: str, rhs: dict) -> str | No
 @_per_n("XI-TREE", "xi table equals the 0-1-2-3 increasing plane tree census", 7,
         lambda n: [("tree", n + 1, 3)])
 def _xi_tree(n):
-    return _same_table(n, "table", st.xi_table(n).entries,
-                       "census", st.degree_census(n + 1, 3).entries)
+    return _same_table(n, "table", st.xi_table(n),
+                       "census", st.degree_census(n + 1, 3))
 
 
 @_per_n("GAMMA-TREE", "gamma table equals the leaf/degree census", 7,
         lambda n: [("tree", n, 3)])
 def _gamma_tree(n):
-    return _same_table(n, "table", st.gamma_table(n).entries,
-                       "census", st.gamma_keyed_census(n).entries)
+    return _same_table(n, "table", st.gamma_table(n),
+                       "census", st.gamma_keyed_census(n))
 
 
 @_per_n("XI-GAMMA", "index bijection between the xi and gamma tables", 7)
 def _xi_gamma(n):
     return _same_table(n, "remapped xi",
                        {(j, i, n + 1 - i - j - k): c
-                        for (i, j, k), c in st.xi_table(n).entries.items()},
-                       "gamma", st.gamma_table(n + 1).entries)
+                        for (i, j, k), c in st.xi_table(n).items()},
+                       "gamma", st.gamma_table(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +623,7 @@ def _q_grammar(n):
 def _q_chen22(n):
     q = st.q_poly(n)
     yield "gamma table", q, esym_assemble(
-        [(k, Fraction(v)) for k, v in sorted(st.gamma_table(n).entries.items())],
+        [(k, Fraction(v)) for k, v in sorted(st.gamma_table(n).items())],
         ("x", "y", "z"))
     e1, e2, e3 = esym_polys(("x", "y", "z"))
     yield "grammar H", q, gr.d_iter(gr.esym_uvw_grammar(), MVPoly.var("w"),

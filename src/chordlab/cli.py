@@ -260,6 +260,18 @@ def _write_rows(fmt: str, fields: list, rows, out) -> None:
             out.writelines(lines)
 
 
+def _table_pieces(name: str, n: int, table: dict):
+    """What `json.dumps` writes for {"family": name, "n", "entries"}, where
+    entries are {"i", "j", "k", "c": str(c)} rows in key order: the head,
+    one row at a time, then the tail."""
+    yield f'{{"family": {json.dumps(name)}, "n": {n}, "entries": ['
+    sep = ""
+    for (i, j, k), c in sorted(table.items()):
+        yield f'{sep}{{"i": {i}, "j": {j}, "k": {k}, "c": "{c}"}}'
+        sep = ", "
+    yield "]}"
+
+
 # name -> (family whose size limit guards --n, or None; n -> MVPoly;
 # n -> the coefficient table `--format json` prints, or None for the
 # polynomial itself).  Each entry looks its function up at call time.
@@ -289,7 +301,7 @@ def _cmd_poly(args) -> int:
         _guard("--n", args.n, family, _FAMILIES[family][0], args.force)
     with _output(args.out) as out:
         if args.format == "json" and table is not None:
-            _emit(table(args.n).json_pieces(args.name), out)
+            _emit(_table_pieces(args.name, args.n, table(args.n)), out)
         elif args.format == "json":
             _emit([json.dumps({"name": args.name, "n": args.n,
                                "poly": poly(args.n).render()},

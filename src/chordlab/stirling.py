@@ -8,9 +8,8 @@ tree censuses provide the independent enumeration side.
 """
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .algebra import MVPoly, project, start_digits
 from .census import census
@@ -159,30 +158,11 @@ def tree_text(tree: PlaneTree) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient tables
+# Coefficient tables: {(i, j, k): positive int}, like every census
 # ---------------------------------------------------------------------------
 
-class CoeffTable(NamedTuple):
-    n: int
-    entries: dict  # (i, j, k) -> positive int
-
-    def poly(self, names=("x", "y", "z")) -> MVPoly:
-        return MVPoly.from_exponents(self.entries, names)
-
-    def json_pieces(self, family: str) -> Iterator[str]:
-        """What `json.dumps` writes for {"family", "n", "entries"}, where
-        entries are {"i", "j", "k", "c": str(c)} rows in key order: the head,
-        one row at a time, then the tail."""
-        yield f'{{"family": {json.dumps(family)}, "n": {self.n}, "entries": ['
-        sep = ""
-        for (i, j, k), c in sorted(self.entries.items()):
-            yield f'{sep}{{"i": {i}, "j": {j}, "k": {k}, "c": "{c}"}}'
-            sep = ", "
-        yield "]}"
-
-
 @lru_cache(maxsize=None)
-def xi_table(n: int) -> CoeffTable:
+def xi_table(n: int) -> dict:
     """xi coefficients by the recurrence
 
     xi(n+1; i,j,k) = (1+j+2k) xi(n; i-1,j,k) + 2(1+i) xi(n; i+1,j-1,k)
@@ -212,11 +192,11 @@ def xi_table(n: int) -> CoeffTable:
                     total += 3 * (1 + j) * below[j + 1]
                 row.append(total)
             cur.append(row)
-    return CoeffTable(n, _entries(cur, n))
+    return _entries(cur, n)
 
 
 @lru_cache(maxsize=None)
-def gamma_table(n: int) -> CoeffTable:
+def gamma_table(n: int) -> dict:
     """gamma coefficients by the recurrence
 
     gamma(n; i,j,k) = 3(1+i) gamma(n-1; i+1,j,k-1) + 2(1+j) gamma(n-1; i-1,j+1,k-1)
@@ -252,7 +232,7 @@ def gamma_table(n: int) -> CoeffTable:
                 row.append(total)
             cur.append((first, row))
     firsts, rows = zip(*cur)
-    return CoeffTable(n, _entries(rows, 2 * n + 1, firsts))
+    return _entries(rows, 2 * n + 1, firsts)
 
 
 def _entries(rows, order: int, firsts=None) -> dict:
@@ -265,19 +245,19 @@ def _entries(rows, order: int, firsts=None) -> dict:
 
 def xi_poly(n: int) -> MVPoly:
     """xi_n(x, y, z) assembled from the table."""
-    return xi_table(n).poly()
+    return MVPoly.from_exponents(xi_table(n), ("x", "y", "z"))
 
 
 def gamma_poly(n: int) -> MVPoly:
     """gamma_n(x, y, z) assembled from the table."""
-    return gamma_table(n).poly()
+    return MVPoly.from_exponents(gamma_table(n), ("x", "y", "z"))
 
 
-def degree_census(n: int, max_degree: int) -> CoeffTable:
+def degree_census(n: int, max_degree: int) -> dict:
     """Tree counts on [n] keyed by (deg-1, deg-2, deg-3) vertex counts."""
-    return CoeffTable(n, project(census("tree", n, max_degree), lambda h: h[1:]))
+    return project(census("tree", n, max_degree), lambda h: h[1:])
 
 
-def gamma_keyed_census(n: int) -> CoeffTable:
+def gamma_keyed_census(n: int) -> dict:
     """Tree counts on [n] keyed the gamma way: (deg-2, deg-1, leaves)."""
-    return CoeffTable(n, project(census("tree", n, 3), lambda h: (h[2], h[1], h[0])))
+    return project(census("tree", n, 3), lambda h: (h[2], h[1], h[0]))

@@ -10,20 +10,33 @@ is written back with `ast.unparse` into a temporary copy of `src/`, one
 mutant at a time, and `chordlab verify --max-n 4 --egf-order 5` runs on
 it with PYTHONDONTWRITEBYTECODE=1 (a mutant written within the same
 second as the last one, at the same size, would otherwise reuse its
-stale .pyc), a 1-GB address-space limit and a 5-s timeout.  A mutant is
-killed when verify exits nonzero; when it passes, verify runs again with
-`--report json`, and the mutant is also killed when that run fails or
-its report, with the `ms` fields zeroed, differs from the unmutated
-module's (a dropped per-n row or a changed witness).  It is timed out
+stale .pyc), a 1-GB address-space limit and a 5-s timeout, in a session
+of its own (a mutant that signals process 0 then signals only its own
+group).  A mutant is killed when verify exits nonzero; when it passes,
+verify runs again with `--report json`, and the mutant is also killed
+when that run fails or its report, with the `ms` fields zeroed, differs
+from the unmutated module's (a dropped per-n row or a changed witness).  It is timed out
 when a timeout stops either run, and survives when both pass with the
-same report.  The summary line counts the mutants killed by their report
-alone apart, so the exit-status criterion can be read off too.  The
-unmutated module, unparsed the same way, must pass both runs first.
-Survivors go to FILE (default
+same report.
+
+No census is sharded at those bounds, so a `census` mutant that survives
+them also runs `verify --max-n 6 --egf-order 6 --jobs 2 --report json`,
+where B_6, M_7 and Q_7 reach SHARD_MIN and each is cut into two shards
+walked by forked children.  It is killed when that run exits nonzero,
+times out, or its report, `ms` zeroed, differs from the unmutated
+module's.  A shard that fails is walked serially in the parent, by
+design, so such a run has the serial report; it goes through a probe
+that wraps `census._fork` and `census._merge`, and a survivor whose run
+saw either raise is marked as one that only fails a shard.
+
+The summary line counts the mutants killed by their report alone, and
+those killed by the sharded run alone, apart, so the exit-status
+criterion can be read off too.  The unmutated module, unparsed the same
+way, must pass every run first.  Survivors go to FILE (default
 mutation_survivors.txt), one line each: module, line and 0-based column
 of the mutated node, its site index k (`_mutant(source, k)` replays it),
-the change and the original source line.  Standard library only; pytest
-does not collect this file.
+the change, "(a shard fails)" where it does, and the original source
+line.  Standard library only; pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -40,6 +53,29 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 VERIFY = ["-m", "chordlab.cli", "verify", "--max-n", "4", "--egf-order", "5"]
+# The CLI as `-m chordlab.cli` runs it, saying on stderr when a shard's fork
+# or merge raised, which the serial walk that follows otherwise hides.
+_SHARD_PROBE = """
+import sys
+from chordlab import census, cli
+
+
+def probe(real):
+    def call(*args):
+        try:
+            return real(*args)
+        except Exception:
+            print("a shard failed", file=sys.stderr)
+            raise
+    return call
+
+
+census._fork, census._merge = probe(census._fork), probe(census._merge)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+SHARDED = ["-c", _SHARD_PROBE, "verify", "--max-n", "6", "--egf-order", "6", "--jobs", "2",
+           "--report", "json"]
+SHARDED_MODULES = {"census"}
 TIMEOUT_S = 5
 ADDRESS_SPACE = 1 << 30
 
@@ -83,28 +119,35 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def _verify(root: Path, *options: str) -> tuple[str, bytes]:
-    """"killed", "passed" or "timeout" for the package under `root`, and
-    what verify printed, with its `ms` fields zeroed."""
+def _verify(root: Path, *options: str, command=VERIFY) -> tuple[str, bytes, bool]:
+    """"killed", "passed" or "timeout" for the package under `root`, what
+    verify printed, with its `ms` fields zeroed, and whether a shard failed."""
     env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
     try:
-        done = subprocess.run([sys.executable, *VERIFY, *options], env=env, timeout=TIMEOUT_S,
-                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                              preexec_fn=_limit_memory)
+        done = subprocess.run([sys.executable, *command, *options], env=env, timeout=TIMEOUT_S,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              preexec_fn=_limit_memory, start_new_session=True)
     except subprocess.TimeoutExpired:
-        return "timeout", b""
+        return "timeout", b"", False
     report = re.sub(rb'"ms": \d+', b'"ms": 0', done.stdout)
-    return ("passed" if done.returncode == 0 else "killed"), report
+    shard_failed = b"a shard failed\n" in done.stderr
+    return ("passed" if done.returncode == 0 else "killed"), report, shard_failed
 
 
-def _outcome(root: Path, clean: bytes) -> str:
-    """"killed", "reported" (killed by its report alone), "survived" or
-    "timeout" for the package under `root`."""
-    outcome, _ = _verify(root)
+def _outcome(root: Path, clean: list[bytes]) -> str:
+    """"killed", "reported" (killed by its report alone), "sharded" (killed
+    by the sharded run alone), "survived", "shard fails" (survived, but a
+    shard failed) or "timeout" for the package under `root`."""
+    outcome, _, _ = _verify(root)
     if outcome == "passed":
-        outcome, report = _verify(root, "--report", "json")
+        outcome, report, _ = _verify(root, "--report", "json")
     if outcome == "passed":
-        outcome = "survived" if report == clean else "reported"
+        outcome = "survived" if report == clean[0] else "reported"
+    if outcome == "survived" and len(clean) > 1:
+        outcome, report, shard_failed = _verify(root, command=SHARDED)
+        if outcome != "passed" or report != clean[1]:
+            return "sharded"
+        outcome = "shard fails" if shard_failed else "survived"
     return outcome
 
 
@@ -112,20 +155,24 @@ def sweep(module: str, root: Path, survivors: list[str]) -> dict[str, int]:
     path = root / "chordlab" / f"{module}.py"
     source = path.read_text()
     lines = source.splitlines()
-    counts = {"killed": 0, "reported": 0, "survived": 0, "timeout": 0}
+    counts = {"killed": 0, "reported": 0, "sharded": 0, "survived": 0, "shard fails": 0,
+              "timeout": 0}
     try:
         path.write_text(ast.unparse(ast.parse(source)))
         runs = [_verify(root), _verify(root, "--report", "json")]
-        if any(outcome != "passed" for outcome, _ in runs):
+        if module in SHARDED_MODULES:
+            runs.append(_verify(root, command=SHARDED))
+        if any(outcome != "passed" or shard_failed for outcome, _, shard_failed in runs):
             raise SystemExit(f"{module}: the unmutated, unparsed module fails verify")
-        clean = runs[1][1]
+        clean = [report for _, report, _ in runs[1:]]
         for k in range(len(_sites(ast.parse(source)))):
             text, line, column, change = _mutant(source, k)
             path.write_text(text)
             outcome = _outcome(root, clean)
             counts[outcome] += 1
-            if outcome == "survived":
-                survivors.append(f"{module}.py:{line}:{column}: site {k}: {change}: "
+            if outcome in ("survived", "shard fails"):
+                survivors.append(f"{module}.py:{line}:{column}: site {k}: {change}"
+                                 f"{' (a shard fails)' if outcome == 'shard fails' else ''}: "
                                  f"{lines[line - 1].strip()}")
     finally:
         path.write_text(source)
@@ -145,9 +192,12 @@ def main(argv=None) -> int:
         for module in args.modules:
             counts = sweep(module, root, survivors)
             print(f"{module}: {sum(counts.values())} mutants, "
-                  f"{counts['killed'] + counts['reported']} killed "
-                  f"({counts['reported']} by their report alone), "
-                  f"{counts['survived']} survived, {counts['timeout']} timed out", flush=True)
+                  f"{counts['killed'] + counts['reported'] + counts['sharded']} killed "
+                  f"({counts['reported']} by their report alone, "
+                  f"{counts['sharded']} by the sharded run alone), "
+                  f"{counts['survived'] + counts['shard fails']} survived "
+                  f"({counts['shard fails']} only failing a shard), "
+                  f"{counts['timeout']} timed out", flush=True)
     Path(args.out).write_text("".join(line + "\n" for line in survivors))
     return 0
 

@@ -726,8 +726,8 @@ def render(p):
     return " + ".join(parts)
 
 
-def table_json(table, family):
+def table_json(family, n, table):
     """A coefficient table as one `json.dumps` string of row dicts."""
     rows = [{"i": i, "j": j, "k": k, "c": str(c)}
-            for (i, j, k), c in sorted(table.entries.items())]
-    return json.dumps({"family": family, "n": table.n, "entries": rows})
+            for (i, j, k), c in sorted(table.items())]
+    return json.dumps({"family": family, "n": n, "entries": rows})

@@ -115,6 +115,15 @@ class TestRendering:
         with pytest.raises(ParseError, match=f"{re.escape(message)}$"):
             parse_poly(text)
 
+    def test_deep_nesting(self):
+        # the parser recurses per level: 150 fit the default stack, 5,000 do
+        # not, and fail at a token the parser had reached
+        assert parse_poly("(" * 150 + "x" + ")" * 150) == parse_poly("x")
+        text = "(" * 5000 + "x" + ")" * 5000
+        with pytest.raises(ParseError, match="parentheses nested too deeply$") as info:
+            parse_poly(text)
+        assert text[info.value.column - 1] == "("
+
     def test_unicode_decimal_digits_are_numbers(self):
         assert parse_poly("\u0663*x^\u0662") == parse_poly("3*x^2")
 

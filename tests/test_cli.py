@@ -328,6 +328,18 @@ class TestMisuse:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("where", ["seed", "rules"])
+    def test_nesting_deeper_than_the_stack(self, tmp_path, capsys, where):
+        deep = "(" * 2000 + "a" + ")" * 2000
+        rules = tmp_path / "rules.g"
+        rules.write_text(f"a -> {deep if where == 'rules' else 'a*b'}\n")
+        code, out, err = run_cli(capsys, "grammar", "--rules", str(rules),
+                                 "--seed", deep if where == "seed" else "a",
+                                 "--iterations", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(": parentheses nested too deeply\n")
+
     def test_zero_bounds_stay_valid(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--checks", "M-MAIN,A-EGF",
                                "--max-n", "0", "--egf-order", "0")
@@ -431,7 +443,7 @@ class TestRenderedOutput:
     @pytest.mark.parametrize("name,n", POLY_SIZES)
     def test_poly_json(self, capsys, name, n):
         _, poly, table = cli._POLYS[name]
-        want = (oracles.table_json(table(n), name) if table is not None else
+        want = (oracles.table_json(name, n, table(n)) if table is not None else
                 json.dumps({"name": name, "n": n, "poly": oracles.render(poly(n))},
                            separators=(",", ":")))
         code, out, _ = run_cli(capsys, "poly", "--name", name, "--n", str(n),

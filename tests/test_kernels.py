@@ -247,6 +247,5 @@ def test_grammar_derivative_on_random_grammars(g, seed):
 def test_tables_match_the_tuple_keyed_recurrences():
     for n in range(1, 81):
         # list equality: the same entries in the same key order
-        assert list(st.xi_table(n).entries.items()) == list(oracles.xi_table(n).items()), n
-        assert list(st.gamma_table(n).entries.items()) == list(
-            oracles.gamma_table(n).items()), n
+        assert list(st.xi_table(n).items()) == list(oracles.xi_table(n).items()), n
+        assert list(st.gamma_table(n).items()) == list(oracles.gamma_table(n).items()), n

@@ -1,10 +1,12 @@
 import inspect
 import json
+import math
 import sys
 
 import pytest
 
 import oracles
+from chordlab import algebra, cli
 from chordlab import stirling as st
 from chordlab.algebra import MVPoly, parse_poly
 
@@ -66,13 +68,13 @@ class TestTrees:
         assert len(trees) == 3
 
     def test_census_n3_maxdeg3(self):
-        entries = st.degree_census(3, 3).entries
+        entries = st.degree_census(3, 3)
         assert entries == {(2, 0, 0): 1, (0, 1, 0): 2}
 
     def test_gamma_keyed_census_n3(self):
         # leaves/deg-1/deg-2 census of [3] gives y^2 z + 2 x z^2
         table = st.gamma_keyed_census(3)
-        assert table.poly() == parse_poly("y^2*z + 2*x*z^2")
+        assert MVPoly.from_exponents(table, ("x", "y", "z")) == parse_poly("y^2*z + 2*x*z^2")
 
     def test_unbounded_small_counts(self):
         # with only 4 vertices the degree-3 bound never binds: (2n-3)!!
@@ -91,9 +93,9 @@ class TestTables:
         assert st.xi_poly(2) == parse_poly("x^2 + 2*y")
 
     def test_xi_4_and_6(self):
-        assert st.xi_table(4).poly(("w1", "w2", "w3")) == parse_poly(
+        assert MVPoly.from_exponents(st.xi_table(4), ("w1", "w2", "w3")) == parse_poly(
             "w1^4 + 22*w1^2*w2 + 16*w2^2 + 42*w1*w3")
-        assert st.xi_table(6).poly(("w1", "w2", "w3")) == parse_poly(
+        assert MVPoly.from_exponents(st.xi_table(6), ("w1", "w2", "w3")) == parse_poly(
             "w1^6 + 114*w1^4*w2 + 720*w1^2*w2^2 + 272*w2^3 + 732*w1^3*w3"
             " + 2304*w1*w2*w3 + 540*w3^2")
 
@@ -104,9 +106,9 @@ class TestTables:
 
     def test_key_invariants(self):
         for n in range(1, 8):
-            assert all(i + 2 * j + 3 * k == n for i, j, k in st.xi_table(n).entries)
+            assert all(i + 2 * j + 3 * k == n for i, j, k in st.xi_table(n))
             assert all(i + 2 * j + 3 * k == 2 * n + 1
-                       for i, j, k in st.gamma_table(n).entries)
+                       for i, j, k in st.gamma_table(n))
 
     def test_gamma_support(self):
         # the tuple-keyed recurrence is nonzero exactly where gamma_table
@@ -120,16 +122,16 @@ class TestTables:
 
     def test_xi_census_agreement(self):
         for n in range(1, 6):
-            assert st.xi_table(n).entries == st.degree_census(n + 1, 3).entries
+            assert st.xi_table(n) == st.degree_census(n + 1, 3)
 
     def test_xigamma_index_bijection(self):
         for n in range(1, 7):
-            xi = st.xi_table(n).entries
-            gamma = st.gamma_table(n + 1).entries
+            xi = st.xi_table(n)
+            gamma = st.gamma_table(n + 1)
             assert {(j, i, n + 1 - i - j - k): c for (i, j, k), c in xi.items()} == gamma
 
     def test_json_schema(self):
-        blob = json.loads("".join(st.xi_table(2).json_pieces("xi")))
+        blob = json.loads("".join(cli._table_pieces("xi", 2, st.xi_table(2))))
         assert blob == {"family": "xi", "n": 2,
                         "entries": [{"i": 0, "j": 1, "k": 0, "c": "2"},
                                     {"i": 2, "j": 0, "k": 0, "c": "1"}]}
@@ -154,7 +156,17 @@ def test_tables_do_not_recurse(shallow_stack, table):
     try:
         n = shallow_stack  # deeper than the stack allows, if each order recursed
         result = table(n)
-        assert result.n == n and result.entries
+        assert result
         assert table.cache_info().currsize == 1  # only the requested order
     finally:
         table.cache_clear()
+
+
+@pytest.mark.parametrize("triangle,first_column", [
+    (algebra.stirling1_unsigned, lambda n: math.factorial(n - 1)),
+    (algebra.stirling2, lambda n: 1),
+], ids=["stirling1_unsigned", "stirling2"])
+def test_triangles_do_not_recurse(shallow_stack, triangle, first_column):
+    n = shallow_stack  # deeper than the stack allows, if each row recursed
+    assert triangle(n, 1) == first_column(n)
+    assert (triangle(n, 0), triangle(n, n), triangle(n, n + 1)) == (0, 1, 0)

@@ -85,8 +85,8 @@ def _deg1_deg2_swapped(real):
 def _gamma_plus_one(real):
     def table(n):
         t = real(n)
-        first = next(iter(t.entries))
-        return st.CoeffTable(t.n, {**t.entries, first: t.entries[first] + 1})
+        first = next(iter(t))
+        return {**t, first: t[first] + 1}
     return table
 
 
