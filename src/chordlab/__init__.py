@@ -4,7 +4,7 @@ Eulerian-type polynomial families, with a mechanical verification suite."""
 from .algebra import (MVPoly, TruncatedSeries, gamma_expand, esym_expand,
                       parse_poly, rising_factorial, stirling1_unsigned,
                       stirling2)
-from .grammar import Grammar, d_apply, d_iter, parse_grammar
+from .grammar import d_apply, d_iter, parse_grammar
 from .checks import run_checks, check_ids
 from . import census, matchings, perms, stirling, words
 

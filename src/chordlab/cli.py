@@ -347,7 +347,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_grammar(args) -> int:
     try:
-        with open(args.rules, "r", encoding="utf-8") as fh:
+        with open(args.rules, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {args.rules}: {exc}") from None

@@ -429,7 +429,7 @@ def d_apply(g, p):
     out = {}
     for mono, c in p.terms.items():
         for idx, (name, e) in enumerate(mono):
-            rule = g.rules.get(name)
+            rule = g.get(name)
             if rule is None or rule.is_zero:
                 continue
             if e == 1:

@@ -227,6 +227,20 @@ class TestGrammar:
         assert code == 2
         assert "bad.g" in err
 
+    def test_rule_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        rules = tmp_path / "dumont.g"
+        rules.write_text("a -> a*b\nb -> a*b\n", encoding="utf-8-sig")
+        code, out, err = run_cli(capsys, "grammar", "--rules", str(rules),
+                                 "--seed", "a", "--iterations", "2")
+        assert (code, out, err) == (0, "a^2*b + a*b^2\n", "")
+
+    def test_rule_file_column_counts_from_the_line_start(self, tmp_path, capsys):
+        rules = tmp_path / "spaced.g"
+        rules.write_text("  a   ->   a+*b\n")
+        code, out, err = run_cli(capsys, "grammar", "--rules", str(rules),
+                                 "--seed", "a", "--iterations", "1")
+        assert (code, out, err) == (2, "", f"error: {rules}: 1:14: unexpected token '*'\n")
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
@@ -459,7 +473,7 @@ class TestRenderedOutput:
         g = getattr(gr, name)()
         rules = tmp_path / f"{name}.g"
         rules.write_text("".join(f"{v} -> {oracles.render(rule)}\n"
-                                 for v, rule in g.rules.items()))
+                                 for v, rule in g.items()))
         seed = GRAMMAR_SEEDS[name]
         code, out, _ = run_cli(capsys, "grammar", "--rules", str(rules),
                                "--seed", seed, "--iterations", "12")

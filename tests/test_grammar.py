@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as hst
 
 from chordlab import grammar as gr
 from chordlab.algebra import MVPoly, ParseError, parse_poly
-from chordlab.grammar import DuplicateRuleError, Grammar, d_apply, d_iter, parse_grammar
+from chordlab.grammar import DuplicateRuleError, d_apply, d_iter, parse_grammar
 
 
 def test_chen_first_derivative():
@@ -57,20 +59,20 @@ def test_d_iter_zero_is_identity():
 class TestParseGrammar:
     def test_stirling(self):
         g = parse_grammar("a -> a*b\nb -> b")
-        assert g.rules.keys() == {"a", "b"}
-        assert g.rules["a"] == parse_poly("a*b")
+        assert g.keys() == {"a", "b"}
+        assert g["a"] == parse_poly("a*b")
 
     def test_lemma_chen(self):
         g = parse_grammar("x -> x*y*z\ny -> x*y*z\nz -> x*y*z")
-        assert all(g.rules[v] == parse_poly("x*y*z") for v in "xyz")
+        assert all(g[v] == parse_poly("x*y*z") for v in "xyz")
 
     def test_zero_rule(self):
         g = parse_grammar("q -> 0")
-        assert g.rules["q"].is_zero
+        assert g["q"].is_zero
 
     def test_comments_and_blanks(self):
         g = parse_grammar("# Dumont\n\na -> a*b  # rule\nb -> a*b\n")
-        assert g.rules.keys() == {"a", "b"}
+        assert g.keys() == {"a", "b"}
 
     def test_duplicate(self):
         with pytest.raises(DuplicateRuleError):
@@ -82,8 +84,26 @@ class TestParseGrammar:
         assert info.value.line == 2
 
     def test_missing_arrow(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^1:1: expected 'var -> polynomial'$"):
             parse_grammar("a b")
+
+    @pytest.mark.parametrize("text,message", [
+        ("a -> a+*b", "1:8: unexpected token '*'"),
+        ("  a   ->   a+*b", "1:14: unexpected token '*'"),
+        ("a -> b -> c", "1:9: unexpected token '>'"),
+        ("  2x -> a", "1:3: bad rule variable '2x'"),
+        ("a -> b\n\tb ->\t(a", "2:9: expected ')', got None"),
+    ])
+    def test_columns_count_from_the_line_start(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_grammar(text)
+
+    def test_nesting_error_column_counts_from_the_line_start(self):
+        head = "a" + " " * 3000 + "-> "
+        line = head + "(" * 5000 + "x" + ")" * 5000
+        with pytest.raises(ParseError, match="parentheses nested too deeply$") as info:
+            parse_grammar(line)
+        assert info.value.column > len(head) and line[info.value.column - 1] == "("
 
 
 def test_explicit_zero_rule_matches_unruled_variable():

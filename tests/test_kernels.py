@@ -230,7 +230,7 @@ monomials = hs.dictionaries(hs.sampled_from(VARIABLES + "e"), hs.integers(1, 3),
 polys = hs.dictionaries(monomials, fractions, max_size=4).map(MVPoly)
 rules = hs.one_of(polys, hs.just(MVPoly.zero()))  # v -> 0 among random rules
 grammars = hs.dictionaries(hs.sampled_from(VARIABLES), rules,
-                           max_size=len(VARIABLES)).map(lambda r: gr.Grammar(rules=r))
+                           max_size=len(VARIABLES))
 
 
 @settings(max_examples=200, deadline=None)

@@ -56,7 +56,7 @@ def test_render_round_trip(p):
 
 
 grammars = hs.dictionaries(hs.sampled_from(NAMES), polys,
-                           max_size=len(NAMES)).map(lambda r: gr.Grammar(rules=r))
+                           max_size=len(NAMES))
 
 
 @settings(max_examples=100, deadline=None)
@@ -65,7 +65,7 @@ def test_grammar_derivative(g, seed, n):
     expr = to_sympy(seed)
     for _ in range(n):
         expr = sympy.expand(sum((to_sympy(rule) * sympy.diff(expr, sympy.Symbol(v))
-                                 for v, rule in g.rules.items()), sympy.Integer(0)))
+                                 for v, rule in g.items()), sympy.Integer(0)))
     assert gr.d_iter(g, seed, n) == from_sympy(expr)
 
 

@@ -92,7 +92,7 @@ def _gamma_plus_one(real):
 
 def _cycle_rule_changed(real):
     def build():
-        return gr.Grammar({**real().rules, "q": chordlab.MVPoly.var("p")})
+        return {**real(), "q": chordlab.MVPoly.var("p")}
     return build
 
 
