@@ -132,8 +132,8 @@ def _egf_rows(order: int, cases) -> list:
     return [(k, witnesses.get(k)) for k in range(order + 1)]
 
 
-def _swapped(p: MVPoly, a: str = "x", b: str = "y") -> MVPoly:
-    return p.subst({a: MVPoly.var(b), b: MVPoly.var(a)})
+def _swapped(p: MVPoly) -> MVPoly:
+    return p.subst({"x": MVPoly.var("y"), "y": MVPoly.var("x")})
 
 
 def _first_word_in_diff(n: int, diff: MVPoly, key_of, names) -> str:

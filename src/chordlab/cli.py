@@ -24,7 +24,6 @@ from . import perms as pm
 from . import stirling as st
 from . import words as wd
 from .algebra import ParseError, parse_poly
-from .grammar import DuplicateRuleError
 
 # `verify --max-n` becomes every check's bound and `--egf-order` every series
 # order; the checks that walk S_n and M_n default to at most 8 (M-EGF walks
@@ -353,7 +352,7 @@ def _cmd_grammar(args) -> int:
         raise _UsageError(f"cannot read {args.rules}: {exc}") from None
     try:
         g = gr.parse_grammar(text)
-    except (ParseError, DuplicateRuleError) as exc:
+    except ParseError as exc:
         raise _UsageError(f"{args.rules}: {exc}") from None
     try:
         seed = parse_poly(args.seed)

@@ -19,13 +19,6 @@ from typing import Mapping
 from .algebra import NAME, MVPoly, Mono, ParseError, _collect, _mono_degree, parse_poly
 
 
-class DuplicateRuleError(Exception):
-    def __init__(self, variable: str, line: int):
-        super().__init__(f"line {line}: duplicate rule for {variable!r}")
-        self.variable = variable
-        self.line = line
-
-
 def d_apply(g: Mapping[str, MVPoly], p: MVPoly) -> MVPoly:
     """One application of the formal derivative D_G."""
     return d_iter(g, p, 1)
@@ -100,11 +93,11 @@ def parse_grammar(text: str) -> dict[str, MVPoly]:
             raise ParseError("expected 'var -> polynomial'", lineno, 1)
         lhs, rhs = line.split("->", 1)
         var = lhs.strip()
+        col = len(lhs) - len(lhs.lstrip()) + 1
         if not NAME.fullmatch(var):
-            raise ParseError(f"bad rule variable {var!r}", lineno,
-                             len(lhs) - len(lhs.lstrip()) + 1)
+            raise ParseError(f"bad rule variable {var!r}", lineno, col)
         if var in rules:
-            raise DuplicateRuleError(var, lineno)
+            raise ParseError(f"duplicate rule for {var!r}", lineno, col)
         # the right-hand side in place, its head blanked, keeps the line's columns
         rules[var] = parse_poly(" " * (len(lhs) + 2) + rhs, line=lineno)
     return rules

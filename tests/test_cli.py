@@ -155,6 +155,13 @@ class TestVerify:
         assert code == 2
         assert "unknown check id" in err
 
+    @pytest.mark.parametrize("argv", [["--checks", "NOPE"], ["--max-n", "8"]])
+    def test_refused_verify_creates_no_out_file(self, tmp_path, capsys, argv):
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "verify", *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert not target.exists()
+
     def test_help_lists_every_check(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--help")
         assert code == 0
@@ -240,6 +247,13 @@ class TestGrammar:
         code, out, err = run_cli(capsys, "grammar", "--rules", str(rules),
                                  "--seed", "a", "--iterations", "1")
         assert (code, out, err) == (2, "", f"error: {rules}: 1:14: unexpected token '*'\n")
+
+    def test_duplicate_rule_is_a_positioned_error(self, tmp_path, capsys):
+        rules = tmp_path / "dup.g"
+        rules.write_text("a -> a*b\n  a -> b\n")
+        code, out, err = run_cli(capsys, "grammar", "--rules", str(rules),
+                                 "--seed", "a", "--iterations", "1")
+        assert (code, out, err) == (2, "", f"error: {rules}: 2:3: duplicate rule for 'a'\n")
 
 
 class TestUsage:

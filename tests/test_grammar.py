@@ -5,7 +5,7 @@ from hypothesis import given, strategies as hst
 
 from chordlab import grammar as gr
 from chordlab.algebra import MVPoly, ParseError, parse_poly
-from chordlab.grammar import DuplicateRuleError, d_apply, d_iter, parse_grammar
+from chordlab.grammar import d_apply, d_iter, parse_grammar
 
 
 def test_chen_first_derivative():
@@ -75,7 +75,7 @@ class TestParseGrammar:
         assert g.keys() == {"a", "b"}
 
     def test_duplicate(self):
-        with pytest.raises(DuplicateRuleError):
+        with pytest.raises(ParseError, match="^2:1: duplicate rule for 'a'$"):
             parse_grammar("a -> b\na -> b")
 
     def test_parse_error_carries_position(self):
@@ -93,10 +93,12 @@ class TestParseGrammar:
         ("a -> b -> c", "1:9: unexpected token '>'"),
         ("  2x -> a", "1:3: bad rule variable '2x'"),
         ("a -> b\n\tb ->\t(a", "2:9: expected ')', got None"),
+        ("a -> a*b\n  a -> b", "2:3: duplicate rule for 'a'"),
     ])
     def test_columns_count_from_the_line_start(self, text, message):
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as info:
             parse_grammar(text)
+        assert f"{info.value.line}:{info.value.column}:" == message.split()[0]
 
     def test_nesting_error_column_counts_from_the_line_start(self):
         head = "a" + " " * 3000 + "-> "
