@@ -23,27 +23,15 @@ Mono = tuple  # tuple[tuple[str, int], ...], sorted by variable name
 Scalar = Union[int, Fraction]
 
 
-class AlgebraError(Exception):
-    """Base class for errors raised by this module."""
-
-
-class UnboundVariableError(AlgebraError):
+class NotHomogeneousError(ValueError):
     pass
 
 
-class NotHomogeneousError(AlgebraError):
+class NotSymmetricError(ValueError):
     pass
 
 
-class NotSymmetricError(AlgebraError):
-    pass
-
-
-class BadConstantTermError(AlgebraError):
-    pass
-
-
-class ParseError(AlgebraError):
+class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
@@ -213,7 +201,7 @@ class MVPoly:
             val = c
             for name, e in mono:
                 if name not in point:
-                    raise UnboundVariableError(f"variable {name!r} is not bound")
+                    raise ValueError(f"variable {name!r} is not bound")
                 val *= Fraction(point[name]) ** e
             total += val
         return total
@@ -471,7 +459,7 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term."""
         if self.coeffs[0]:
-            raise BadConstantTermError("exp needs constant term 0")
+            raise ValueError("exp needs constant term 0")
         n = self.order
         out = [Fraction(0)] * (n + 1)
         out[0] = Fraction(1)
@@ -486,7 +474,7 @@ class TruncatedSeries:
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term 1."""
         if self.coeffs[0] != 1:
-            raise BadConstantTermError("log needs constant term 1")
+            raise ValueError("log needs constant term 1")
         n = self.order
         out = [Fraction(0)] * (n + 1)
         for m in range(1, n + 1):
@@ -500,7 +488,7 @@ class TruncatedSeries:
     def pow(self, r: Scalar) -> "TruncatedSeries":
         """s**r = exp(r*log(s)) for any rational r; needs constant term 1."""
         if self.coeffs[0] != 1:
-            raise BadConstantTermError("pow needs constant term 1")
+            raise ValueError("pow needs constant term 1")
         return self.log().scale(Fraction(r)).exp()
 
     def inverse(self) -> "TruncatedSeries":

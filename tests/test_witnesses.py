@@ -2,10 +2,11 @@
 
 The fault-injection tests assert only that some check fails with a witness.
 Here all 45 checks run at max_n 4 and egf_order 5, clean and under each of
-eighteen perturbations (the eleven those tests apply, four that reach
-fields only a few checks read, and three on the algebra side, which reach
-the checks that enumerate nothing), and every report entry (ms zeroed) is
-compared with tests/golden/verify_faults_n4.json.
+nineteen perturbations (the eleven those tests apply, four that reach
+fields only a few checks read, three on the algebra side, which reach the
+checks that enumerate nothing, and one that counts w(0) = 0 as an ascent),
+and every report entry (ms zeroed) is compared with
+tests/golden/verify_faults_n4.json.
 
 Regenerate the golden file (only when a witness is meant to change) with
     PYTHONPATH=src python tests/test_witnesses.py
@@ -128,6 +129,9 @@ PERTURBATIONS = {
     "stirling1-k1-plus-1": (checks, "stirling1_unsigned",
                             lambda real: lambda n, k: real(n, k) + (k == 1)),
     "q-rule-changed": (gr, "quadruple_statistic_grammar", _cycle_rule_changed),
+    # counts the boundary w(0) = 0 as an ascent
+    "asc-from-zero": (pm, "perm_stats",
+                      lambda real: lambda pi: real(pi)._replace(asc=real(pi).asc + 1)),
 }
 CASES = ["clean", *PERTURBATIONS]
 
@@ -150,6 +154,14 @@ def test_report_matches_the_golden_file(case, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     assert list(golden) == CASES
     assert _report(case, monkeypatch) == golden[case]
+
+
+def test_every_check_fails_under_some_perturbation():
+    golden = json.loads(GOLDEN.read_text())
+    ids = [row["id"] for row in golden["clean"]]
+    caught = {row["id"] for case, rows in golden.items() if case != "clean"
+              for row in rows if row["status"] == "fail"}
+    assert [i for i in ids if i not in caught] == []
 
 
 if __name__ == "__main__":
