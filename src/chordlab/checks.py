@@ -30,10 +30,6 @@ from .algebra import (MVPoly, NotHomogeneousError, NotSymmetricError,
 from .census import census, sharded
 
 
-class UnknownCheckIdError(Exception):
-    pass
-
-
 class CheckResult(NamedTuple):
     id: str
     status: str               # pass | fail | skip
@@ -853,7 +849,7 @@ def _reads(selection, max_n: int | None, egf_order: int) -> dict[str, list]:
         ids = list(dict.fromkeys([selection] if isinstance(selection, str) else selection))
         for check_id in ids:
             if check_id not in _REGISTRY:
-                raise UnknownCheckIdError(f"unknown check id: {check_id}")
+                raise ValueError(f"unknown check id: {check_id}")
     return {check.id: check.reads(check.bound(max_n), egf_order)
             for check in map(_REGISTRY.get, ids)}
 

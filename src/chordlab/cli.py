@@ -326,7 +326,7 @@ def _cmd_verify(args) -> int:
     order = checks.DEFAULT_EGF_ORDER if args.egf_order is None else args.egf_order
     try:
         reads = checks._reads(selection, args.max_n, order)
-    except checks.UnknownCheckIdError as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc)) from None
     limit = census.size(("block", _VERIFY_MAX_N))
     for check_id, keys in reads.items():

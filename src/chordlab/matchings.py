@@ -173,9 +173,10 @@ def trace_indices(m: Matching) -> frozenset:
     """Openers that open a fixed block at some stage of the reduction chain.
 
     Each step of the chain deletes the arc (2n-1, 2n) if it is one, else
-    joins the partners of 2n-1 and 2n into one arc.  Arcs keep their endpoints until the reduction reaches them, so the set is
-    exactly: fixed-block openers of `m` itself, plus openers of fixed blocks
-    created by a contraction along the chain.
+    joins the partners of 2n-1 and 2n into one arc. Arcs keep their
+    endpoints until the reduction reaches them, so the set is exactly:
+    fixed-block openers of `m` itself, plus openers of fixed blocks created
+    by a contraction along the chain.
     """
     n = len(m)
     partner = [0] * (2 * n + 1)

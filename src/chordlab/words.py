@@ -91,7 +91,7 @@ def words(n: int, start_rank: int = 0) -> Iterator[Word]:
 # ---------------------------------------------------------------------------
 
 class NeighborClassification(NamedTuple):
-    # cli._word_rows, checks._mp_bij and the SIX-EULERIAN selectors read
+    # cli._word_rows, checks._bij_fault and the SIX-EULERIAN selectors read
     # these fields by position; keep their order.
     lne: int
     lcr: int

@@ -15,9 +15,15 @@ of its own (a mutant that signals process 0 then signals only its own
 group).  A mutant is killed when verify exits nonzero; when it passes,
 verify runs again with `--report json`, and the mutant is also killed
 when that run fails or its report, with the `ms` fields zeroed, differs
-from the unmutated module's (a dropped per-n row or a changed witness).  It is timed out
-when a timeout stops either run, and survives when both pass with the
-same report.
+from the unmutated module's (a dropped per-n row or a changed witness).  It
+survives when both pass with the same report.
+
+A timeout that stops either run does not end there: the mutant is
+replayed once against the module's own tier-1 tests,
+tests/test_<module>.py, under pytest `-x`, with the same limits but a
+60-s timeout.  It is killed when a test fails, and the sweep prints the
+first test that failed; it is timed out when that replay times out too or
+the module has no test file.
 
 No census is sharded at those bounds, so a `census` mutant that survives
 them also runs `verify --max-n 6 --egf-order 6 --jobs 2 --report json`,
@@ -29,14 +35,15 @@ design, so such a run has the serial report; it goes through a probe
 that wraps `census._fork` and `census._merge`, and a survivor whose run
 saw either raise is marked as one that only fails a shard.
 
-The summary line counts the mutants killed by their report alone, and
-those killed by the sharded run alone, apart, so the exit-status
+The summary line counts the mutants killed by their report alone, by the
+sharded run alone and by the tier-1 replay, apart, so the exit-status
 criterion can be read off too.  The unmutated module, unparsed the same
-way, must pass every run first.  Survivors go to FILE (default
-mutation_survivors.txt), one line each: module, line and 0-based column
-of the mutated node, its site index k (`_mutant(source, k)` replays it),
-the change, "(a shard fails)" where it does, and the original source
-line.  Standard library only; pytest does not collect this file.
+way, must pass every run first, its tier-1 tests included.  Survivors go
+to FILE (default mutation_survivors.txt), one line each: module, line and
+0-based column of the mutated node, its site index k (`_mutant(source,
+k)` replays it), the change, "(a shard fails)" where it does, and the
+original source line.  Standard library only, but for the pytest that the
+replay runs; pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -52,6 +59,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
 VERIFY = ["-m", "chordlab.cli", "verify", "--max-n", "4", "--egf-order", "5"]
 # The CLI as `-m chordlab.cli` runs it, saying on stderr when a shard's fork
 # or merge raised, which the serial walk that follows otherwise hides.
@@ -77,6 +85,7 @@ SHARDED = ["-c", _SHARD_PROBE, "verify", "--max-n", "6", "--egf-order", "6", "--
            "--report", "json"]
 SHARDED_MODULES = {"census"}
 TIMEOUT_S = 5
+REPLAY_TIMEOUT_S = 60
 ADDRESS_SPACE = 1 << 30
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
@@ -134,6 +143,26 @@ def _verify(root: Path, *options: str, command=VERIFY) -> tuple[str, bytes, bool
     return ("passed" if done.returncode == 0 else "killed"), report, shard_failed
 
 
+def _replay(root: Path, module: str) -> tuple[str, str | None]:
+    """"killed", "passed" or "timeout" for tests/test_<module>.py, run with
+    `-x` on the package under `root`, and the first test that failed."""
+    env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+               str(TESTS / f"test_{module}.py")]
+    try:
+        done = subprocess.run(command, cwd=root, env=env, timeout=REPLAY_TIMEOUT_S,
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                              preexec_fn=_limit_memory, start_new_session=True)
+    except subprocess.TimeoutExpired:
+        return "timeout", None
+    if done.returncode == 0:
+        return "passed", None
+    # pytest names the test relative to the working directory, `root`
+    failed = re.search(rb"^(?:FAILED|ERROR) \S*?(test_\w+\.py\S*)", done.stdout, re.M)
+    return "killed", (f"tests/{failed.group(1).decode()}" if failed
+                      else f"pytest exit {done.returncode}")
+
+
 def _outcome(root: Path, clean: list[bytes]) -> str:
     """"killed", "reported" (killed by its report alone), "sharded" (killed
     by the sharded run alone), "survived", "shard fails" (survived, but a
@@ -155,8 +184,9 @@ def sweep(module: str, root: Path, survivors: list[str]) -> dict[str, int]:
     path = root / "chordlab" / f"{module}.py"
     source = path.read_text()
     lines = source.splitlines()
-    counts = {"killed": 0, "reported": 0, "sharded": 0, "survived": 0, "shard fails": 0,
-              "timeout": 0}
+    counts = {"killed": 0, "reported": 0, "sharded": 0, "replayed": 0, "survived": 0,
+              "shard fails": 0, "timeout": 0}
+    tested = (TESTS / f"test_{module}.py").exists()
     try:
         path.write_text(ast.unparse(ast.parse(source)))
         runs = [_verify(root), _verify(root, "--report", "json")]
@@ -164,14 +194,23 @@ def sweep(module: str, root: Path, survivors: list[str]) -> dict[str, int]:
             runs.append(_verify(root, command=SHARDED))
         if any(outcome != "passed" or shard_failed for outcome, _, shard_failed in runs):
             raise SystemExit(f"{module}: the unmutated, unparsed module fails verify")
+        if tested and _replay(root, module)[0] != "passed":
+            raise SystemExit(f"{module}: the unmutated, unparsed module fails "
+                             f"tests/test_{module}.py")
         clean = [report for _, report, _ in runs[1:]]
         for k in range(len(_sites(ast.parse(source)))):
             text, line, column, change = _mutant(source, k)
             path.write_text(text)
+            site = f"{module}.py:{line}:{column}: site {k}: {change}"
             outcome = _outcome(root, clean)
+            if outcome == "timeout" and tested:
+                replayed, failed = _replay(root, module)
+                if replayed == "killed":
+                    outcome = "replayed"
+                    print(f"{site}: timed out, then failed {failed}", flush=True)
             counts[outcome] += 1
             if outcome in ("survived", "shard fails"):
-                survivors.append(f"{module}.py:{line}:{column}: site {k}: {change}"
+                survivors.append(f"{site}"
                                  f"{' (a shard fails)' if outcome == 'shard fails' else ''}: "
                                  f"{lines[line - 1].strip()}")
     finally:
@@ -191,10 +230,11 @@ def main(argv=None) -> int:
                         ignore=shutil.ignore_patterns("__pycache__"))
         for module in args.modules:
             counts = sweep(module, root, survivors)
+            killed = sum(counts[k] for k in ("killed", "reported", "sharded", "replayed"))
             print(f"{module}: {sum(counts.values())} mutants, "
-                  f"{counts['killed'] + counts['reported'] + counts['sharded']} killed "
-                  f"({counts['reported']} by their report alone, "
-                  f"{counts['sharded']} by the sharded run alone), "
+                  f"{killed} killed ({counts['reported']} by their report alone, "
+                  f"{counts['sharded']} by the sharded run alone, "
+                  f"{counts['replayed']} by tier-1 after a timeout), "
                   f"{counts['survived'] + counts['shard fails']} survived "
                   f"({counts['shard fails']} only failing a shard), "
                   f"{counts['timeout']} timed out", flush=True)

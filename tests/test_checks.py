@@ -1,8 +1,10 @@
 import collections
 import errno
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import signal
 import time
 
@@ -17,8 +19,8 @@ from chordlab import stirling as st
 from chordlab import words as wd
 from chordlab.algebra import NotSymmetricError, parse_poly
 from chordlab.census import census
-from chordlab.checks import (CheckResult, UnknownCheckIdError, check_ids,
-                             report_json, report_table, run_checks)
+from chordlab.checks import (CheckResult, check_ids, report_json, report_table,
+                             run_checks)
 
 
 @pytest.fixture
@@ -53,6 +55,20 @@ def _normalized(results):
     return out
 
 
+def test_every_library_error_is_a_value_error():
+    """A caller catches any bad argument to chordlab as a ValueError; only
+    the CLI's private usage error stands outside that family."""
+    outside = set()
+    for info in pkgutil.iter_modules(chordlab.__path__):
+        module = importlib.import_module(f"chordlab.{info.name}")
+        for value in vars(module).values():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__
+                    and not issubclass(value, ValueError)):
+                outside.add(f"{module.__name__}.{value.__qualname__}")
+    assert outside == {"chordlab.cli._UsageError"}
+
+
 class TestRunner:
     def test_m_main_small(self):
         results = run_checks(["M-MAIN"], max_n=3)
@@ -61,7 +77,7 @@ class TestRunner:
         assert [row["status"] for row in results[0].per_n] == ["pass"] * 3
 
     def test_unknown_id(self):
-        with pytest.raises(UnknownCheckIdError):
+        with pytest.raises(ValueError, match=r"^unknown check id: NO-SUCH-CHECK$"):
             run_checks(["NO-SUCH-CHECK"])
 
     def test_bare_string_is_one_check_id(self):

@@ -153,7 +153,7 @@ class TestVerify:
     def test_unknown_check_id(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--checks", "BOGUS")
         assert code == 2
-        assert "unknown check id" in err
+        assert err.splitlines() == ["error: unknown check id: BOGUS"]
 
     @pytest.mark.parametrize("argv", [["--checks", "NOPE"], ["--max-n", "8"]])
     def test_refused_verify_creates_no_out_file(self, tmp_path, capsys, argv):
