@@ -145,50 +145,30 @@ def _emit(pieces, out) -> None:
         out.write("\n")
 
 
-# Row generators, one per kind of object.  Each row holds its family's fields
-# in order: field 2 is the object's text and every other field an int.
-# Kernels are looked up on their modules for every row, so a patched kernel
-# reaches the output.  A one-line text is formatted with one "%d %d ..."
-# template per n.
+# Every family's rows come from `_rows`: field 2 is the object's text and
+# every other field an int.  No kernel is bound before its stream starts:
+# each `_FAMILIES` entry reads its functions from their modules when it is
+# called, so a patched kernel reaches the output.
 
-def _matching_rows(n):
-    for rank, m in enumerate(mt.enumerate_matchings(n)):
-        fixb, el, ol, es, os_, _ = mt.block_stats(m)
-        cr, ne, al, lne, lcr, nal, lrp, rrp = mt.pairwise_stats(m)
-        yield (n, rank, mt.arcs_text(m), fixb, el, ol, es, os_, cr, ne,
-               al, lne, lcr, nal, lrp, rrp, mt.trace(m))
+def _rows(n, objects, text, stats):
+    for rank, obj in enumerate(objects):
+        yield (n, rank, text(obj)) + stats(obj)
 
 
-def _word_rows(n):
-    for rank, w in enumerate(wd.enumerate_words(n)):
-        yield ((n, rank, wd.word_text(w)) + wd.neighbor_classify(w)
-               + wd.word_stats(w))
+def _ints(k):
+    """The text function of k ints on one line: one "%d %d ..." template."""
+    return " ".join(["%d"] * k).__mod__
 
 
-def _perm_rows(n, stream):
-    text = " ".join(["%d"] * n)
-    for rank, pi in enumerate(stream):
-        yield (n, rank, text % pi) + pm.perm_stats(pi)
+def _matching_stats(m):
+    return mt.block_stats(m)[:5] + mt.pairwise_stats(m) + (mt.trace(m),)
 
 
-def _signed_rows(n):
-    text = " ".join(["%d"] * n)
-    for rank, sigma in enumerate(pm.enumerate_signed(n)):
-        wexc, exc, drop, fix, single, cyc = pm.signed_stats(sigma)
-        asc, des, inv, dd = pm.oneline_stats(sigma)
-        yield (n, rank, text % sigma, exc, drop, fix, cyc, asc, des, inv,
-               pm.cda(tuple(map(abs, sigma))), dd, wexc, single)
-
-
-def _stirling_rows(n):
-    text = " ".join(["%d"] * (2 * n))
-    for rank, word in enumerate(st.enumerate_stirling(n)):
-        yield (n, rank, text % word) + st.stirling_word_stats(word)
-
-
-def _tree_rows(n, degree):
-    for rank, tree in enumerate(st.enumerate_trees(n, degree)):
-        yield (n, rank, st.tree_text(tree)) + st.tree_degree_histogram(tree)
+def _signed_stats(sigma):
+    wexc, exc, drop, fix, single, cyc = pm.signed_stats(sigma)
+    asc, des, inv, dd = pm.oneline_stats(sigma)
+    return (exc, drop, fix, cyc, asc, des, inv, pm.cda(tuple(map(abs, sigma))),
+            dd, wexc, single)
 
 
 _PERM_FIELDS = ["n", "rank", "oneline", "exc", "drop", "fix", "cyc", "asc",
@@ -196,28 +176,36 @@ _PERM_FIELDS = ["n", "rank", "oneline", "exc", "drop", "fix", "cyc", "asc",
 _TREE_FIELDS = ["n", "rank", "tree", "leaves", "deg1", "deg2", "deg3"]
 
 # family -> (size limit, overridable with --force; smallest --n; fields;
-# n -> rows).  The limits guard enumerations that explode.
+# n -> (objects, text, stats) for `_rows`).  The limits guard enumerations
+# that explode.
 _FAMILIES = {
     "matchings": (10, 0, ["n", "rank", "arcs", "fixb", "elblock", "olblock",
                           "esblock", "osblock", "cr", "ne", "al", "lne", "lcr",
-                          "nal", "lrp", "rrp", "trace"], _matching_rows),
+                          "nal", "lrp", "rrp", "trace"],
+                  lambda n: (mt.enumerate_matchings(n), mt.arcs_text, _matching_stats)),
     "mwords": (10, 0, ["n", "rank", "word", "lne", "lcr", "nal", "rrp", "lrp",
-                       "inv", "coinv", "rank_stat"], _word_rows),
+                       "inv", "coinv", "rank_stat"],
+               lambda n: (wd.enumerate_words(n), wd.word_text,
+                          lambda w: wd.neighbor_classify(w) + wd.word_stats(w))),
     "perms": (10, 0, _PERM_FIELDS,
-              lambda n: _perm_rows(n, pm.enumerate_permutations(n))),
-    "signed": (8, 0, _PERM_FIELDS + ["wexc", "single"], _signed_rows),
+              lambda n: (pm.enumerate_permutations(n), _ints(n), pm.perm_stats)),
+    "signed": (8, 0, _PERM_FIELDS + ["wexc", "single"],
+               lambda n: (pm.enumerate_signed(n), _ints(n), _signed_stats)),
     "derangements": (10, 0, _PERM_FIELDS,
-                     lambda n: _perm_rows(n, pm.enumerate_derangements(n))),
-    "stirling": (10, 0, ["n", "rank", "word", "asc", "plat", "des"], _stirling_rows),
-    "trees012": (12, 1, _TREE_FIELDS, lambda n: _tree_rows(n, 2)),
-    "trees0123": (12, 1, _TREE_FIELDS, lambda n: _tree_rows(n, 3)),
+                     lambda n: (pm.enumerate_derangements(n), _ints(n), pm.perm_stats)),
+    "stirling": (10, 0, ["n", "rank", "word", "asc", "plat", "des"],
+                 lambda n: (st.enumerate_stirling(n), _ints(2 * n), st.stirling_word_stats)),
+    "trees012": (12, 1, _TREE_FIELDS,
+                 lambda n: (st.enumerate_trees(n, 2), st.tree_text, st.tree_degree_histogram)),
+    "trees0123": (12, 1, _TREE_FIELDS,
+                  lambda n: (st.enumerate_trees(n, 3), st.tree_text, st.tree_degree_histogram)),
 }
 
 
 def _family_rows(family: str, n: int):
     """(fieldnames, iterator of row tuples) for one enumeration family."""
-    _, _, fields, rows = _FAMILIES[family]
-    return fields, rows(n)
+    _, _, fields, parts = _FAMILIES[family]
+    return fields, _rows(n, *parts(n))
 
 
 def _cmd_enumerate(args) -> int:

@@ -79,7 +79,7 @@ def enumerate_matchings(n: int, start_rank: int = 0) -> Iterator[Matching]:
 # ---------------------------------------------------------------------------
 
 class BlockStats(NamedTuple):
-    # cli._family_rows unpacks these fields by position; keep their order.
+    # cli._matching_stats reads these fields by position; keep their order.
     fixb: int
     elblock: int
     olblock: int
@@ -113,7 +113,7 @@ def block_stats(m: Matching) -> BlockStats:
 # ---------------------------------------------------------------------------
 
 class PairStats(NamedTuple):
-    # cli._family_rows unpacks these fields by position; keep their order.
+    # cli._matching_stats appends these fields as row columns; keep their order.
     cr: int
     ne: int
     al: int

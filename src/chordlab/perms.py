@@ -82,7 +82,7 @@ def enumerate_signed(n: int, start_rank: int = 0) -> Iterator[SignedPermutation]
 # ---------------------------------------------------------------------------
 
 class PermStats(NamedTuple):
-    # cli._family_rows appends these fields as row columns; keep their order.
+    # cli._FAMILIES appends these fields as row columns; keep their order.
     exc: int
     drop: int
     fix: int
@@ -164,7 +164,7 @@ def perm_stats(pi: Permutation) -> PermStats:
 
 
 class SignedStats(NamedTuple):
-    # cli._family_rows unpacks these fields by position; keep their order.
+    # cli._signed_stats unpacks these fields by position; keep their order.
     wexc: int
     exc_B: int
     drop_B: int

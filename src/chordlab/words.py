@@ -91,8 +91,9 @@ def words(n: int, start_rank: int = 0) -> Iterator[Word]:
 # ---------------------------------------------------------------------------
 
 class NeighborClassification(NamedTuple):
-    # cli._word_rows, checks._bij_fault and the SIX-EULERIAN selectors read
-    # these fields by position; keep their order.
+    # cli._FAMILIES, checks._bij_fault, the SIX-EULERIAN selectors and c_poly
+    # (C_n's exponents over x1, x2, x3, y1, y2) read these fields by
+    # position; keep their order.
     lne: int
     lcr: int
     nal: int
@@ -123,7 +124,7 @@ def neighbor_classify(w: Word) -> NeighborClassification:
 
 
 class WordStats(NamedTuple):
-    # cli._family_rows appends these fields as row columns; keep their order.
+    # cli._FAMILIES appends these fields as row columns; keep their order.
     inv: int
     coinv: int
     rank: int

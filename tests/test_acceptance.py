@@ -2,7 +2,7 @@
 
 The full check suite runs once at its default bounds (the bounds the criteria
 state), each large census sharded over the usable CPUs, and the criterion
-tests read off the relevant results.  CI's "Sharded M_8" step walks M_8
+tests read off the relevant results.  CI's "Sharded censuses" step walks M_8
 serially as well and compares the reports.
 """
 import time

@@ -564,6 +564,9 @@ class TestRowWriters:
         ("mwords", wd, "word_stats"),
         ("perms", pm, "perm_stats"),
         ("signed", pm, "cda"),
+        ("stirling", st, "stirling_word_stats"),
+        ("trees0123", st, "tree_degree_histogram"),
+        ("derangements", pm, "perm_stats"),
     ])
     def test_kernels_are_read_per_row(self, capsys, monkeypatch, family, module,
                                       kernel):
@@ -575,6 +578,8 @@ class TestRowWriters:
             stats = original(obj)
             if type(stats) is int:
                 return stats + 100
+            if type(stats) is tuple:
+                return tuple(value + 100 for value in stats)
             return stats._make(value + 100 for value in stats)
 
         monkeypatch.setattr(module, kernel, perturbed)
